@@ -14,7 +14,7 @@
 //! attention vectors get gradients through the fused backward below.
 
 use crate::tape::{NodeId, Op, Tape};
-use skipnode_tensor::Matrix;
+use skipnode_tensor::{workspace, Matrix};
 
 /// Precomputed neighborhood structure for attention: for each destination
 /// node, the list of source nodes attended over (self-loop included).
@@ -50,17 +50,19 @@ impl AttentionGraph {
 
 pub(crate) struct GatCache {
     pub graph: AttentionGraph,
-    /// α_uv per destination, aligned with `graph.sources(v)` (empty on an
-    /// inference tape, which never runs the backward).
+    /// α_uv per destination, aligned with `graph.sources(v)`. Written by
+    /// every retaining evaluation (training tapes and compiled replay);
+    /// empty on an inference tape, which never runs the backward.
     pub alphas: Vec<Vec<f32>>,
-    /// LeakyReLU derivative per (v, u) pair (1.0 or `slope`).
+    /// LeakyReLU derivative per (v, u) pair (1.0 or `slope`), kept like
+    /// `alphas`.
     pub leaky_grad: Vec<Vec<f32>>,
-    /// LeakyReLU slope, kept so the deferred inference executor can rerun
-    /// [`gat_forward`] from the op record alone.
+    /// LeakyReLU slope, so [`gat_forward`] can rerun from the op record.
     pub slope: f32,
 }
 
-/// Forward attention aggregation, cached for the backward pass.
+/// Forward attention aggregation. Also returns `(alphas, leaky_grad)`,
+/// the records the backward pass reads.
 pub(crate) fn gat_forward(
     h: &Matrix,
     s_src: &Matrix,
@@ -73,7 +75,7 @@ pub(crate) fn gat_forward(
     assert_eq!(s_src.shape(), (n, 1), "s_src must be n×1");
     assert_eq!(s_dst.shape(), (n, 1), "s_dst must be n×1");
     let d = h.cols();
-    let mut out = Matrix::zeros(n, d);
+    let mut out = workspace::take(n, d);
     let mut alphas = Vec::with_capacity(n);
     let mut leaky_grad = Vec::with_capacity(n);
     for v in 0..n {
@@ -117,9 +119,9 @@ pub(crate) fn gat_forward(
 pub(crate) fn gat_backward(h: &Matrix, cache: &GatCache, g: &Matrix) -> (Matrix, Matrix, Matrix) {
     let n = cache.graph.nodes();
     let d = h.cols();
-    let mut dh = Matrix::zeros(n, d);
-    let mut ds_src = Matrix::zeros(n, 1);
-    let mut ds_dst = Matrix::zeros(n, 1);
+    let mut dh = workspace::take(n, d);
+    let mut ds_src = workspace::take(n, 1);
+    let mut ds_dst = workspace::take(n, 1);
     for v in 0..n {
         let srcs = cache.graph.sources(v);
         let alphas = &cache.alphas[v];
@@ -165,46 +167,21 @@ impl Tape {
         assert_eq!(self.shape(h).0, n, "feature rows");
         assert_eq!(self.shape(s_src), (n, 1), "s_src must be n×1");
         assert_eq!(self.shape(s_dst), (n, 1), "s_dst must be n×1");
-        if self.is_inference() {
-            let cols = self.shape(h).1;
-            return self.push_pending(
-                n,
-                cols,
-                Op::GatAggregate {
-                    h,
-                    s_src,
-                    s_dst,
-                    cache: Box::new(GatCache {
-                        graph: graph.clone(),
-                        alphas: Vec::new(),
-                        leaky_grad: Vec::new(),
-                        slope,
-                    }),
-                },
-            );
-        }
-        let (value, alphas, leaky_grad) = gat_forward(
-            self.value(h),
-            self.value(s_src),
-            self.value(s_dst),
-            graph,
-            slope,
-        );
-        let rg = self.requires_grad(h) || self.requires_grad(s_src) || self.requires_grad(s_dst);
-        self.push(
-            value,
+        let cols = self.shape(h).1;
+        self.record(
+            n,
+            cols,
             Op::GatAggregate {
                 h,
                 s_src,
                 s_dst,
                 cache: Box::new(GatCache {
                     graph: graph.clone(),
-                    alphas,
-                    leaky_grad,
+                    alphas: Vec::new(),
+                    leaky_grad: Vec::new(),
                     slope,
                 }),
             },
-            rg,
         )
     }
 }

@@ -263,6 +263,86 @@ mod tests {
     }
 
     #[test]
+    fn scale_gradient() {
+        let x = rand_matrix(3, 4, 35);
+        let dev = finite_difference_check(&x, 1e-2, |t, xid| t.scale(xid, -1.7));
+        assert!(dev < 2e-2, "dev {dev}");
+    }
+
+    #[test]
+    fn dropout_gradient_under_a_fixed_mask() {
+        // A same-seed RNG per evaluation draws the same mask every time.
+        let x = rand_matrix(5, 4, 36);
+        let dev = finite_difference_check(&x, 1e-2, |t, xid| {
+            t.dropout(xid, 0.4, &mut SplitRng::new(37))
+        });
+        assert!(dev < 2e-2, "dev {dev}");
+    }
+
+    #[test]
+    fn dropout_rows_gradient_under_a_fixed_mask() {
+        let x = rand_matrix(6, 3, 38);
+        let dev = finite_difference_check(&x, 1e-2, |t, xid| {
+            t.dropout_rows(xid, 0.5, &mut SplitRng::new(39))
+        });
+        assert!(dev < 2e-2, "dev {dev}");
+    }
+
+    /// Finite-difference check of one fused `skip_conv_step` variant with
+    /// respect to each operand it uses, with half of the rows skipped.
+    fn check_skip_conv_step(bias: bool, init_alpha: Option<f32>, beta: Option<f32>, res: bool) {
+        use crate::FusedStep;
+        let n = 6;
+        let d = 3;
+        let adj = Arc::new(gcn_adjacency(
+            n,
+            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
+        ));
+        let mask = [true, false, false, true, false, true];
+        // Operand roles: x, skip, w, b, h0, residual.
+        let shapes = [(n, d), (n, d), (d, d), (1, d), (n, d), (n, d)];
+        let vals: Vec<Matrix> = shapes
+            .iter()
+            .enumerate()
+            .map(|(k, &(r, c))| rand_matrix(r, c, 40 + k as u64))
+            .collect();
+        let used = [true, true, true, bias, init_alpha.is_some(), res];
+        for role in (0..vals.len()).filter(|&k| used[k]) {
+            let dev = finite_difference_check(&vals[role], 1e-2, |t, id| {
+                let a = t.register_adj(adj.clone());
+                let mut node = |k: usize| {
+                    if k == role {
+                        id
+                    } else {
+                        t.constant(vals[k].clone())
+                    }
+                };
+                let step = FusedStep {
+                    x: node(0),
+                    skip: node(1),
+                    w: node(2),
+                    b: bias.then(|| node(3)),
+                    init_residual: init_alpha.map(|alpha| (node(4), alpha)),
+                    identity_map: beta,
+                    residual: res.then(|| node(5)),
+                };
+                t.skip_conv_step(a, step, &mask)
+            });
+            let variant = (bias, init_alpha, beta, res);
+            assert!(dev < 3e-2, "{variant:?} operand {role}: dev {dev}");
+        }
+    }
+
+    #[test]
+    fn skip_conv_step_gradient_in_every_variant() {
+        check_skip_conv_step(true, None, None, false);
+        check_skip_conv_step(false, Some(0.3), None, false);
+        check_skip_conv_step(false, None, Some(0.4), false);
+        check_skip_conv_step(false, None, None, true);
+        check_skip_conv_step(true, Some(0.3), Some(0.4), true);
+    }
+
+    #[test]
     fn deep_composite_gradient() {
         // A miniature 3-layer GCN with SkipNode and PairNorm: the ops must
         // compose correctly end-to-end.

@@ -1,9 +1,14 @@
-//! Deferred execution for inference tapes ([`Tape::inference`]).
+//! The one forward interpreter, [`Tape::eval_node`], and the deferred
+//! executor for inference tapes ([`Tape::inference`]).
 //!
-//! An inference tape records shape-only placeholders during model
-//! construction; [`Tape::run`] then materializes exactly the nodes the
-//! requested outputs depend on. Two properties make this cheaper than the
-//! eager training forward:
+//! Every op's forward arithmetic lives in `eval_node`. Eager recording
+//! calls it once per node as the node is recorded (backward records
+//! retained, no buffer stealing); compiled replay ([`crate::train_exec`])
+//! calls it over a fixed schedule (records retained, stealing by
+//! whole-program liveness); and [`Tape::run`] calls it for inference tapes,
+//! which record shape-only placeholders and materialize exactly the nodes
+//! the requested outputs depend on. Two properties make that cheaper than
+//! the training forward:
 //!
 //! 1. **Liveness-driven freeing.** Operand positions are scanned once to
 //!    find each node's last consumer; the moment that consumer has run, the
@@ -12,16 +17,16 @@
 //!    retaining ~2 buffers per layer for a backward pass that never comes.
 //! 2. **In-place reuse.** Elementwise ops (ReLU, scale, bias, masks,
 //!    row-combine, Hadamard, max-pool) steal a dying operand's buffer and
-//!    mutate it in place rather than copy-then-free. All eager elementwise
-//!    kernels are themselves copy-then-mutate-in-place, so the arithmetic —
-//!    and thus the result — is bit-identical to the training forward.
+//!    mutate it in place rather than copy-then-free. Without stealing they
+//!    copy first and run the same in-place arithmetic, so every mode
+//!    produces bit-identical values.
 //!
 //! Node values the caller asked to `keep` are pinned and never freed; read
 //! them out with [`Tape::take_value`] afterwards.
 
 use crate::attention::gat_forward;
-use crate::ops::skip_conv_compute;
 use crate::tape::{NodeId, Op, Tape, Value};
+use skipnode_sparse::{CsrMatrix, COL_SKIP};
 use skipnode_tensor::quant::{qgemm, QuantizedMatrix};
 use skipnode_tensor::segment::segment_reduce_into;
 use skipnode_tensor::{workspace, Matrix};
@@ -92,6 +97,115 @@ pub(crate) fn op_inputs(op: &Op, f: &mut dyn FnMut(usize)) {
     }
 }
 
+/// Borrowed operand values for [`skip_conv_compute`], mirroring
+/// [`crate::FusedStep`] with matrices in place of tape nodes.
+struct SkipConvArgs<'a> {
+    mat: &'a CsrMatrix,
+    xv: &'a Matrix,
+    wv: &'a Matrix,
+    bv: Option<&'a Matrix>,
+    sv: &'a Matrix,
+    init: Option<(&'a Matrix, f32)>,
+    beta: Option<f32>,
+    resv: Option<&'a Matrix>,
+}
+
+/// Compute the generalized fused SkipNode layer value:
+/// `row_combine(relu(support·W̃ [+ b]) [+ res], skip, mask)` with the
+/// SpMM/GEMM restricted to the active (non-skipped) rows.
+///
+/// Returns `(value, gemm_left, relu_active)`:
+/// - `gemm_left` is the compact GEMM left operand (`(Ã x)`, or the
+///   initial-residual support), kept for the backward `dW` product;
+/// - `relu_active` holds the pre-residual ReLU activations on active rows
+///   when a post-activation residual is fused (the residual add hides the
+///   ReLU mask from the output); `0×0` otherwise.
+///
+/// Every arithmetic step replays the unfused op chain's elementwise order
+/// (`lin_comb` accumulation, bias-then-ReLU, post-ReLU residual add), so
+/// the fused value is bit-identical to the unfused chain.
+fn skip_conv_compute(
+    args: &SkipConvArgs<'_>,
+    active: &[u32],
+    col_map: &[u32],
+) -> (Matrix, Matrix, Matrix) {
+    let n = col_map.len();
+    let d_out = args.wv.cols();
+    // Compact gather: P = (Ã x) on active rows only.
+    let mut p = workspace::take_scratch(active.len(), args.xv.cols());
+    args.mat.spmm_rows_subset(args.xv, active, &mut p);
+    // Initial residual: support = (1−α)·P + α·h0 (gathered), replaying
+    // lin_comb's zero-init + add_scaled accumulation order.
+    let s = match args.init {
+        None => p,
+        Some((h0, alpha)) => {
+            let mut s = workspace::take(active.len(), p.cols());
+            for (local, &r) in active.iter().enumerate() {
+                let dst = s.row_mut(local);
+                for (d, &pv) in dst.iter_mut().zip(p.row(local)) {
+                    *d += (1.0 - alpha) * pv;
+                }
+                for (d, &hv) in dst.iter_mut().zip(h0.row(r as usize)) {
+                    *d += alpha * hv;
+                }
+            }
+            workspace::give(p);
+            s
+        }
+    };
+    // Compact GEMM: T = S·W, |active| × d_out.
+    let mut t = workspace::take_scratch(active.len(), d_out);
+    s.matmul_into(args.wv, &mut t);
+    // Identity map (z = (1−β)·S + β·T), optional bias, ReLU.
+    let mut z = match args.beta {
+        None => t,
+        Some(beta) => {
+            let mut z = workspace::take(active.len(), d_out);
+            z.add_scaled(&s, 1.0 - beta);
+            z.add_scaled(&t, beta);
+            workspace::give(t);
+            z
+        }
+    };
+    match args.bv {
+        Some(bv) => {
+            for local in 0..z.rows() {
+                for (v, &bias) in z.row_mut(local).iter_mut().zip(bv.row(0)) {
+                    *v = (*v + bias).max(0.0);
+                }
+            }
+        }
+        None => {
+            for v in z.as_mut_slice() {
+                *v = v.max(0.0);
+            }
+        }
+    }
+    // Scatter: skipped rows copy the skip branch verbatim; active rows add
+    // the post-activation residual when present.
+    let mut value = workspace::take_scratch(n, d_out);
+    for (r, &m) in col_map.iter().enumerate() {
+        let dst = value.row_mut(r);
+        if m == COL_SKIP {
+            dst.copy_from_slice(args.sv.row(r));
+        } else {
+            dst.copy_from_slice(z.row(m as usize));
+            if let Some(res) = args.resv {
+                for (v, &rv) in dst.iter_mut().zip(res.row(r)) {
+                    *v += rv;
+                }
+            }
+        }
+    }
+    let relu_active = if args.resv.is_some() {
+        z
+    } else {
+        workspace::give(z);
+        Matrix::zeros(0, 0)
+    };
+    (value, s, relu_active)
+}
+
 impl Tape {
     /// Materialize the nodes that `keep` depends on (dead nodes are never
     /// computed), freeing every intermediate as soon as its last consumer
@@ -100,7 +214,7 @@ impl Tape {
     pub fn run(&mut self, keep: &[NodeId]) {
         assert!(
             self.is_inference(),
-            "Tape::run is the inference executor; training tapes evaluate eagerly"
+            "Tape::run is the inference executor; training tapes evaluate on record"
         );
         let n = self.nodes.len();
         let mut needed = vec![false; n];
@@ -153,7 +267,8 @@ impl Tape {
     /// An owned copy of node `src`'s value for in-place mutation. When
     /// `src` dies at `at` (and is not pinned, not `aliases`-shared with
     /// another operand the caller still reads, and holds an owned buffer),
-    /// the buffer is stolen instead of copied.
+    /// the buffer is stolen instead of copied. Empty `last_use` turns
+    /// stealing off.
     fn reuse_or_copy(
         &mut self,
         src: usize,
@@ -162,30 +277,26 @@ impl Tape {
         pinned: &[bool],
         aliases: &[usize],
     ) -> Matrix {
-        let stealable = !pinned[src]
-            && last_use[src] == at
-            && !aliases.contains(&src)
-            && matches!(self.nodes[src].value, Value::Owned(_));
-        if stealable {
-            let (rows, cols) = self.nodes[src].value.shape();
-            match std::mem::replace(&mut self.nodes[src].value, Value::Pending { rows, cols }) {
-                Value::Owned(m) => m,
-                _ => unreachable!(),
+        if last_use.get(src) == Some(&at) && !pinned[src] && !aliases.contains(&src) {
+            if let Some(m) = self.steal_owned(src) {
+                return m;
             }
-        } else {
-            workspace::take_copy(self.val(src))
         }
+        workspace::take_copy(self.val(src))
     }
 
-    /// Execute one pending op. The op record is temporarily swapped out so
-    /// buffer-stealing (`&mut self`) can coexist with reading it.
+    /// Execute one pending op: the only forward arithmetic of every op.
+    /// The op record is temporarily swapped out so buffer-stealing
+    /// (`&mut self`) can coexist with reading it.
     ///
-    /// With `retain: true` (compiled training replay,
-    /// [`crate::train_exec`]) the backward-only op records are refreshed
-    /// alongside the value: the fused SkipNode layer's `p_active` /
-    /// `relu_active` caches are written back instead of recycled, and
-    /// max-pool recomputes its `argmax`. Inference passes `false` and
-    /// skips that bookkeeping.
+    /// `last_use` / `pinned` drive in-place stealing of dying operands
+    /// (see `reuse_or_copy`); eager recording passes empty slices, which
+    /// turns stealing off. With `retain: true` (training tapes and compiled
+    /// replay) the backward-only op records are refreshed alongside the
+    /// value: the fused SkipNode layer's `p_active` / `relu_active` caches
+    /// are written back instead of recycled, max-pool and readout recompute
+    /// their `argmax`, and GAT keeps its attention weights. Inference
+    /// passes `false` and skips that bookkeeping.
     pub(crate) fn eval_node(
         &mut self,
         idx: usize,
@@ -271,7 +382,7 @@ impl Tape {
                 residual,
                 cache,
             } => {
-                let args = crate::ops::SkipConvArgs {
+                let args = SkipConvArgs {
                     mat: &self.adjs[*adj].mat,
                     xv: self.val(x.0),
                     wv: self.val(w.0),
@@ -284,8 +395,8 @@ impl Tape {
                 let (value, p_active, relu_active) =
                     skip_conv_compute(&args, &cache.active, &cache.col_map);
                 if retain {
-                    // Replay keeps the backward caches; recycle last
-                    // epoch's buffers (`give` ignores the 0×0 case).
+                    // Keep the backward caches; recycle the previous
+                    // evaluation's buffers (`give` ignores the 0×0 case).
                     workspace::give(std::mem::replace(&mut cache.p_active, p_active));
                     workspace::give(std::mem::replace(&mut cache.relu_active, relu_active));
                 } else {
@@ -303,7 +414,7 @@ impl Tape {
                 let aliases: Vec<usize> = xs[1..].iter().map(|p| p.0).collect();
                 let mut v = self.reuse_or_copy(xs[0].0, idx, last_use, pinned, &aliases);
                 if retain {
-                    // Refresh the backward argmax record for replay.
+                    // Refresh the backward argmax record.
                     argmax.clear();
                     argmax.resize(v.len(), 0);
                 }
@@ -332,7 +443,7 @@ impl Tape {
                 let (rows, cols) = self.nodes[idx].value.shape();
                 let mut v = workspace::take_scratch(rows, cols);
                 if retain {
-                    // Refresh the backward argmax record for replay.
+                    // Refresh the backward argmax record.
                     segment_reduce_into(self.val(x.0), seg, *kind, &mut v, argmax);
                 } else {
                     let mut scratch = Vec::new();
@@ -388,13 +499,17 @@ impl Tape {
                 s_dst,
                 cache,
             } => {
-                let (out, _alphas, _leaky) = gat_forward(
+                let (out, alphas, leaky_grad) = gat_forward(
                     self.val(h.0),
                     self.val(s_src.0),
                     self.val(s_dst.0),
                     &cache.graph,
                     cache.slope,
                 );
+                if retain {
+                    cache.alphas = alphas;
+                    cache.leaky_grad = leaky_grad;
+                }
                 out
             }
         };

@@ -11,6 +11,9 @@
 //!
 //! A fresh [`Tape`] is built per forward pass; parameters are copied in as
 //! leaf nodes and their gradients read back out by registration order.
+//! Each op's forward and backward arithmetic is written once and shared by
+//! eager tapes, compiled replay ([`TrainProgram`]) and no-grad inference
+//! ([`Tape::inference`]).
 //!
 //! ```
 //! use skipnode_autograd::Tape;
@@ -39,4 +42,4 @@ pub use gradcheck::finite_difference_check;
 pub use loss::{bce_with_logits, softmax_cross_entropy, LossOutput};
 pub use ops::FusedStep;
 pub use tape::{AdjId, NodeId, Tape};
-pub use train_exec::{CompileError, EpochSampler, TrainProgram};
+pub use train_exec::{EpochSampler, TrainProgram};

@@ -1,6 +1,14 @@
 //! The tape: node storage, adjacency registry, and the backward pass.
+//!
+//! Every op has exactly one forward and one backward: the forward is
+//! [`Tape::eval_node`] (in [`crate::infer`]) and the backward is
+//! [`Tape::backward_step`] (here). Eager recording, compiled replay
+//! ([`crate::train_exec`]) and no-grad inference ([`Tape::run`]) call the
+//! same two functions and differ only in scheduling and buffer lifetimes.
 
-use skipnode_sparse::CsrMatrix;
+use crate::attention::gat_backward;
+use crate::infer::op_inputs;
+use skipnode_sparse::{CsrMatrix, COL_SKIP};
 use skipnode_tensor::segment::segment_reduce_backward_into;
 use skipnode_tensor::{workspace, Matrix, ReadoutKind, SegmentTable};
 use std::ops::Index;
@@ -97,8 +105,8 @@ pub(crate) enum Op {
     /// of `x` into one output row (`g × d`, one row per graph in the packed
     /// batch). `argmax` is the max-pool backward record — row index per
     /// `(segment, column)`, [`skipnode_tensor::segment::SEG_NO_ARGMAX`] for
-    /// empty segments, empty vec for mean/sum — refreshed on compiled
-    /// replay exactly like [`Op::MaxPool`]'s.
+    /// empty segments, empty vec for mean/sum — refreshed by every
+    /// retaining evaluation exactly like [`Op::MaxPool`]'s.
     Readout {
         x: NodeId,
         kind: ReadoutKind,
@@ -150,11 +158,12 @@ pub(crate) struct SkipConvCache {
     pub relu_active: Matrix,
 }
 
-/// A node's storage. Training tapes materialize every node eagerly
-/// (`Owned`); inference tapes record shape-only `Pending` placeholders that
-/// [`Tape::run`] materializes and frees again as liveness allows. `Shared`
-/// holds borrowed constants (e.g. the graph's feature matrix) that are
-/// registered by `Arc` instead of being copied onto every tape.
+/// A node's storage. Every op node is recorded as a shape-only `Pending`
+/// placeholder; training tapes materialize it immediately (`Owned`),
+/// inference tapes leave it for [`Tape::run`], which materializes and frees
+/// it again as liveness allows. `Shared` holds borrowed constants (e.g. the
+/// graph's feature matrix) that are registered by `Arc` instead of being
+/// copied onto every tape.
 pub(crate) enum Value {
     Owned(Matrix),
     Shared(Arc<Matrix>),
@@ -193,11 +202,16 @@ pub(crate) struct Node {
     pub requires_grad: bool,
 }
 
-/// Gradients produced by a backward pass, indexed by [`NodeId`].
+/// Leaf gradients produced by a backward pass, indexed by [`NodeId`].
+///
+/// Only leaves ([`Tape::param`] nodes and seeded leaf roots) keep a
+/// gradient: every interior gradient is consumed by the backward step that
+/// propagates it.
 pub struct Grads(Vec<Option<Matrix>>);
 
 impl Grads {
-    /// Gradient for `id`, if the node participated in the backward pass.
+    /// Gradient for leaf `id`, if the leaf participated in the backward
+    /// pass. Always `None` for interior nodes.
     pub fn get(&self, id: NodeId) -> Option<&Matrix> {
         self.0.get(id.0).and_then(|g| g.as_ref())
     }
@@ -314,7 +328,7 @@ impl Tape {
         self.nodes.is_empty()
     }
 
-    pub(crate) fn push(&mut self, value: Matrix, op: Op, requires_grad: bool) -> NodeId {
+    fn push(&mut self, value: Matrix, op: Op, requires_grad: bool) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
             value: Value::Owned(value),
@@ -325,16 +339,25 @@ impl Tape {
         id
     }
 
-    /// Record a shape-only placeholder (inference mode): the value is
-    /// materialized later by [`Tape::run`].
-    pub(crate) fn push_pending(&mut self, rows: usize, cols: usize, op: Op) -> NodeId {
-        debug_assert!(self.infer, "pending nodes only exist on inference tapes");
+    /// Record an op node of the given output shape. The node requires a
+    /// gradient when any input does (never on an inference tape). A
+    /// training tape evaluates it immediately through [`Tape::eval_node`]
+    /// with its backward records retained and no buffer stealing; an
+    /// inference tape leaves the placeholder for [`Tape::run`].
+    pub(crate) fn record(&mut self, rows: usize, cols: usize, op: Op) -> NodeId {
+        let mut requires_grad = false;
+        if !self.infer {
+            op_inputs(&op, &mut |p| requires_grad |= self.nodes[p].requires_grad);
+        }
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
             value: Value::Pending { rows, cols },
             op,
-            requires_grad: false,
+            requires_grad,
         });
+        if !self.infer {
+            self.eval_node(id.0, &[], &[], true);
+        }
         id
     }
 
@@ -433,19 +456,39 @@ impl Tape {
         }
     }
 
+    /// Move an owned value out for in-place reuse, leaving a shape-only
+    /// placeholder. `None` (and no change) for shared or pending values.
+    pub(crate) fn steal_owned(&mut self, idx: usize) -> Option<Matrix> {
+        if !matches!(self.nodes[idx].value, Value::Owned(_)) {
+            return None;
+        }
+        let (rows, cols) = self.nodes[idx].value.shape();
+        match std::mem::replace(&mut self.nodes[idx].value, Value::Pending { rows, cols }) {
+            Value::Owned(m) => Some(m),
+            _ => unreachable!(),
+        }
+    }
+
     /// Whether gradients flow to this node.
     pub fn requires_grad(&self, id: NodeId) -> bool {
         self.nodes[id.0].requires_grad
     }
 
+    fn rg(&self, id: NodeId) -> bool {
+        self.nodes[id.0].requires_grad
+    }
+
     /// Backward pass from a single root with the given seed gradient.
-    pub fn backward(&self, root: NodeId, seed: Matrix) -> Grads {
+    pub fn backward(&mut self, root: NodeId, seed: Matrix) -> Grads {
         self.backward_multi(vec![(root, seed)])
     }
 
     /// Backward pass from several roots at once (used by GRAND, whose loss
     /// seeds gradients into every augmented prediction head).
-    pub fn backward_multi(&self, seeds: Vec<(NodeId, Matrix)>) -> Grads {
+    ///
+    /// Runs [`Tape::backward_step`] over the nodes in reverse order with
+    /// every forward value kept alive; only leaf gradients are returned.
+    pub fn backward_multi(&mut self, seeds: Vec<(NodeId, Matrix)>) -> Grads {
         assert!(
             !self.infer,
             "backward on an inference tape; Tape::inference keeps no gradient bookkeeping"
@@ -462,60 +505,83 @@ impl Tape {
             accum(&mut grads, root, seed);
         }
         for idx in (0..=max_id).rev() {
+            if matches!(self.nodes[idx].op, Op::Leaf) {
+                continue;
+            }
             let Some(g) = grads[idx].take() else {
                 continue;
             };
-            if !self.nodes[idx].requires_grad && !matches!(self.nodes[idx].op, Op::Leaf) {
-                continue;
+            if self.nodes[idx].requires_grad {
+                self.backward_step(idx, g, &mut grads, false);
+            } else {
+                workspace::give(g);
             }
-            self.backprop_one(idx, &g, &mut grads);
-            // Leaf gradients are kept; interior gradients are kept too so
-            // diagnostics can inspect them. Put the gradient back.
-            grads[idx] = Some(g);
         }
         Grads(grads)
     }
 
-    fn backprop_one(&self, idx: usize, g: &Matrix, grads: &mut [Option<Matrix>]) {
-        match &self.nodes[idx].op {
-            Op::Leaf => {}
+    /// One backward step: consume node `idx`'s upstream gradient `g` and
+    /// accumulate the deltas of every input that requires a gradient.
+    ///
+    /// This is the only backward arithmetic; the eager driver and compiled
+    /// replay differ only in buffer traffic. Each step owns `g` (mutating
+    /// it in place and passing it down where the arithmetic allows,
+    /// recycling it otherwise). `steal_output` says this read is the last
+    /// use of the node's own value, so a ReLU may reuse its output buffer
+    /// for the gradient.
+    pub(crate) fn backward_step(
+        &mut self,
+        idx: usize,
+        g: Matrix,
+        grads: &mut [Option<Matrix>],
+        steal_output: bool,
+    ) {
+        let op = std::mem::replace(&mut self.nodes[idx].op, Op::Leaf);
+        match &op {
+            Op::Leaf => unreachable!("leaf gradients are collected by the driver"),
             Op::MatMul(a, b) => {
-                if self.nodes[a.0].requires_grad {
+                if self.rg(*a) {
                     let da = g.matmul_t(self.val(b.0));
                     accum(grads, *a, da);
                 }
-                if self.nodes[b.0].requires_grad {
-                    let db = self.val(a.0).t_matmul(g);
+                if self.rg(*b) {
+                    let db = self.val(a.0).t_matmul(&g);
                     accum(grads, *b, db);
                 }
+                workspace::give(g);
             }
             Op::Spmm { adj, x } => {
-                if self.nodes[x.0].requires_grad {
-                    let dx = self.adjs[*adj].backward_mat().spmm(g);
+                if self.rg(*x) {
+                    let dx = self.adjs[*adj].backward_mat().spmm(&g);
                     accum(grads, *x, dx);
                 }
+                workspace::give(g);
             }
             Op::AddScaled(a, b, c) => {
-                if self.nodes[a.0].requires_grad {
-                    accum_ref(grads, *a, g);
-                }
-                if self.nodes[b.0].requires_grad {
-                    let db = g * *c;
+                // b before a so `g` can flow into a's slot unscaled; when
+                // a == b the two deltas still add commutatively.
+                if self.rg(*b) {
+                    let db = &g * *c;
                     accum(grads, *b, db);
+                }
+                if self.rg(*a) {
+                    accum(grads, *a, g);
+                } else {
+                    workspace::give(g);
                 }
             }
             Op::Scale(x, c) => {
-                if self.nodes[x.0].requires_grad {
-                    let dx = g * *c;
+                if self.rg(*x) {
+                    let mut dx = g;
+                    dx.scale_in_place(*c);
                     accum(grads, *x, dx);
+                } else {
+                    workspace::give(g);
                 }
             }
             Op::AddBias(x, b) => {
-                if self.nodes[x.0].requires_grad {
-                    accum_ref(grads, *x, g);
-                }
-                if self.nodes[b.0].requires_grad {
-                    // Sum over rows.
+                // Bias row-sum first (reads `g`), then `g` flows to x.
+                if self.rg(*b) {
                     let mut db = workspace::take(1, g.cols());
                     for r in 0..g.rows() {
                         let row = g.row(r);
@@ -526,32 +592,55 @@ impl Tape {
                     }
                     accum(grads, *b, db);
                 }
-            }
-            Op::Relu(x) => {
-                if self.nodes[x.0].requires_grad {
-                    let out = self.val(idx);
-                    let dx = g.zip(out, |gv, ov| if ov > 0.0 { gv } else { 0.0 });
-                    accum(grads, *x, dx);
+                if self.rg(*x) {
+                    accum(grads, *x, g);
+                } else {
+                    workspace::give(g);
                 }
             }
-            Op::Mask { x, mask, .. } => {
-                if self.nodes[x.0].requires_grad {
-                    let mut dx = workspace::take_copy(g);
-                    for (v, &m) in dx.as_mut_slice().iter_mut().zip(mask) {
-                        *v *= m;
+            Op::Relu(x) => {
+                if !self.rg(*x) {
+                    workspace::give(g);
+                } else if let Some(mut out) = steal_output.then(|| self.steal_owned(idx)).flatten()
+                {
+                    // The output dies here: write the masked gradient into it.
+                    for (o, &gv) in out.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                        *o = if *o > 0.0 { gv } else { 0.0 };
+                    }
+                    workspace::give(g);
+                    accum(grads, *x, out);
+                } else {
+                    let mut dx = g;
+                    for (t, &ov) in dx.as_mut_slice().iter_mut().zip(self.val(idx).as_slice()) {
+                        if ov <= 0.0 {
+                            *t = 0.0;
+                        }
                     }
                     accum(grads, *x, dx);
                 }
             }
+            Op::Mask { x, mask, .. } => {
+                if self.rg(*x) {
+                    let mut dx = g;
+                    for (v, &m) in dx.as_mut_slice().iter_mut().zip(mask) {
+                        *v *= m;
+                    }
+                    accum(grads, *x, dx);
+                } else {
+                    workspace::give(g);
+                }
+            }
             Op::RowMask { x, factors, .. } => {
-                if self.nodes[x.0].requires_grad {
-                    let mut dx = workspace::take_copy(g);
+                if self.rg(*x) {
+                    let mut dx = g;
                     for (r, &f) in factors.iter().enumerate() {
                         for v in dx.row_mut(r) {
                             *v *= f;
                         }
                     }
                     accum(grads, *x, dx);
+                } else {
+                    workspace::give(g);
                 }
             }
             Op::RowCombine {
@@ -559,22 +648,37 @@ impl Tape {
                 skip,
                 take_skip,
             } => {
-                let route = |take: bool| -> Matrix {
-                    let mut d = workspace::take_copy(g);
+                // Route `g` by zeroing the other branch's rows; the conv
+                // route copies only when the skip route also consumes `g`.
+                let zero_rows = |d: &mut Matrix, keep_skip_rows: bool| {
                     for (r, &ts) in take_skip.iter().enumerate() {
-                        if ts != take {
+                        if ts != keep_skip_rows {
                             for v in d.row_mut(r) {
                                 *v = 0.0;
                             }
                         }
                     }
-                    d
                 };
-                if self.nodes[conv.0].requires_grad {
-                    accum(grads, *conv, route(false));
-                }
-                if self.nodes[skip.0].requires_grad {
-                    accum(grads, *skip, route(true));
+                match (self.rg(*conv), self.rg(*skip)) {
+                    (true, true) => {
+                        let mut dc = workspace::take_copy(&g);
+                        zero_rows(&mut dc, false);
+                        accum(grads, *conv, dc);
+                        let mut ds = g;
+                        zero_rows(&mut ds, true);
+                        accum(grads, *skip, ds);
+                    }
+                    (true, false) => {
+                        let mut dc = g;
+                        zero_rows(&mut dc, false);
+                        accum(grads, *conv, dc);
+                    }
+                    (false, true) => {
+                        let mut ds = g;
+                        zero_rows(&mut ds, true);
+                        accum(grads, *skip, ds);
+                    }
+                    (false, false) => workspace::give(g),
                 }
             }
             Op::SkipConv {
@@ -588,20 +692,19 @@ impl Tape {
                 residual,
                 cache,
             } => {
-                let out = self.val(idx);
                 let d_out = g.cols();
                 // dZ on the active rows only: gather g and apply the ReLU
                 // mask (skipped rows never flow through the conv branch).
                 // With a fused post-activation residual the output rows
                 // already include it, so the mask comes from the cached
                 // pre-residual activation instead of the fused output.
+                let out = residual.is_none().then(|| self.val(idx));
                 let mut gz = workspace::take_scratch(cache.active.len(), d_out);
                 for (local, &r) in cache.active.iter().enumerate() {
                     let r = r as usize;
-                    let mask_row = if residual.is_some() {
-                        cache.relu_active.row(local)
-                    } else {
-                        out.row(r)
+                    let mask_row = match out {
+                        Some(o) => o.row(r),
+                        None => cache.relu_active.row(local),
                     };
                     let dst = gz.row_mut(local);
                     for ((dv, &gv), &ov) in dst.iter_mut().zip(g.row(r)).zip(mask_row) {
@@ -609,7 +712,7 @@ impl Tape {
                     }
                 }
                 if let Some(res) = residual {
-                    if self.nodes[res.0].requires_grad {
+                    if self.rg(*res) {
                         // Added after the ReLU: its gradient is the unmasked
                         // upstream gradient on the active rows.
                         let mut dres = workspace::take(g.rows(), d_out);
@@ -621,7 +724,7 @@ impl Tape {
                     }
                 }
                 if let Some(b) = b {
-                    if self.nodes[b.0].requires_grad {
+                    if self.rg(*b) {
                         let mut db = workspace::take(1, d_out);
                         for local in 0..gz.rows() {
                             let dst = db.row_mut(0);
@@ -632,7 +735,7 @@ impl Tape {
                         accum(grads, *b, db);
                     }
                 }
-                if self.nodes[w.0].requires_grad {
+                if self.rg(*w) {
                     // dW = Sᵀ · dT over the active rows (cached compact
                     // support); with the identity map z = (1-β)s + β·s·W,
                     // so dT = β·dZ.
@@ -642,8 +745,7 @@ impl Tape {
                     }
                     accum(grads, *w, dw);
                 }
-                let needs_ds = self.nodes[x.0].requires_grad
-                    || init_residual.is_some_and(|(h0, _)| self.nodes[h0.0].requires_grad);
+                let needs_ds = self.rg(*x) || init_residual.is_some_and(|(h0, _)| self.rg(h0));
                 if needs_ds {
                     // dS: gradient wrt the GEMM left operand.
                     let mut ds = gz.matmul_t(self.val(w.0));
@@ -653,7 +755,7 @@ impl Tape {
                         ds.add_scaled(&gz, 1.0 - *beta);
                     }
                     if let Some((h0, alpha)) = init_residual {
-                        if self.nodes[h0.0].requires_grad {
+                        if self.rg(*h0) {
                             // s = (1-α)p + α·h0 on the active rows.
                             let n0 = self.nodes[h0.0].value.shape().0;
                             let mut dh0 = workspace::take(n0, ds.cols());
@@ -666,7 +768,7 @@ impl Tape {
                             accum(grads, *h0, dh0);
                         }
                     }
-                    if self.nodes[x.0].requires_grad {
+                    if self.rg(*x) {
                         if let Some((_, alpha)) = init_residual {
                             ds.scale_in_place(1.0 - *alpha);
                         }
@@ -681,24 +783,25 @@ impl Tape {
                     }
                     workspace::give(ds);
                 }
-                if self.nodes[skip.0].requires_grad {
+                if self.rg(*skip) {
                     // Identity route: skipped rows pass the gradient straight
                     // through to the skip input.
                     let mut dsk = workspace::take(g.rows(), d_out);
                     for (r, &m) in cache.col_map.iter().enumerate() {
-                        if m == skipnode_sparse::COL_SKIP {
+                        if m == COL_SKIP {
                             dsk.row_mut(r).copy_from_slice(g.row(r));
                         }
                     }
                     accum(grads, *skip, dsk);
                 }
                 workspace::give(gz);
+                workspace::give(g);
             }
             Op::ConcatCols(parts) => {
                 let mut off = 0;
                 for p in parts {
                     let pc = self.nodes[p.0].value.shape().1;
-                    if self.nodes[p.0].requires_grad {
+                    if self.rg(*p) {
                         let mut dp = workspace::take(g.rows(), pc);
                         for r in 0..g.rows() {
                             dp.row_mut(r).copy_from_slice(&g.row(r)[off..off + pc]);
@@ -707,10 +810,11 @@ impl Tape {
                     }
                     off += pc;
                 }
+                workspace::give(g);
             }
             Op::MaxPool { xs, argmax } => {
                 for (k, x) in xs.iter().enumerate() {
-                    if !self.nodes[x.0].requires_grad {
+                    if !self.rg(*x) {
                         continue;
                     }
                     let mut dx = workspace::take(g.rows(), g.cols());
@@ -721,6 +825,7 @@ impl Tape {
                     }
                     accum(grads, *x, dx);
                 }
+                workspace::give(g);
             }
             Op::Readout {
                 x,
@@ -728,46 +833,59 @@ impl Tape {
                 seg,
                 argmax,
             } => {
-                if self.nodes[x.0].requires_grad {
-                    let (n, d) = self.nodes[x.0].value.shape();
-                    let mut dx = workspace::take(n, d);
-                    segment_reduce_backward_into(g, seg, *kind, argmax, &mut dx);
+                if self.rg(*x) {
+                    let (rows, cols) = self.nodes[x.0].value.shape();
+                    let mut dx = workspace::take(rows, cols);
+                    segment_reduce_backward_into(&g, seg, *kind, argmax, &mut dx);
                     accum(grads, *x, dx);
                 }
+                workspace::give(g);
             }
             Op::PairNorm { x, s } => {
-                if self.nodes[x.0].requires_grad {
-                    let dx = pairnorm_backward(self.val(x.0), g, *s);
+                if self.rg(*x) {
+                    let dx = pairnorm_backward(self.val(x.0), &g, *s);
                     accum(grads, *x, dx);
                 }
+                workspace::give(g);
             }
             Op::Hadamard(a, b) => {
-                if self.nodes[a.0].requires_grad {
+                if self.rg(*a) {
                     let da = g.zip(self.val(b.0), |gv, bv| gv * bv);
                     accum(grads, *a, da);
                 }
-                if self.nodes[b.0].requires_grad {
-                    let db = g.zip(self.val(a.0), |gv, av| gv * av);
-                    accum(grads, *b, db);
-                }
-            }
-            Op::LinComb(parts) => {
-                for (p, c) in parts {
-                    if self.nodes[p.0].requires_grad {
-                        let dp = g * *c;
-                        accum(grads, *p, dp);
+                if self.rg(*b) {
+                    let mut db = g;
+                    for (t, &av) in db.as_mut_slice().iter_mut().zip(self.val(a.0).as_slice()) {
+                        *t *= av;
                     }
+                    accum(grads, *b, db);
+                } else {
+                    workspace::give(g);
                 }
             }
+            Op::LinComb(parts) => match parts.iter().rposition(|&(p, _)| self.rg(p)) {
+                None => workspace::give(g),
+                Some(li) => {
+                    for &(p, c) in &parts[..li] {
+                        if self.rg(p) {
+                            let dp = &g * c;
+                            accum(grads, p, dp);
+                        }
+                    }
+                    let (p, c) = parts[li];
+                    let mut dp = g;
+                    dp.scale_in_place(c);
+                    accum(grads, p, dp);
+                }
+            },
             Op::WeightedSum { xs, w } => {
-                let wv = self.val(w.0);
                 for (k, x) in xs.iter().enumerate() {
-                    if self.nodes[x.0].requires_grad {
-                        let dx = g * wv.get(0, k);
+                    if self.rg(*x) {
+                        let dx = &g * self.val(w.0).get(0, k);
                         accum(grads, *x, dx);
                     }
                 }
-                if self.nodes[w.0].requires_grad {
+                if self.rg(*w) {
                     let mut dw = workspace::take(1, xs.len());
                     for (k, x) in xs.iter().enumerate() {
                         let xv = self.val(x.0);
@@ -781,24 +899,10 @@ impl Tape {
                     }
                     accum(grads, *w, dw);
                 }
-            }
-            Op::GatAggregate {
-                h,
-                s_src,
-                s_dst,
-                cache,
-            } => {
-                let (dh, dsrc, ddst) = crate::attention::gat_backward(self.val(h.0), cache, g);
-                for (target, delta) in [(*h, dh), (*s_src, dsrc), (*s_dst, ddst)] {
-                    if self.nodes[target.0].requires_grad {
-                        accum(grads, target, delta);
-                    } else {
-                        workspace::give(delta);
-                    }
-                }
+                workspace::give(g);
             }
             Op::EdgeScore { h, edges } => {
-                if self.nodes[h.0].requires_grad {
+                if self.rg(*h) {
                     let hv = self.val(h.0);
                     let mut dh = workspace::take(hv.rows(), hv.cols());
                     for (e, &(u, v)) in edges.iter().enumerate() {
@@ -814,13 +918,93 @@ impl Tape {
                     }
                     accum(grads, *h, dh);
                 }
+                workspace::give(g);
+            }
+            Op::GatAggregate {
+                h,
+                s_src,
+                s_dst,
+                cache,
+            } => {
+                let (dh, dsrc, ddst) = gat_backward(self.val(h.0), cache, &g);
+                for (target, delta) in [(*h, dh), (*s_src, dsrc), (*s_dst, ddst)] {
+                    if self.rg(target) {
+                        accum(grads, target, delta);
+                    } else {
+                        workspace::give(delta);
+                    }
+                }
+                workspace::give(g);
             }
         }
+        self.nodes[idx].op = op;
     }
 }
 
-/// PairNorm forward used by the ops module; exposed here so forward and
-/// backward stay in one place.
+/// Node values [`Tape::backward_step`] reads (beyond the gradient flow
+/// itself). Marking a superset is safe — it only delays recycling — but
+/// missing a read would free a buffer the step still needs, so every
+/// `val(...)` access in the step must be mirrored here.
+pub(crate) fn backward_value_reads(tape: &Tape, idx: usize, f: &mut dyn FnMut(usize)) {
+    let rg = |id: NodeId| tape.nodes[id.0].requires_grad;
+    match &tape.nodes[idx].op {
+        Op::Leaf
+        | Op::Spmm { .. }
+        | Op::AddScaled(..)
+        | Op::Scale(..)
+        | Op::AddBias(..)
+        | Op::Mask { .. }
+        | Op::RowMask { .. }
+        | Op::RowCombine { .. }
+        | Op::ConcatCols(..)
+        | Op::MaxPool { .. }
+        // Readout's backward reads only the upstream gradient plus the
+        // op-resident segment table and argmax record.
+        | Op::Readout { .. }
+        | Op::LinComb(..) => {}
+        Op::MatMul(a, b) | Op::Hadamard(a, b) => {
+            if rg(*a) {
+                f(b.0);
+            }
+            if rg(*b) {
+                f(a.0);
+            }
+        }
+        // The ReLU mask is read back from the node's own output.
+        Op::Relu(_) => f(idx),
+        Op::SkipConv {
+            x,
+            w,
+            init_residual,
+            residual,
+            ..
+        } => {
+            if residual.is_none() {
+                f(idx);
+            }
+            if rg(*x) || init_residual.is_some_and(|(h0, _)| rg(h0)) {
+                f(w.0);
+            }
+        }
+        Op::PairNorm { x, .. } => f(x.0),
+        Op::WeightedSum { xs, w } => {
+            f(w.0);
+            if rg(*w) {
+                xs.iter().for_each(|x| f(x.0));
+            }
+        }
+        Op::EdgeScore { h, .. } => {
+            if rg(*h) {
+                f(h.0);
+            }
+        }
+        // The attention backward reads `h` (for dα) whichever input needs
+        // a gradient; α and the LeakyReLU slopes live on the op record.
+        Op::GatAggregate { h, .. } => f(h.0),
+    }
+}
+
+/// PairNorm forward, kept beside its backward.
 pub(crate) fn pairnorm_forward(x: &Matrix, s: f32) -> Matrix {
     let mean = x.col_mean();
     let mut xc = workspace::take_copy(x);
@@ -878,14 +1062,5 @@ pub(crate) fn accum(grads: &mut [Option<Matrix>], id: NodeId, delta: Matrix) {
             workspace::give(delta);
         }
         slot @ None => *slot = Some(delta),
-    }
-}
-
-/// Accumulate a borrowed delta; first touch copies it into a recycled
-/// workspace buffer.
-pub(crate) fn accum_ref(grads: &mut [Option<Matrix>], id: NodeId, delta: &Matrix) {
-    match &mut grads[id.0] {
-        Some(g) => g.add_scaled(delta, 1.0),
-        slot @ None => *slot = Some(workspace::take_copy(delta)),
     }
 }

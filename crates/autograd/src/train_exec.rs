@@ -1,8 +1,8 @@
 //! Compiled training: record a tape once, replay it every epoch.
 //!
 //! Eager training rebuilds the whole [`Tape`] per epoch — re-pushing every
-//! node, re-cloning every parameter, and running a backward pass that
-//! allocates a fresh gradient matrix per node. [`TrainProgram`] compiles a
+//! node, re-cloning every parameter, and keeping every forward value alive
+//! until the backward pass ends. [`TrainProgram`] compiles a
 //! recorded tape into a fixed forward+backward schedule executed against
 //! the same node storage each epoch:
 //!
@@ -21,50 +21,24 @@
 //!   reads *by the backward pass* (ReLU masks, GEMM operands), which the
 //!   eager tape must keep alive wholesale.
 //! - **Gradient recycling.** Each backward step owns its upstream gradient:
-//!   elementwise ops mutate it in place and pass it down, dying forward
-//!   intermediates are stolen for gradient math (ReLU), and every buffer
-//!   that stops flowing is given back to the workspace instead of parking
-//!   in a per-epoch `Vec<Option<Matrix>>`.
+//!   elementwise ops mutate it in place and pass it down, and every buffer
+//!   that stops flowing is given back to the workspace. Replay additionally
+//!   steals dying forward intermediates for gradient math (ReLU) and keeps
+//!   its gradient slots across epochs.
 //!
-//! The eager tape remains the reference implementation: equivalence tests
-//! assert replayed losses, values, and parameter gradients are
-//! bit-identical to it. Ops with no replay support (GAT's fused attention
-//! keeps per-forward caches the schedule cannot refresh) are rejected at
-//! compile time with [`CompileError::UnsupportedOp`] — callers fall back to
-//! eager recording explicitly, never silently.
+//! Replay runs the same forward interpreter (`Tape::eval_node`) and the
+//! same backward step (`Tape::backward_step`) as an eagerly recorded tape;
+//! only scheduling and buffer lifetimes differ. Every op compiles, so the
+//! eager tape stays as the reference the equivalence tests compare against:
+//! replayed losses, values, and parameter gradients are bit-identical to
+//! it.
 
 use crate::infer::{op_inputs, NO_USE};
-use crate::tape::{accum, pairnorm_backward, NodeId, Op, Tape, Value};
+use crate::ops::draw_dropout;
+use crate::tape::{accum, backward_value_reads, NodeId, Op, Tape, Value};
 use skipnode_sparse::{CsrMatrix, COL_SKIP};
-use skipnode_tensor::segment::segment_reduce_backward_into;
 use skipnode_tensor::{workspace, Matrix, SplitRng};
 use std::sync::Arc;
-
-/// Why a recorded tape could not be compiled into a [`TrainProgram`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CompileError {
-    /// A live node's op has no compiled-replay support.
-    UnsupportedOp {
-        /// Raw tape index of the offending node.
-        node: usize,
-        /// Op name, for the error message.
-        op: &'static str,
-    },
-}
-
-impl std::fmt::Display for CompileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CompileError::UnsupportedOp { node, op } => write!(
-                f,
-                "tape node {node} uses op {op}, which has no compiled-replay \
-                 support; record this model eagerly instead"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CompileError {}
 
 /// Per-epoch source of SkipNode sampling decisions.
 ///
@@ -141,7 +115,7 @@ impl TrainProgram {
     ///
     /// `heads` are the loss outputs: they are pinned across the forward
     /// pass, and dead-code elimination keeps only their dependencies.
-    pub fn compile(tape: Tape, heads: Vec<NodeId>) -> Result<Self, CompileError> {
+    pub fn compile(tape: Tape, heads: Vec<NodeId>) -> Self {
         assert!(
             !tape.is_inference(),
             "TrainProgram compiles eagerly recorded tapes; inference tapes \
@@ -162,14 +136,6 @@ impl TrainProgram {
         for (idx, node) in tape.nodes.iter().enumerate() {
             if matches!(node.op, Op::Leaf) {
                 pinned[idx] = true;
-            }
-            if needed[idx] {
-                if let Op::GatAggregate { .. } = node.op {
-                    return Err(CompileError::UnsupportedOp {
-                        node: idx,
-                        op: "GatAggregate",
-                    });
-                }
             }
         }
 
@@ -213,7 +179,7 @@ impl TrainProgram {
             param_slot[id.0] = slot as u32;
         }
         let grads = (0..n).map(|_| None).collect();
-        Ok(Self {
+        Self {
             tape,
             heads,
             param_nodes,
@@ -226,7 +192,7 @@ impl TrainProgram {
             grads,
             mask_scratch: Vec::new(),
             ck: None,
-        })
+        }
     }
 
     /// Split the schedule into `segments` contiguous node segments and
@@ -396,18 +362,8 @@ impl TrainProgram {
                 self.tape.release(idx);
             }
             match &mut self.tape.nodes[idx].op {
-                Op::Mask { mask, rate, .. } => {
-                    let scale = (1.0 / (1.0 - *rate)) as f32;
-                    for m in mask.iter_mut() {
-                        *m = if rng.bernoulli(*rate) { 0.0 } else { scale };
-                    }
-                }
-                Op::RowMask { factors, rate, .. } => {
-                    let scale = (1.0 / (1.0 - *rate)) as f32;
-                    for f in factors.iter_mut() {
-                        *f = if rng.bernoulli(*rate) { 0.0 } else { scale };
-                    }
-                }
+                Op::Mask { mask, rate, .. } => draw_dropout(mask, *rate, rng),
+                Op::RowMask { factors, rate, .. } => draw_dropout(factors, *rate, rng),
                 Op::RowCombine { take_skip, .. } => {
                     sampler.skip_mask(rng, take_skip);
                 }
@@ -576,18 +532,16 @@ impl TrainProgram {
                 workspace::give(g);
                 continue;
             }
-            self.backward_step(idx, g, grads);
-            match &self.ck {
-                Some(c) => {
-                    for &v in &c.free_after_bwd[idx] {
-                        self.tape.release(v as usize);
-                    }
-                }
-                None => {
-                    for &v in &self.free_after_bwd[idx] {
-                        self.tape.release(v as usize);
-                    }
-                }
+            // Checkpointing masks cross-segment last uses, so a value an
+            // earlier segment's recompute still reads is never stolen.
+            let (last_use, free_after_bwd) = match &self.ck {
+                Some(c) => (&c.last_use, &c.free_after_bwd),
+                None => (&self.last_value_use, &self.free_after_bwd),
+            };
+            let steal = !self.pinned[idx] && last_use[idx] == 2 * self.tape.len() - 1 - idx;
+            self.tape.backward_step(idx, g, grads, steal);
+            for &v in &free_after_bwd[idx] {
+                self.tape.release(v as usize);
             }
         }
     }
@@ -640,495 +594,13 @@ impl TrainProgram {
             }
         }
     }
-
-    fn rg(&self, id: NodeId) -> bool {
-        self.tape.nodes[id.0].requires_grad
-    }
-
-    /// One backward step, owning the upstream gradient `g`. The arithmetic
-    /// mirrors `Tape::backprop_one` exactly; only buffer traffic differs
-    /// (in-place mutation, stealing, recycling).
-    fn backward_step(&mut self, idx: usize, g: Matrix, grads: &mut [Option<Matrix>]) {
-        let n = self.tape.len();
-        let op = std::mem::replace(&mut self.tape.nodes[idx].op, Op::Leaf);
-        match &op {
-            Op::Leaf | Op::GatAggregate { .. } => {
-                unreachable!("leaves are captured above; GAT is rejected at compile")
-            }
-            Op::MatMul(a, b) => {
-                if self.rg(*a) {
-                    let da = g.matmul_t(self.tape.val(b.0));
-                    accum(grads, *a, da);
-                }
-                if self.rg(*b) {
-                    let db = self.tape.val(a.0).t_matmul(&g);
-                    accum(grads, *b, db);
-                }
-                workspace::give(g);
-            }
-            Op::Spmm { adj, x } => {
-                if self.rg(*x) {
-                    let dx = self.tape.adjs[*adj].backward_mat().spmm(&g);
-                    accum(grads, *x, dx);
-                }
-                workspace::give(g);
-            }
-            Op::AddScaled(a, b, c) => {
-                // b before a so `g` can flow into a's slot unscaled; when
-                // a == b the two deltas still add commutatively, so the
-                // accumulated bits match the eager order.
-                if self.rg(*b) {
-                    let db = &g * *c;
-                    accum(grads, *b, db);
-                }
-                if self.rg(*a) {
-                    accum(grads, *a, g);
-                } else {
-                    workspace::give(g);
-                }
-            }
-            Op::Scale(x, c) => {
-                if self.rg(*x) {
-                    let mut dx = g;
-                    dx.scale_in_place(*c);
-                    accum(grads, *x, dx);
-                } else {
-                    workspace::give(g);
-                }
-            }
-            Op::AddBias(x, b) => {
-                // Bias row-sum first (reads `g`), then `g` flows to x.
-                if self.rg(*b) {
-                    let mut db = workspace::take(1, g.cols());
-                    for r in 0..g.rows() {
-                        let row = g.row(r);
-                        let dst = db.row_mut(0);
-                        for (d, &v) in dst.iter_mut().zip(row) {
-                            *d += v;
-                        }
-                    }
-                    accum(grads, *b, db);
-                }
-                if self.rg(*x) {
-                    accum(grads, *x, g);
-                } else {
-                    workspace::give(g);
-                }
-            }
-            Op::Relu(x) => {
-                if self.rg(*x) {
-                    // Steal the dying output for the mask application when
-                    // this backward read is its last use (checkpointing
-                    // masks cross-segment uses, suppressing the steal for
-                    // values an earlier segment's recompute still reads).
-                    let pos = 2 * n - 1 - idx;
-                    let last_here = match &self.ck {
-                        Some(c) => c.last_use[idx] == pos,
-                        None => self.last_value_use[idx] == pos,
-                    };
-                    let steal = !self.pinned[idx]
-                        && last_here
-                        && matches!(self.tape.nodes[idx].value, Value::Owned(_));
-                    if steal {
-                        let (rows, cols) = self.tape.nodes[idx].value.shape();
-                        let mut out = match std::mem::replace(
-                            &mut self.tape.nodes[idx].value,
-                            Value::Pending { rows, cols },
-                        ) {
-                            Value::Owned(m) => m,
-                            _ => unreachable!(),
-                        };
-                        for (o, &gv) in out.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                            *o = if *o > 0.0 { gv } else { 0.0 };
-                        }
-                        workspace::give(g);
-                        accum(grads, *x, out);
-                    } else {
-                        let mut dx = g;
-                        for (t, &ov) in dx
-                            .as_mut_slice()
-                            .iter_mut()
-                            .zip(self.tape.val(idx).as_slice())
-                        {
-                            if ov <= 0.0 {
-                                *t = 0.0;
-                            }
-                        }
-                        accum(grads, *x, dx);
-                    }
-                } else {
-                    workspace::give(g);
-                }
-            }
-            Op::Mask { x, mask, .. } => {
-                if self.rg(*x) {
-                    let mut dx = g;
-                    for (v, &m) in dx.as_mut_slice().iter_mut().zip(mask) {
-                        *v *= m;
-                    }
-                    accum(grads, *x, dx);
-                } else {
-                    workspace::give(g);
-                }
-            }
-            Op::RowMask { x, factors, .. } => {
-                if self.rg(*x) {
-                    let mut dx = g;
-                    for (r, &f) in factors.iter().enumerate() {
-                        for v in dx.row_mut(r) {
-                            *v *= f;
-                        }
-                    }
-                    accum(grads, *x, dx);
-                } else {
-                    workspace::give(g);
-                }
-            }
-            Op::RowCombine {
-                conv,
-                skip,
-                take_skip,
-            } => {
-                // Route `g` by zeroing the other branch's rows; the conv
-                // route copies only when the skip route also consumes `g`.
-                let zero_rows = |d: &mut Matrix, keep_skip_rows: bool| {
-                    for (r, &ts) in take_skip.iter().enumerate() {
-                        if ts != keep_skip_rows {
-                            for v in d.row_mut(r) {
-                                *v = 0.0;
-                            }
-                        }
-                    }
-                };
-                match (self.rg(*conv), self.rg(*skip)) {
-                    (true, true) => {
-                        let mut dc = workspace::take_copy(&g);
-                        zero_rows(&mut dc, false);
-                        accum(grads, *conv, dc);
-                        let mut ds = g;
-                        zero_rows(&mut ds, true);
-                        accum(grads, *skip, ds);
-                    }
-                    (true, false) => {
-                        let mut dc = g;
-                        zero_rows(&mut dc, false);
-                        accum(grads, *conv, dc);
-                    }
-                    (false, true) => {
-                        let mut ds = g;
-                        zero_rows(&mut ds, true);
-                        accum(grads, *skip, ds);
-                    }
-                    (false, false) => workspace::give(g),
-                }
-            }
-            Op::SkipConv {
-                adj,
-                x,
-                skip,
-                w,
-                b,
-                init_residual,
-                identity_map,
-                residual,
-                cache,
-            } => {
-                let d_out = g.cols();
-                let out = if residual.is_none() {
-                    Some(self.tape.val(idx))
-                } else {
-                    None
-                };
-                let mut gz = workspace::take_scratch(cache.active.len(), d_out);
-                for (local, &r) in cache.active.iter().enumerate() {
-                    let r = r as usize;
-                    let mask_row = match out {
-                        Some(o) => o.row(r),
-                        None => cache.relu_active.row(local),
-                    };
-                    let dst = gz.row_mut(local);
-                    for ((dv, &gv), &ov) in dst.iter_mut().zip(g.row(r)).zip(mask_row) {
-                        *dv = if ov > 0.0 { gv } else { 0.0 };
-                    }
-                }
-                if let Some(res) = residual {
-                    if self.rg(*res) {
-                        let mut dres = workspace::take(g.rows(), d_out);
-                        for &r in &cache.active {
-                            let r = r as usize;
-                            dres.row_mut(r).copy_from_slice(g.row(r));
-                        }
-                        accum(grads, *res, dres);
-                    }
-                }
-                if let Some(b) = b {
-                    if self.rg(*b) {
-                        let mut db = workspace::take(1, d_out);
-                        for local in 0..gz.rows() {
-                            let dst = db.row_mut(0);
-                            for (dv, &v) in dst.iter_mut().zip(gz.row(local)) {
-                                *dv += v;
-                            }
-                        }
-                        accum(grads, *b, db);
-                    }
-                }
-                if self.rg(*w) {
-                    let mut dw = cache.p_active.t_matmul(&gz);
-                    if let Some(beta) = identity_map {
-                        dw.scale_in_place(*beta);
-                    }
-                    accum(grads, *w, dw);
-                }
-                let needs_ds = self.rg(*x) || init_residual.is_some_and(|(h0, _)| self.rg(h0));
-                if needs_ds {
-                    let mut ds = gz.matmul_t(self.tape.val(w.0));
-                    if let Some(beta) = identity_map {
-                        ds.scale_in_place(*beta);
-                        ds.add_scaled(&gz, 1.0 - *beta);
-                    }
-                    if let Some((h0, alpha)) = init_residual {
-                        if self.rg(*h0) {
-                            let n0 = self.tape.nodes[h0.0].value.shape().0;
-                            let mut dh0 = workspace::take(n0, ds.cols());
-                            for (local, &r) in cache.active.iter().enumerate() {
-                                let dst = dh0.row_mut(r as usize);
-                                for (dv, &v) in dst.iter_mut().zip(ds.row(local)) {
-                                    *dv = *alpha * v;
-                                }
-                            }
-                            accum(grads, *h0, dh0);
-                        }
-                    }
-                    if self.rg(*x) {
-                        if let Some((_, alpha)) = init_residual {
-                            ds.scale_in_place(1.0 - *alpha);
-                        }
-                        let back = self.tape.adjs[*adj].backward_mat();
-                        let mut dx = workspace::take_scratch(back.rows(), ds.cols());
-                        back.spmm_cols_compact(&ds, &cache.col_map, &mut dx);
-                        accum(grads, *x, dx);
-                    }
-                    workspace::give(ds);
-                }
-                if self.rg(*skip) {
-                    let mut dsk = workspace::take(g.rows(), d_out);
-                    for (r, &m) in cache.col_map.iter().enumerate() {
-                        if m == COL_SKIP {
-                            dsk.row_mut(r).copy_from_slice(g.row(r));
-                        }
-                    }
-                    accum(grads, *skip, dsk);
-                }
-                workspace::give(gz);
-                workspace::give(g);
-            }
-            Op::ConcatCols(parts) => {
-                let mut off = 0;
-                for p in parts {
-                    let pc = self.tape.nodes[p.0].value.shape().1;
-                    if self.rg(*p) {
-                        let mut dp = workspace::take(g.rows(), pc);
-                        for r in 0..g.rows() {
-                            dp.row_mut(r).copy_from_slice(&g.row(r)[off..off + pc]);
-                        }
-                        accum(grads, *p, dp);
-                    }
-                    off += pc;
-                }
-                workspace::give(g);
-            }
-            Op::MaxPool { xs, argmax } => {
-                for (k, x) in xs.iter().enumerate() {
-                    if !self.rg(*x) {
-                        continue;
-                    }
-                    let mut dx = workspace::take(g.rows(), g.cols());
-                    for (i, (&a, &gv)) in argmax.iter().zip(g.as_slice()).enumerate() {
-                        if a as usize == k {
-                            dx.as_mut_slice()[i] = gv;
-                        }
-                    }
-                    accum(grads, *x, dx);
-                }
-                workspace::give(g);
-            }
-            Op::Readout {
-                x,
-                kind,
-                seg,
-                argmax,
-            } => {
-                if self.rg(*x) {
-                    let (rows, cols) = self.tape.nodes[x.0].value.shape();
-                    let mut dx = workspace::take(rows, cols);
-                    segment_reduce_backward_into(&g, seg, *kind, argmax, &mut dx);
-                    accum(grads, *x, dx);
-                }
-                workspace::give(g);
-            }
-            Op::PairNorm { x, s } => {
-                if self.rg(*x) {
-                    let dx = pairnorm_backward(self.tape.val(x.0), &g, *s);
-                    accum(grads, *x, dx);
-                }
-                workspace::give(g);
-            }
-            Op::Hadamard(a, b) => {
-                if self.rg(*a) {
-                    let da = g.zip(self.tape.val(b.0), |gv, bv| gv * bv);
-                    accum(grads, *a, da);
-                }
-                if self.rg(*b) {
-                    let mut db = g;
-                    for (t, &av) in db
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(self.tape.val(a.0).as_slice())
-                    {
-                        *t *= av;
-                    }
-                    accum(grads, *b, db);
-                } else {
-                    workspace::give(g);
-                }
-            }
-            Op::LinComb(parts) => {
-                let last_rg = parts.iter().rposition(|&(p, _)| self.rg(p));
-                match last_rg {
-                    None => workspace::give(g),
-                    Some(li) => {
-                        for &(p, c) in &parts[..li] {
-                            if self.rg(p) {
-                                let dp = &g * c;
-                                accum(grads, p, dp);
-                            }
-                        }
-                        let (p, c) = parts[li];
-                        let mut dp = g;
-                        dp.scale_in_place(c);
-                        accum(grads, p, dp);
-                    }
-                }
-            }
-            Op::WeightedSum { xs, w } => {
-                for (k, x) in xs.iter().enumerate() {
-                    if self.rg(*x) {
-                        let dx = &g * self.tape.val(w.0).get(0, k);
-                        accum(grads, *x, dx);
-                    }
-                }
-                if self.rg(*w) {
-                    let mut dw = workspace::take(1, xs.len());
-                    for (k, x) in xs.iter().enumerate() {
-                        let xv = self.tape.val(x.0);
-                        let dot: f64 = g
-                            .as_slice()
-                            .iter()
-                            .zip(xv.as_slice())
-                            .map(|(&gv, &xvv)| gv as f64 * xvv as f64)
-                            .sum();
-                        dw.set(0, k, dot as f32);
-                    }
-                    accum(grads, *w, dw);
-                }
-                workspace::give(g);
-            }
-            Op::EdgeScore { h, edges } => {
-                if self.rg(*h) {
-                    let hv = self.tape.val(h.0);
-                    let mut dh = workspace::take(hv.rows(), hv.cols());
-                    for (e, &(u, v)) in edges.iter().enumerate() {
-                        let ge = g.get(e, 0);
-                        for c in 0..hv.cols() {
-                            let hu = hv.get(u, c);
-                            let hvv = hv.get(v, c);
-                            dh.set(u, c, dh.get(u, c) + ge * hvv);
-                            dh.set(v, c, dh.get(v, c) + ge * hu);
-                        }
-                    }
-                    accum(grads, *h, dh);
-                }
-                workspace::give(g);
-            }
-        }
-        self.tape.nodes[idx].op = op;
-    }
-}
-
-/// Node values a backward step reads (beyond the gradient flow itself).
-/// Marking a superset is safe — it only delays recycling — but missing a
-/// read would free a buffer the step still needs, so every `val(...)`
-/// access in `backprop_one` / `backward_step` must be mirrored here.
-fn backward_value_reads(tape: &Tape, idx: usize, f: &mut dyn FnMut(usize)) {
-    let rg = |id: NodeId| tape.nodes[id.0].requires_grad;
-    match &tape.nodes[idx].op {
-        Op::Leaf
-        | Op::Spmm { .. }
-        | Op::AddScaled(..)
-        | Op::Scale(..)
-        | Op::AddBias(..)
-        | Op::Mask { .. }
-        | Op::RowMask { .. }
-        | Op::RowCombine { .. }
-        | Op::ConcatCols(..)
-        | Op::MaxPool { .. }
-        // Readout's backward reads only the upstream gradient plus the
-        // op-resident segment table and argmax record.
-        | Op::Readout { .. }
-        | Op::LinComb(..) => {}
-        Op::MatMul(a, b) => {
-            if rg(*a) {
-                f(b.0);
-            }
-            if rg(*b) {
-                f(a.0);
-            }
-        }
-        // The ReLU mask is read back from the node's own output.
-        Op::Relu(_) => f(idx),
-        Op::SkipConv {
-            x,
-            w,
-            init_residual,
-            residual,
-            ..
-        } => {
-            if residual.is_none() {
-                f(idx);
-            }
-            if rg(*x) || init_residual.is_some_and(|(h0, _)| rg(h0)) {
-                f(w.0);
-            }
-        }
-        Op::PairNorm { x, .. } => f(x.0),
-        Op::Hadamard(a, b) => {
-            if rg(*a) {
-                f(b.0);
-            }
-            if rg(*b) {
-                f(a.0);
-            }
-        }
-        Op::WeightedSum { xs, w } => {
-            f(w.0);
-            if rg(*w) {
-                xs.iter().for_each(|x| f(x.0));
-            }
-        }
-        Op::EdgeScore { h, .. } => {
-            if rg(*h) {
-                f(h.0);
-            }
-        }
-        Op::GatAggregate { .. } => unreachable!("rejected at compile"),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tape::Grads;
+    use crate::AttentionGraph;
     use skipnode_sparse::gcn_adjacency;
     use std::sync::Arc;
 
@@ -1153,30 +625,40 @@ mod tests {
 
     struct Fixture {
         adj: Arc<CsrMatrix>,
+        graph: AttentionGraph,
         x: Matrix,
         w: Matrix,
         b: Matrix,
+        a_src: Matrix,
+        a_dst: Matrix,
     }
 
     impl Fixture {
         fn new() -> Self {
             let mut init = SplitRng::new(1234);
+            let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)];
             Self {
-                adj: Arc::new(gcn_adjacency(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])),
+                adj: Arc::new(gcn_adjacency(5, &edges)),
+                graph: AttentionGraph::from_edges(5, &edges),
                 x: init.uniform_matrix(5, 4, -1.0, 1.0),
                 w: init.uniform_matrix(4, 4, -0.5, 0.5),
                 b: init.uniform_matrix(1, 4, -0.1, 0.1),
+                a_src: init.uniform_matrix(4, 1, -1.0, 1.0),
+                a_dst: init.uniform_matrix(4, 1, -1.0, 1.0),
             }
         }
 
         /// Stochastic fused chain: spmm → matmul → skip_conv → dropout →
-        /// row_combine → pairnorm → relu. Draws from `fwd` exactly where
-        /// compiled replay redraws.
+        /// row_combine → gat_aggregate → pairnorm → relu. Draws from `fwd`
+        /// exactly where compiled replay redraws; the attention weights
+        /// follow the redrawn masks, so every evaluation must refresh them.
         fn record(&self, tape: &mut Tape, fwd: &mut SplitRng, skip_p: f64) -> NodeId {
             let adj = tape.register_adj(self.adj.clone());
             let xn = tape.constant(self.x.clone());
             let wn = tape.param(self.w.clone());
             let bn = tape.param(self.b.clone());
+            let a_src = tape.constant(self.a_src.clone());
+            let a_dst = tape.constant(self.a_dst.clone());
             let prop = tape.spmm(adj, xn);
             let sk = tape.matmul(prop, wn);
             let mask: Vec<bool> = (0..5).map(|_| fwd.bernoulli(skip_p)).collect();
@@ -1184,7 +666,10 @@ mod tests {
             let dropped = tape.dropout(fused, 0.3, fwd);
             let rc_mask: Vec<bool> = (0..5).map(|_| fwd.bernoulli(skip_p)).collect();
             let comb = tape.row_combine(dropped, sk, &rc_mask);
-            let normed = tape.pairnorm(comb, 1.0);
+            let s_src = tape.matmul(comb, a_src);
+            let s_dst = tape.matmul(comb, a_dst);
+            let att = tape.gat_aggregate(comb, s_src, s_dst, &self.graph, 0.2);
+            let normed = tape.pairnorm(att, 1.0);
             tape.relu(normed)
         }
     }
@@ -1209,7 +694,7 @@ mod tests {
         let mut probe = SplitRng::new(0xdead);
         let mut tape = Tape::new();
         let out = fix.record(&mut tape, &mut probe, skip_p);
-        let mut prog = TrainProgram::compile(tape, vec![out]).unwrap();
+        let mut prog = TrainProgram::compile(tape, vec![out]);
         let mut sampler = UniformSampler { p: skip_p };
         for epoch in 0..4 {
             let mut fwd = SplitRng::new(1000 + epoch);
@@ -1284,7 +769,7 @@ mod tests {
         let mut probe = SplitRng::new(0xbeef);
         let mut tape = Tape::new();
         let (cc, out) = fix.record(&mut tape, &mut probe);
-        let mut prog = TrainProgram::compile(tape, vec![cc, out]).unwrap();
+        let mut prog = TrainProgram::compile(tape, vec![cc, out]);
         let mut sampler = UniformSampler { p: 0.5 }; // never called: no skip ops
         for epoch in 0..3 {
             let mut fwd = SplitRng::new(500 + epoch);
@@ -1326,7 +811,7 @@ mod tests {
         let mut probe = SplitRng::new(9);
         let mut tape = Tape::new();
         let out = build(&mut tape, &mut probe);
-        let mut prog = TrainProgram::compile(tape, vec![out]).unwrap();
+        let mut prog = TrainProgram::compile(tape, vec![out]);
         let mut sampler = UniformSampler { p: 0.0 };
         for epoch in 0..3 {
             let mut fwd = SplitRng::new(40 + epoch);
@@ -1370,11 +855,11 @@ mod tests {
             let mut probe = SplitRng::new(0xabc);
             let mut tape = Tape::new();
             let out = fix.record(&mut tape, &mut probe, skip_p);
-            let mut plain = TrainProgram::compile(tape, vec![out]).unwrap();
+            let mut plain = TrainProgram::compile(tape, vec![out]);
             let mut probe_ck = SplitRng::new(0xabc);
             let mut tape_ck = Tape::new();
             let out_ck = fix.record(&mut tape_ck, &mut probe_ck, skip_p);
-            let mut ck = TrainProgram::compile(tape_ck, vec![out_ck]).unwrap();
+            let mut ck = TrainProgram::compile(tape_ck, vec![out_ck]);
             ck.enable_checkpointing(segments);
             assert!(ck.is_checkpointing());
             for epoch in 0..3 {
@@ -1397,7 +882,7 @@ mod tests {
         let mut probe = SplitRng::new(3);
         let mut tape = Tape::new();
         let out = fix.record(&mut tape, &mut probe, 0.3);
-        let mut prog = TrainProgram::compile(tape, vec![out]).unwrap();
+        let mut prog = TrainProgram::compile(tape, vec![out]);
         prog.enable_checkpointing(1);
         assert!(!prog.is_checkpointing());
         prog.enable_checkpointing(4);
@@ -1414,7 +899,7 @@ mod tests {
                 let mut probe = SplitRng::new(0xf00);
                 let mut tape = Tape::new();
                 let (cc, out) = fix.record(&mut tape, &mut probe);
-                let mut prog = TrainProgram::compile(tape, vec![cc, out]).unwrap();
+                let mut prog = TrainProgram::compile(tape, vec![cc, out]);
                 if let Some(s) = segs {
                     prog.enable_checkpointing(s);
                 }
@@ -1458,7 +943,7 @@ mod tests {
         let mut probe = SplitRng::new(5);
         let mut tape = Tape::new();
         let out = fix.record(&mut tape, &mut probe, 0.3);
-        let mut prog = TrainProgram::compile(tape, vec![out]).unwrap();
+        let mut prog = TrainProgram::compile(tape, vec![out]);
         let mut sampler = UniformSampler { p: 0.3 };
         let mut fwd = SplitRng::new(6);
         prog.begin_epoch(&mut sampler, &mut fwd);

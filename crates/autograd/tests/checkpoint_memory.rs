@@ -64,7 +64,7 @@ fn checkpointing_cuts_peak_residency_without_changing_results() {
     let build = |segments: usize| {
         let mut tape = Tape::new();
         let out = record_chain(&mut tape, &x, &w);
-        let mut prog = TrainProgram::compile(tape, vec![out]).expect("compile");
+        let mut prog = TrainProgram::compile(tape, vec![out]);
         prog.enable_checkpointing(segments);
         prog
     };

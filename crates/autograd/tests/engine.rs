@@ -143,16 +143,18 @@ fn relu_kills_gradient_on_negative_preactivations() {
 }
 
 #[test]
-fn interior_gradients_are_observable() {
-    // The Figure 2(b) diagnostic relies on reading gradients at interior
-    // nodes (the classification layer), not just parameters.
+fn only_leaf_gradients_are_kept() {
+    // Each interior gradient is consumed by the backward step that
+    // propagates it, so the result holds leaf gradients only. The Figure
+    // 2(b) classifier-gradient diagnostic reads the loss seed instead.
     let mut tape = Tape::new();
     let x = tape.param(Matrix::from_rows(&[&[1.0]]));
     let h = tape.scale(x, 2.0);
     let y = tape.scale(h, 3.0);
     let grads = tape.backward(y, Matrix::from_rows(&[&[1.0]]));
-    assert_eq!(grads[h].get(0, 0), 3.0);
-    assert_eq!(grads[y].get(0, 0), 1.0);
+    assert_eq!(grads[x].get(0, 0), 6.0);
+    assert!(grads.get(h).is_none(), "interior gradient retained");
+    assert!(grads.get(y).is_none(), "root gradient retained");
 }
 
 #[test]

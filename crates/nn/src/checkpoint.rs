@@ -72,11 +72,22 @@ fn read_params<R: Read>(r: &mut R) -> io::Result<ParamStore> {
         let len = rows
             .checked_mul(cols)
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "shape overflow"))?;
-        let mut data = vec![0.0f32; len];
-        let mut buf = [0u8; 4];
-        for v in &mut data {
-            r.read_exact(&mut buf)?;
-            *v = f32::from_le_bytes(buf);
+        // The header is untrusted: grow the buffer only as bytes arrive, so
+        // a truncated file claiming a huge shape fails with `UnexpectedEof`
+        // instead of allocating for the claim up front.
+        let mut data = Vec::new();
+        let mut chunk = [0u8; 4096];
+        let mut remaining = len;
+        while remaining > 0 {
+            let n = remaining.min(chunk.len() / 4);
+            let bytes = &mut chunk[..n * 4];
+            r.read_exact(bytes)?;
+            data.extend(
+                bytes
+                    .chunks_exact(4)
+                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+            );
+            remaining -= n;
         }
         store.add(name, Matrix::from_vec(rows, cols, data));
     }
@@ -296,6 +307,23 @@ mod tests {
         write_checkpoint(&store, &mut buf).unwrap();
         buf.truncate(buf.len() - 5);
         assert!(read_checkpoint(buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn truncated_header_claiming_a_huge_shape_fails_without_allocating() {
+        // 30 bytes: one 65535×65535 param (16 GiB of f32) with one value.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&2u32.to_le_bytes());
+        buf.extend_from_slice(b"w0");
+        buf.extend_from_slice(&65535u32.to_le_bytes());
+        buf.extend_from_slice(&65535u32.to_le_bytes());
+        buf.extend_from_slice(&1.5f32.to_le_bytes());
+        assert_eq!(buf.len(), 30);
+        let err = read_checkpoint(buf.as_slice()).err().expect("must fail");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

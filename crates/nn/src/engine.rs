@@ -9,7 +9,7 @@
 
 use crate::context::{sample_skip_mask_segmented, ForwardCtx, Strategy};
 use crate::models::Model;
-use skipnode_autograd::{CompileError, EpochSampler, Tape, TrainProgram};
+use skipnode_autograd::{EpochSampler, Tape, TrainProgram};
 use skipnode_core::SkipNodeConfig;
 use skipnode_graph::{Graph, GraphBatch, Reordering};
 use skipnode_sparse::CsrMatrix;
@@ -18,53 +18,20 @@ use std::sync::Arc;
 
 /// Why a model could not be compiled for epoch replay.
 ///
-/// The trainer never falls back *silently*: [`crate::TrainEngine::Auto`]
-/// only goes eager on [`EngineError::NoPlan`] (a documented property of the
-/// model, e.g. GAT's bespoke attention forward), while
-/// [`EngineError::Unsupported`] — a plan exists but the recorded tape holds
-/// an op the replay engine cannot refresh — is a hard error naming the op.
+/// Compilation cannot fail: every op has a forward and a backward that
+/// compiled replay runs, so this enum has no values. It stays as the error
+/// type of [`compile_train_program`] / [`compile_train_program_packed`] so
+/// their `Result` signatures are stable for callers.
 #[derive(Debug)]
-pub enum EngineError {
-    /// The model exposes no layer plan (bespoke forward, e.g. GAT), so
-    /// there is no compilation contract to hold it to.
-    NoPlan {
-        /// Backbone name.
-        model: &'static str,
-    },
-    /// The model has a plan but its recorded tape failed to compile.
-    Unsupported {
-        /// Backbone name.
-        model: &'static str,
-        /// The offending op, from the replay compiler.
-        source: CompileError,
-    },
-}
+pub enum EngineError {}
 
 impl std::fmt::Display for EngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineError::NoPlan { model } => write!(
-                f,
-                "model {model:?} has no layer plan, so its forward cannot be \
-                 compiled for epoch replay; train it with the eager engine"
-            ),
-            EngineError::Unsupported { model, source } => write!(
-                f,
-                "model {model:?} recorded a tape the compiled training engine \
-                 does not support: {source}"
-            ),
-        }
+    fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {}
     }
 }
 
-impl std::error::Error for EngineError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            EngineError::NoPlan { .. } => None,
-            EngineError::Unsupported { source, .. } => Some(source),
-        }
-    }
-}
+impl std::error::Error for EngineError {}
 
 /// Draws per-layer skip masks for [`TrainProgram::begin_epoch`] using the
 /// strategy's [`SkipNodeConfig`] — one [`SkipNodeConfig::sample_mask`] call
@@ -139,7 +106,7 @@ pub fn compile_train_program(
     strategy: &Strategy,
     fuse: bool,
 ) -> Result<TrainProgram, EngineError> {
-    compile_probe(
+    Ok(compile_probe(
         model,
         graph.features_arc(),
         &graph.degrees(),
@@ -148,7 +115,7 @@ pub fn compile_train_program(
         fuse,
         graph.node_order(),
         None,
-    )
+    ))
 }
 
 /// [`compile_train_program`] over a packed multi-graph batch: the probe
@@ -162,7 +129,7 @@ pub fn compile_train_program_packed(
     strategy: &Strategy,
     fuse: bool,
 ) -> Result<TrainProgram, EngineError> {
-    compile_probe(
+    Ok(compile_probe(
         model,
         batch.features_arc(),
         batch.degrees(),
@@ -171,7 +138,7 @@ pub fn compile_train_program_packed(
         fuse,
         None,
         Some(batch.segments()),
-    )
+    ))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -184,12 +151,7 @@ pub(crate) fn compile_probe(
     fuse: bool,
     node_order: Option<&Reordering>,
     segments: Option<&Arc<SegmentTable>>,
-) -> Result<TrainProgram, EngineError> {
-    if model.plan().is_none() {
-        return Err(EngineError::NoPlan {
-            model: model.name(),
-        });
-    }
+) -> TrainProgram {
     let mut tape = Tape::new();
     let binding = model.store().bind(&mut tape);
     let adj_id = tape.register_adj(Arc::clone(full_adj));
@@ -200,8 +162,5 @@ pub(crate) fn compile_probe(
     ctx.node_order = node_order;
     ctx.segments = segments;
     let heads = model.forward_heads(&mut tape, &binding, &mut ctx);
-    TrainProgram::compile(tape, heads).map_err(|source| EngineError::Unsupported {
-        model: model.name(),
-        source,
-    })
+    TrainProgram::compile(tape, heads)
 }

@@ -26,7 +26,7 @@
 
 use crate::context::Strategy;
 use crate::diagnostics::{DiagnosticsRecorder, EpochDiagnostics};
-use crate::engine::{compile_train_program, EngineError, StrategySampler};
+use crate::engine::{compile_train_program, StrategySampler};
 use crate::metrics::accuracy;
 use crate::models::Model;
 use crate::optim::Adam;
@@ -219,39 +219,19 @@ fn train_over_shards(
     let mut recorder = DiagnosticsRecorder::new(cfg.diagnostics_every);
 
     // One compiled program per shard shape, compiled once and replayed
-    // every epoch. Engine policy mirrors the full-batch trainer: Auto
-    // falls back to eager only for plan-less models, and does so for all
-    // shards at once (mixing executors across shards would train fine but
-    // makes behavior harder to reason about).
-    let mut programs: Vec<Option<TrainProgram>> = match cfg.engine {
-        TrainEngine::Eager => (0..k).map(|_| None).collect(),
-        TrainEngine::Compiled => set
-            .shards
-            .iter()
-            .map(|sh| {
+    // every epoch.
+    let mut programs: Vec<Option<TrainProgram>> = set
+        .shards
+        .iter()
+        .map(|sh| match cfg.engine {
+            TrainEngine::Eager => None,
+            TrainEngine::Compiled => {
                 let adj = sh.graph.gcn_adjacency();
-                Some(
-                    compile_train_program(model, &sh.graph, &adj, strategy, cfg.fuse)
-                        .unwrap_or_else(|e| panic!("{e}")),
-                )
-            })
-            .collect(),
-        TrainEngine::Auto => {
-            let mut compiled = Vec::with_capacity(k);
-            for sh in &set.shards {
-                let adj = sh.graph.gcn_adjacency();
-                match compile_train_program(model, &sh.graph, &adj, strategy, cfg.fuse) {
-                    Ok(p) => compiled.push(Some(p)),
-                    Err(EngineError::NoPlan { .. }) => {
-                        compiled = (0..k).map(|_| None).collect();
-                        break;
-                    }
-                    Err(e) => panic!("{e}"),
-                }
+                let program = compile_train_program(model, &sh.graph, &adj, strategy, cfg.fuse);
+                Some(program.unwrap_or_else(|e| match e {}))
             }
-            compiled
-        }
-    };
+        })
+        .collect();
 
     let full_adj = match eval_mode {
         FullEval::Exact { graph, .. } => Some(graph.gcn_adjacency()),

@@ -4,7 +4,7 @@
 
 use crate::context::{ForwardCtx, Strategy};
 use crate::diagnostics::{DiagnosticsRecorder, EpochDiagnostics};
-use crate::engine::{compile_probe, EngineError, StrategySampler};
+use crate::engine::{compile_probe, StrategySampler};
 use crate::metrics::{accuracy, mean_average_distance};
 use crate::models::{Consistency, Model};
 use crate::optim::{Adam, AdamConfig};
@@ -23,14 +23,8 @@ use std::sync::Arc;
 /// `tests/train_engine_identity.rs` pin this for every backbone).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrainEngine {
-    /// Compile the model's tape once per run and replay it every epoch;
-    /// models without a layer plan (GAT) fall back to [`TrainEngine::Eager`].
-    /// A model that *has* a plan but fails to compile is a hard error, not
-    /// a silent fallback.
+    /// Compile the model's tape once per run and replay it every epoch.
     #[default]
-    Auto,
-    /// Require the compiled program; panics with the [`EngineError`] when
-    /// the model cannot compile.
     Compiled,
     /// Record a fresh eager tape every epoch (the reference path).
     Eager,
@@ -342,12 +336,11 @@ fn train_classifier_core(
     let mut opt = Adam::new(model.store(), cfg.adam);
     let mut recorder = DiagnosticsRecorder::new(cfg.diagnostics_every);
 
-    // Engine selection happens once per run: the compiled program is the
-    // epoch-resident schedule every training step replays. Only a model
-    // that advertises *no* plan (GAT) falls back to eager; a plan that
-    // fails to compile is a bug we refuse to paper over.
-    let compile = |model: &dyn Model| {
-        compile_probe(
+    // The compiled program is the epoch-resident schedule every training
+    // step replays; it is recorded once per run.
+    let mut program: Option<TrainProgram> = match cfg.engine {
+        TrainEngine::Eager => None,
+        TrainEngine::Compiled => Some(compile_probe(
             model,
             Arc::clone(&data.features),
             degrees,
@@ -356,16 +349,7 @@ fn train_classifier_core(
             cfg.fuse,
             data.node_order,
             data.segments,
-        )
-    };
-    let mut program: Option<TrainProgram> = match cfg.engine {
-        TrainEngine::Eager => None,
-        TrainEngine::Compiled => Some(compile(model).unwrap_or_else(|e| panic!("{e}"))),
-        TrainEngine::Auto => match compile(model) {
-            Ok(p) => Some(p),
-            Err(EngineError::NoPlan { .. }) => None,
-            Err(e) => panic!("{e}"),
-        },
+        )),
     };
     if let Some(p) = program.as_mut() {
         p.enable_checkpointing(cfg.checkpoint_segments);

@@ -12,7 +12,7 @@ use skipnode_core::{Sampling, SkipNodeConfig};
 use skipnode_graph::{
     full_supervised_split, partition_graph, FeatureStyle, Graph, PartitionConfig,
 };
-use skipnode_nn::models::{build_by_name, Gat, BACKBONE_NAMES};
+use skipnode_nn::models::{build_by_name, Gat, Model, BACKBONE_NAMES};
 use skipnode_nn::{train_node_classifier, Strategy, TrainConfig, TrainEngine, TrainResult};
 use skipnode_tensor::{Matrix, SplitRng};
 
@@ -65,6 +65,7 @@ impl WithEngine for TrainConfig {
 }
 
 /// One full run: fresh same-seed model, fresh same-seed training RNG.
+/// `name` is a backbone from [`BACKBONE_NAMES`] or `"gat"`.
 fn run(
     name: &str,
     g: &Graph,
@@ -74,16 +75,29 @@ fn run(
 ) -> (TrainResult, Vec<Matrix>) {
     let mut rng = SplitRng::new(42);
     let split = full_supervised_split(g, &mut rng);
-    let mut model = build_by_name(
-        name,
-        g.feature_dim(),
-        HIDDEN,
-        g.num_classes(),
-        DEPTH,
-        DROPOUT,
-        &mut rng,
-    )
-    .expect("known backbone");
+    let mut model: Box<dyn Model> = if name == "gat" {
+        Box::new(Gat::new(
+            g.num_nodes(),
+            g.edges(),
+            g.feature_dim(),
+            HIDDEN,
+            g.num_classes(),
+            DEPTH,
+            DROPOUT,
+            &mut rng,
+        ))
+    } else {
+        build_by_name(
+            name,
+            g.feature_dim(),
+            HIDDEN,
+            g.num_classes(),
+            DEPTH,
+            DROPOUT,
+            &mut rng,
+        )
+        .expect("known backbone")
+    };
     let result = train_node_classifier(
         model.as_mut(),
         g,
@@ -164,62 +178,23 @@ fn compiled_training_is_byte_identical_to_eager_for_every_backbone() {
                 let eager = run(name, &g, strategy, TrainEngine::Eager, fuse);
                 let compiled = run(name, &g, strategy, TrainEngine::Compiled, fuse);
                 assert_identical(&label, &eager, &compiled);
-                let auto = run(name, &g, strategy, TrainEngine::Auto, fuse);
-                assert_identical(&format!("{label} (auto)"), &eager, &auto);
             }
         }
     }
 }
 
+/// GAT's fused attention op compiles like every other op: its replayed
+/// attention weights and backward must match the eager tape bit for bit.
 #[test]
-fn auto_engine_falls_back_to_eager_for_planless_gat() {
+fn compiled_gat_training_is_byte_identical_to_eager() {
     let g = graph();
-    let mut rng = SplitRng::new(42);
-    let split = full_supervised_split(&g, &mut rng);
-    let mut model = Gat::new(
-        g.num_nodes(),
-        g.edges(),
-        g.feature_dim(),
-        8,
-        g.num_classes(),
-        2,
-        0.2,
-        &mut rng,
-    );
-    // Auto must silently fall back (GAT advertises no plan) and still train.
-    let result = train_node_classifier(
-        &mut model,
-        &g,
-        &split,
-        &Strategy::None,
-        &cfg(TrainEngine::Auto, true),
-        &mut rng,
-    );
-    assert_eq!(result.epochs_run, EPOCHS);
-}
-
-#[test]
-#[should_panic(expected = "has no layer plan")]
-fn compiled_engine_refuses_planless_gat_loudly() {
-    let g = graph();
-    let mut rng = SplitRng::new(42);
-    let split = full_supervised_split(&g, &mut rng);
-    let mut model = Gat::new(
-        g.num_nodes(),
-        g.edges(),
-        g.feature_dim(),
-        8,
-        g.num_classes(),
-        2,
-        0.2,
-        &mut rng,
-    );
-    train_node_classifier(
-        &mut model,
-        &g,
-        &split,
-        &Strategy::None,
-        &cfg(TrainEngine::Compiled, true),
-        &mut rng,
-    );
+    for strategy in [
+        Strategy::None,
+        Strategy::SkipNode(SkipNodeConfig::new(0.5, Sampling::Uniform)),
+    ] {
+        let label = format!("gat × {} × unfused", strategy.label());
+        let eager = run("gat", &g, &strategy, TrainEngine::Eager, false);
+        let compiled = run("gat", &g, &strategy, TrainEngine::Compiled, false);
+        assert_identical(&label, &eager, &compiled);
+    }
 }
