@@ -25,7 +25,7 @@
 //! them out with [`Tape::take_value`] afterwards.
 
 use crate::attention::gat_forward;
-use crate::tape::{NodeId, Op, Tape, Value};
+use crate::tape::{apply_dropout, apply_row_dropout, NodeId, Op, Tape, Value};
 use skipnode_sparse::{CsrMatrix, COL_SKIP};
 use skipnode_tensor::quant::{qgemm, QuantizedMatrix};
 use skipnode_tensor::segment::segment_reduce_into;
@@ -342,20 +342,14 @@ impl Tape {
                 crate::subset::relu_in_place(&mut v);
                 v
             }
-            Op::Mask { x, mask, .. } => {
+            Op::Mask { x, dropped, rate } => {
                 let mut v = self.reuse_or_copy(x.0, idx, last_use, pinned, &[]);
-                for (t, &m) in v.as_mut_slice().iter_mut().zip(mask.iter()) {
-                    *t *= m;
-                }
+                apply_dropout(v.as_mut_slice(), dropped, *rate);
                 v
             }
-            Op::RowMask { x, factors, .. } => {
+            Op::RowMask { x, dropped, rate } => {
                 let mut v = self.reuse_or_copy(x.0, idx, last_use, pinned, &[]);
-                for (r, &f) in factors.iter().enumerate() {
-                    for t in v.row_mut(r) {
-                        *t *= f;
-                    }
-                }
+                apply_row_dropout(&mut v, dropped, *rate);
                 v
             }
             Op::RowCombine {
@@ -407,8 +401,12 @@ impl Tape {
                 value
             }
             Op::ConcatCols(parts) => {
+                // A workspace buffer, since release gives it back.
+                let (rows, cols) = self.shape(NodeId(idx));
+                let mut v = workspace::take_scratch(rows, cols);
                 let mats: Vec<&Matrix> = parts.iter().map(|p| self.val(p.0)).collect();
-                Matrix::hcat(&mats)
+                Matrix::hcat_into(&mats, &mut v);
+                v
             }
             Op::MaxPool { xs, argmax } => {
                 let aliases: Vec<usize> = xs[1..].iter().map(|p| p.0).collect();

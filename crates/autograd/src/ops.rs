@@ -42,16 +42,6 @@ pub struct FusedStep {
     pub residual: Option<NodeId>,
 }
 
-/// Draw one inverted-dropout factor per slot of `out`: `0` with
-/// probability `p`, else `1 / (1 − p)`. Recording and compiled replay's
-/// per-epoch redraw share it, so both consume the RNG identically.
-pub(crate) fn draw_dropout(out: &mut [f32], p: f64, rng: &mut SplitRng) {
-    let scale = (1.0 / (1.0 - p)) as f32;
-    for f in out {
-        *f = if rng.bernoulli(p) { 0.0 } else { scale };
-    }
-}
-
 impl Tape {
     /// Dense product `a * b`.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
@@ -107,9 +97,17 @@ impl Tape {
             return x;
         }
         let (rows, cols) = self.shape(x);
-        let mut mask = vec![0.0; rows * cols];
-        draw_dropout(&mut mask, p, rng);
-        self.record(rows, cols, Op::Mask { x, mask, rate: p })
+        let mut dropped = vec![false; rows * cols];
+        rng.fill_bernoulli(p, &mut dropped);
+        self.record(
+            rows,
+            cols,
+            Op::Mask {
+                x,
+                dropped,
+                rate: p,
+            },
+        )
     }
 
     /// Row-level dropout (GRAND's random propagation masks whole node
@@ -120,14 +118,14 @@ impl Tape {
             return x;
         }
         let (rows, cols) = self.shape(x);
-        let mut factors = vec![0.0; rows];
-        draw_dropout(&mut factors, p, rng);
+        let mut dropped = vec![false; rows];
+        rng.fill_bernoulli(p, &mut dropped);
         self.record(
             rows,
             cols,
             Op::RowMask {
                 x,
-                factors,
+                dropped,
                 rate: p,
             },
         )

@@ -55,18 +55,19 @@ pub(crate) enum Op {
     /// `x (n×d) + bias (1×d)` broadcast over rows
     AddBias(NodeId, NodeId),
     Relu(NodeId),
-    /// Elementwise mask multiply (inverted-dropout mask, already scaled).
-    /// `rate` keeps the original drop probability so compiled replay
-    /// ([`crate::train_exec`]) can redraw the mask each epoch.
+    /// Inverted dropout: element `i` is multiplied by `0` when
+    /// `dropped[i]`, else by `1 / (1 − rate)`. `rate` also lets compiled
+    /// replay ([`crate::train_exec`]) redraw the flags each epoch.
     Mask {
         x: NodeId,
-        mask: Vec<f32>,
+        dropped: Vec<bool>,
         rate: f64,
     },
-    /// Per-row mask multiply (GRAND-style row dropout; factors scaled).
+    /// Per-row inverted dropout (GRAND-style row dropout): row `r` is
+    /// multiplied by `0` when `dropped[r]`, else by `1 / (1 − rate)`.
     RowMask {
         x: NodeId,
-        factors: Vec<f32>,
+        dropped: Vec<bool>,
         rate: f64,
     },
     /// SkipNode combine: row i comes from `skip` when `take_skip[i]`,
@@ -619,25 +620,19 @@ impl Tape {
                     accum(grads, *x, dx);
                 }
             }
-            Op::Mask { x, mask, .. } => {
+            Op::Mask { x, dropped, rate } => {
                 if self.rg(*x) {
                     let mut dx = g;
-                    for (v, &m) in dx.as_mut_slice().iter_mut().zip(mask) {
-                        *v *= m;
-                    }
+                    apply_dropout(dx.as_mut_slice(), dropped, *rate);
                     accum(grads, *x, dx);
                 } else {
                     workspace::give(g);
                 }
             }
-            Op::RowMask { x, factors, .. } => {
+            Op::RowMask { x, dropped, rate } => {
                 if self.rg(*x) {
                     let mut dx = g;
-                    for (r, &f) in factors.iter().enumerate() {
-                        for v in dx.row_mut(r) {
-                            *v *= f;
-                        }
-                    }
+                    apply_row_dropout(&mut dx, dropped, *rate);
                     accum(grads, *x, dx);
                 } else {
                     workspace::give(g);
@@ -1001,6 +996,29 @@ pub(crate) fn backward_value_reads(tape: &Tape, idx: usize, f: &mut dyn FnMut(us
         // The attention backward reads `h` (for dα) whichever input needs
         // a gradient; α and the LeakyReLU slopes live on the op record.
         Op::GatAggregate { h, .. } => f(h.0),
+    }
+}
+
+/// Inverted dropout in place, forward and backward alike: `v[i]` is
+/// multiplied by `0` where `dropped[i]`, else by `1 / (1 − rate)`. A
+/// product rather than a store, so `-0.0`, NaN and ±inf propagate as
+/// through any other multiply.
+pub(crate) fn apply_dropout(v: &mut [f32], dropped: &[bool], rate: f64) {
+    let scale = (1.0 / (1.0 - rate)) as f32;
+    for (t, &d) in v.iter_mut().zip(dropped) {
+        *t *= if d { 0.0 } else { scale };
+    }
+}
+
+/// Row-level [`apply_dropout`]: row `r` of `m` is multiplied by `0` where
+/// `dropped[r]`, else by `1 / (1 − rate)`.
+pub(crate) fn apply_row_dropout(m: &mut Matrix, dropped: &[bool], rate: f64) {
+    let scale = (1.0 / (1.0 - rate)) as f32;
+    for (r, &d) in dropped.iter().enumerate() {
+        let f = if d { 0.0 } else { scale };
+        for t in m.row_mut(r) {
+            *t *= f;
+        }
     }
 }
 

@@ -34,7 +34,6 @@
 //! it.
 
 use crate::infer::{op_inputs, NO_USE};
-use crate::ops::draw_dropout;
 use crate::tape::{accum, backward_value_reads, NodeId, Op, Tape, Value};
 use skipnode_sparse::{CsrMatrix, COL_SKIP};
 use skipnode_tensor::{workspace, Matrix, SplitRng};
@@ -362,8 +361,9 @@ impl TrainProgram {
                 self.tape.release(idx);
             }
             match &mut self.tape.nodes[idx].op {
-                Op::Mask { mask, rate, .. } => draw_dropout(mask, *rate, rng),
-                Op::RowMask { factors, rate, .. } => draw_dropout(factors, *rate, rng),
+                Op::Mask { dropped, rate, .. } | Op::RowMask { dropped, rate, .. } => {
+                    rng.fill_bernoulli(*rate, dropped)
+                }
                 Op::RowCombine { take_skip, .. } => {
                     sampler.skip_mask(rng, take_skip);
                 }
@@ -612,9 +612,7 @@ mod tests {
 
     impl EpochSampler for UniformSampler {
         fn skip_mask(&mut self, rng: &mut SplitRng, out: &mut [bool]) {
-            for o in out.iter_mut() {
-                *o = rng.bernoulli(self.p);
-            }
+            rng.fill_bernoulli(self.p, out);
         }
     }
 

@@ -80,11 +80,7 @@ impl SkipNodeConfig {
             return mask;
         }
         match self.sampling {
-            Sampling::Uniform => {
-                for m in &mut mask {
-                    *m = rng.bernoulli(self.rate);
-                }
-            }
+            Sampling::Uniform => rng.fill_bernoulli(self.rate, &mut mask),
             Sampling::Biased => {
                 let k = ((self.rate * n as f64).floor() as usize).min(n);
                 let weights: Vec<f64> = degrees.iter().map(|&d| (d + 1) as f64).collect();

@@ -153,7 +153,11 @@ impl Strategy {
                 Arc::new(gcn_adjacency_filtered(n, kept))
             }
             Strategy::DropNode { rate } => {
-                let keep: Vec<bool> = (0..n).map(|_| !rng.bernoulli(*rate)).collect();
+                let mut keep = vec![false; n];
+                rng.fill_bernoulli(*rate, &mut keep);
+                for k in &mut keep {
+                    *k = !*k;
+                }
                 Arc::new(gcn_adjacency_with_node_mask(n, edges, &keep))
             }
             _ => Arc::clone(full),

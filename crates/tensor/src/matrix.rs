@@ -396,12 +396,21 @@ impl Matrix {
     /// Horizontal concatenation of matrices with equal row counts.
     pub fn hcat(parts: &[&Matrix]) -> Matrix {
         assert!(!parts.is_empty(), "hcat of zero matrices");
-        let rows = parts[0].rows;
+        let cols: usize = parts.iter().map(|p| p.cols).sum();
+        let mut out = Matrix::zeros(parts[0].rows, cols);
+        Matrix::hcat_into(parts, &mut out);
+        out
+    }
+
+    /// [`Matrix::hcat`] into `out`, overwriting every element (so `out`
+    /// may hold stale contents, e.g. a `workspace::take_scratch` buffer).
+    pub fn hcat_into(parts: &[&Matrix], out: &mut Matrix) {
+        let rows = out.rows;
         for p in parts {
             assert_eq!(p.rows, rows, "hcat row mismatch");
         }
         let cols: usize = parts.iter().map(|p| p.cols).sum();
-        let mut out = Matrix::zeros(rows, cols);
+        assert_eq!(cols, out.cols, "hcat column mismatch");
         for r in 0..rows {
             let mut off = 0;
             let dst = out.row_mut(r);
@@ -410,7 +419,6 @@ impl Matrix {
                 off += p.cols;
             }
         }
-        out
     }
 
     /// True when every element is finite.

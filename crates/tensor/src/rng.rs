@@ -96,10 +96,22 @@ impl SplitRng {
         ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
     }
 
-    /// Bernoulli draw.
+    /// Bernoulli draw: `true` with probability `p`. Equal to
+    /// `self.unit() < p` for every `p` (see `bernoulli_threshold`).
     #[inline]
     pub fn bernoulli(&mut self, p: f64) -> bool {
-        self.unit() < p
+        (self.next_u64() >> 11) < bernoulli_threshold(p)
+    }
+
+    /// Fill `out` with Bernoulli(`p`) flags: the same draws, in the same
+    /// order, as calling [`SplitRng::bernoulli`] `out.len()` times. Each
+    /// flag is an integer compare and a byte store, with no float select
+    /// for the compiler to lower to a data-dependent branch.
+    pub fn fill_bernoulli(&mut self, p: f64, out: &mut [bool]) {
+        let threshold = bernoulli_threshold(p);
+        for o in out {
+            *o = (self.next_u64() >> 11) < threshold;
+        }
     }
 
     /// Uniform integer in `[0, n)` (Lemire's multiply-shift, unbiased for
@@ -184,6 +196,21 @@ impl SplitRng {
         keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("NaN sampling key"));
         keyed.into_iter().take(k).map(|(_, i)| i).collect()
     }
+}
+
+/// Integer threshold `t` with `k < t ⇔ k·2^-53 < p` for every 53-bit
+/// draw `k`, so a Bernoulli draw needs no float arithmetic per element.
+///
+/// `unit()` returns `k·2^-53` with `k = next_u64() >> 11 < 2^53`. Both
+/// `k·2^-53` and `p·2^53` are exact in `f64` (scaling by a power of two
+/// only moves the exponent; `p·2^53` overflowing to `+inf` is still
+/// correct below), so `k·2^-53 < p ⇔ k < p·2^53`, and for an integer `k`,
+/// `k < y ⇔ k < ⌈y⌉`. The float-to-`u64` cast saturates: NaN and negative
+/// rates give 0 (never true, like `unit() < p`), rates of 1 or more give
+/// at least `2^53` (always true).
+#[inline]
+fn bernoulli_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// Uniform `f32` in `[lo, hi)`.
@@ -301,6 +328,60 @@ mod tests {
             hits > trials * 8 / 10,
             "heavy item picked only {hits}/{trials}"
         );
+    }
+
+    /// `fill_bernoulli` and `bernoulli` make exactly the draws of the
+    /// float comparison `unit() < p`, edge and invalid rates included,
+    /// and leave the generator in the same state.
+    #[test]
+    fn bernoulli_draws_equal_the_float_comparison() {
+        let rates = [
+            0.0,
+            (-60f64).exp2(),
+            1e-9,
+            0.25,
+            0.5,
+            0.9,
+            1.0f64.next_down(),
+            1.0,
+            f64::NAN,
+            -0.25,
+        ];
+        let n = 10_000;
+        for p in rates {
+            let mut reference = SplitRng::new(11);
+            let mut single = reference.clone();
+            let mut filled = reference.clone();
+            let want: Vec<bool> = (0..n).map(|_| reference.unit() < p).collect();
+            let got_single: Vec<bool> = (0..n).map(|_| single.bernoulli(p)).collect();
+            let mut got_filled = vec![false; n];
+            filled.fill_bernoulli(p, &mut got_filled);
+            assert_eq!(got_single, want, "bernoulli({p}) differs from unit() < p");
+            assert_eq!(
+                got_filled, want,
+                "fill_bernoulli({p}) differs from unit() < p"
+            );
+            let next = reference.next_u64();
+            assert_eq!(single.next_u64(), next, "bernoulli({p}) moved the stream");
+            assert_eq!(
+                filled.next_u64(),
+                next,
+                "fill_bernoulli({p}) moved the stream"
+            );
+        }
+    }
+
+    /// The first 128 dropout flags at seed 7, p = 0.5, bit `i` of word
+    /// `i / 64` being flag `i`. A faster draw must keep this stream.
+    #[test]
+    fn bernoulli_stream_is_pinned() {
+        let mut flags = [false; 128];
+        SplitRng::new(7).fill_bernoulli(0.5, &mut flags);
+        let mut words = [0u64; 2];
+        for (i, &f) in flags.iter().enumerate() {
+            words[i / 64] |= u64::from(f) << (i % 64);
+        }
+        assert_eq!(words, [0x5b15_dc14_be27_eeab, 0xe38a_07e5_95f6_d02e]);
     }
 
     #[test]
