@@ -29,7 +29,7 @@ use crate::tape::{apply_dropout, apply_row_dropout, NodeId, Op, Tape, Value};
 use skipnode_sparse::{CsrMatrix, COL_SKIP};
 use skipnode_tensor::quant::{qgemm, QuantizedMatrix};
 use skipnode_tensor::segment::segment_reduce_into;
-use skipnode_tensor::{workspace, Matrix};
+use skipnode_tensor::{kstats, workspace, Matrix};
 
 /// Sentinel for "no consumer".
 pub(crate) const NO_USE: usize = usize::MAX;
@@ -47,6 +47,8 @@ pub(crate) fn op_inputs(op: &Op, f: &mut dyn FnMut(usize)) {
             f(b.0);
         }
         Op::Spmm { x, .. } => f(x.0),
+        // `X` is read through the CSR on the record, never from its node.
+        Op::SparseInput { w, .. } => f(w.0),
         Op::Scale(x, _)
         | Op::Relu(x)
         | Op::Mask { x, .. }
@@ -399,6 +401,26 @@ impl Tape {
                     workspace::give(relu_active);
                 }
                 value
+            }
+            Op::SparseInput {
+                xs,
+                adj,
+                w,
+                dropped,
+                rate,
+                support,
+            } => {
+                let mut masked = xs.values().to_vec();
+                apply_dropout(&mut masked, dropped, *rate);
+                let s = xs.product_with_values(adj.map(|a| &*self.adjs[a].mat), &masked);
+                kstats::record(kstats::Kernel::SparseInput, s.nnz());
+                let wv = self.val(w.0);
+                let mut z = workspace::take_scratch(s.rows(), wv.cols());
+                s.spmm_into(wv, &mut z);
+                if retain {
+                    *support = s;
+                }
+                z
             }
             Op::ConcatCols(parts) => {
                 // A workspace buffer, since release gives it back.

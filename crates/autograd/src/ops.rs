@@ -9,7 +9,8 @@
 //! with operand liveness.
 
 use crate::tape::{AdjId, NodeId, Op, SkipConvCache, Tape};
-use skipnode_sparse::COL_SKIP;
+use skipnode_sparse::{CsrMatrix, COL_SKIP, SPARSE_INPUT_DENSITY_DIVISOR};
+use skipnode_tensor::precision::{self, Storage};
 use skipnode_tensor::{Matrix, ReadoutKind, SegmentTable, SplitRng};
 use std::sync::Arc;
 
@@ -106,6 +107,76 @@ impl Tape {
                 x,
                 dropped,
                 rate: p,
+            },
+        )
+    }
+
+    /// The stored entries of `x` when [`Tape::sparse_input`] may stand in
+    /// for the dense chain over it: `x` is a constant leaf (no gradient),
+    /// storage is `f32`, the tape is not int8-quantized (which keeps its
+    /// quantized GEMM), and at most `rows · cols /`
+    /// [`SPARSE_INPUT_DENSITY_DIVISOR`] entries of `x` are nonzero. `None`
+    /// otherwise. Builds the CSR with one counting pass that stops at the
+    /// bound, so dense inputs pay a fraction of a pass.
+    pub fn sparse_features(&self, x: NodeId) -> Option<Arc<CsrMatrix>> {
+        let node = &self.nodes[x.0];
+        if !matches!(node.op, Op::Leaf)
+            || node.requires_grad
+            || self.is_quantized()
+            || precision::active() != Storage::F32
+        {
+            return None;
+        }
+        let m = node.value.matrix();
+        let max_nnz = m.rows() * m.cols() / SPARSE_INPUT_DENSITY_DIVISOR;
+        CsrMatrix::from_dense_within(m, max_nnz).map(Arc::new)
+    }
+
+    /// Sparse input layer `[Ã·] dropout(X) · W` over the stored entries
+    /// `xs` of a constant input `X` (from [`Tape::sparse_features`]), with
+    /// inverted dropout at `rate` (none at `0`) and `Ã` optional.
+    ///
+    /// Stands in for `spmm(adj, dropout(x, rate))` followed by `matmul`
+    /// (or for `dropout → matmul` without `adj`): it draws the same `n·f`
+    /// dropout flags in the same order, keeps only those at `X`'s stored
+    /// entries, and its value and `dW` are bit-identical to the chain's.
+    /// No dense copy of `X`, `dropout(X)` or `Ã·dropout(X)` is made. There is
+    /// no gradient for `X`.
+    pub fn sparse_input(
+        &mut self,
+        xs: Arc<CsrMatrix>,
+        adj: Option<AdjId>,
+        w: NodeId,
+        rate: f64,
+        rng: &mut SplitRng,
+    ) -> NodeId {
+        assert!((0.0..1.0).contains(&rate), "dropout rate must be in [0,1)");
+        let (w_rows, cols) = self.shape(w);
+        assert_eq!(xs.cols(), w_rows, "sparse_input shape mismatch");
+        let rows = match adj {
+            Some(a) => {
+                let mat = &self.adjs[a.0].mat;
+                assert_eq!(mat.cols(), xs.rows(), "sparse_input adjacency shape");
+                mat.rows()
+            }
+            None => xs.rows(),
+        };
+        let mut dropped = Vec::new();
+        if rate > 0.0 {
+            dropped.resize(xs.nnz(), false);
+            let len = xs.rows() * xs.cols();
+            rng.fill_bernoulli_at(rate, len, xs.stored_positions(), &mut dropped);
+        }
+        self.record(
+            rows,
+            cols,
+            Op::SparseInput {
+                xs,
+                adj: adj.map(|a| a.0),
+                w,
+                dropped,
+                rate,
+                support: CsrMatrix::zeros(0, 0),
             },
         )
     }

@@ -95,6 +95,24 @@ pub(crate) enum Op {
         residual: Option<NodeId>,
         cache: Box<SkipConvCache>,
     },
+    /// Sparse input layer: `[Ã·] dropout(X) · W` over the stored entries of
+    /// a constant sparse input `X` (see [`Tape::sparse_input`]). It stands
+    /// in for the `Mask → [Spmm →] MatMul` chain with bit-identical value
+    /// and `dW`, and never densifies `X`, `dropout(X)` or `Ã·dropout(X)`.
+    SparseInput {
+        /// `X`'s stored entries.
+        xs: Arc<CsrMatrix>,
+        /// Propagation matrix, `None` for a dense layer.
+        adj: Option<usize>,
+        w: NodeId,
+        /// One drop flag per stored entry of `X` (empty when `rate == 0`),
+        /// applied like [`Op::Mask`]'s.
+        dropped: Vec<bool>,
+        rate: f64,
+        /// `S = [Ã·] dropout(X)`, refreshed by every retaining evaluation
+        /// and read back for `dW = Sᵀ·G`.
+        support: CsrMatrix,
+    },
     ConcatCols(Vec<NodeId>),
     /// Elementwise max across same-shaped inputs; `argmax[i]` records the
     /// winning input per element.
@@ -792,6 +810,15 @@ impl Tape {
                 workspace::give(gz);
                 workspace::give(g);
             }
+            Op::SparseInput { w, support, .. } => {
+                if self.rg(*w) {
+                    let (rows, cols) = self.nodes[w.0].value.shape();
+                    let mut dw = workspace::take_scratch(rows, cols);
+                    support.t_spmm_into(&g, &mut dw);
+                    accum(grads, *w, dw);
+                }
+                workspace::give(g);
+            }
             Op::ConcatCols(parts) => {
                 let mut off = 0;
                 for p in parts {
@@ -951,6 +978,8 @@ pub(crate) fn backward_value_reads(tape: &Tape, idx: usize, f: &mut dyn FnMut(us
         | Op::Mask { .. }
         | Op::RowMask { .. }
         | Op::RowCombine { .. }
+        // `dW = Sᵀ·G` reads the support kept on the op record.
+        | Op::SparseInput { .. }
         | Op::ConcatCols(..)
         | Op::MaxPool { .. }
         // Readout's backward reads only the upstream gradient plus the

@@ -364,6 +364,12 @@ impl TrainProgram {
                 Op::Mask { dropped, rate, .. } | Op::RowMask { dropped, rate, .. } => {
                     rng.fill_bernoulli(*rate, dropped)
                 }
+                Op::SparseInput {
+                    xs, dropped, rate, ..
+                } if *rate > 0.0 => {
+                    let len = xs.rows() * xs.cols();
+                    rng.fill_bernoulli_at(*rate, len, xs.stored_positions(), dropped);
+                }
                 Op::RowCombine { take_skip, .. } => {
                     sampler.skip_mask(rng, take_skip);
                 }
@@ -621,10 +627,24 @@ mod tests {
         assert_eq!(a.as_slice(), b.as_slice(), "{tag}: values differ bitwise");
     }
 
+    /// Stored entries of a sparse input: negative values, an empty row.
+    fn sparse_features(rows: usize, cols: usize, rng: &mut SplitRng) -> Arc<CsrMatrix> {
+        let mut m = Matrix::zeros(rows, cols);
+        for r in 1..rows {
+            for c in 0..cols {
+                if rng.bernoulli(0.4) {
+                    m.set(r, c, rng.uniform(-1.0, 1.0));
+                }
+            }
+        }
+        Arc::new(CsrMatrix::from_dense_within(&m, usize::MAX).expect("no bound"))
+    }
+
     struct Fixture {
         adj: Arc<CsrMatrix>,
         graph: AttentionGraph,
         x: Matrix,
+        xs: Arc<CsrMatrix>,
         w: Matrix,
         b: Matrix,
         a_src: Matrix,
@@ -639,6 +659,7 @@ mod tests {
                 adj: Arc::new(gcn_adjacency(5, &edges)),
                 graph: AttentionGraph::from_edges(5, &edges),
                 x: init.uniform_matrix(5, 4, -1.0, 1.0),
+                xs: sparse_features(5, 4, &mut init),
                 w: init.uniform_matrix(4, 4, -0.5, 0.5),
                 b: init.uniform_matrix(1, 4, -0.1, 0.1),
                 a_src: init.uniform_matrix(4, 1, -1.0, 1.0),
@@ -646,10 +667,11 @@ mod tests {
             }
         }
 
-        /// Stochastic fused chain: spmm → matmul → skip_conv → dropout →
-        /// row_combine → gat_aggregate → pairnorm → relu. Draws from `fwd`
-        /// exactly where compiled replay redraws; the attention weights
-        /// follow the redrawn masks, so every evaluation must refresh them.
+        /// Stochastic fused chain: (spmm → matmul) + sparse_input →
+        /// skip_conv → dropout → row_combine → gat_aggregate → pairnorm →
+        /// relu. Draws from `fwd` exactly where compiled replay redraws;
+        /// the attention weights follow the redrawn masks, so every
+        /// evaluation must refresh them.
         fn record(&self, tape: &mut Tape, fwd: &mut SplitRng, skip_p: f64) -> NodeId {
             let adj = tape.register_adj(self.adj.clone());
             let xn = tape.constant(self.x.clone());
@@ -658,7 +680,9 @@ mod tests {
             let a_src = tape.constant(self.a_src.clone());
             let a_dst = tape.constant(self.a_dst.clone());
             let prop = tape.spmm(adj, xn);
-            let sk = tape.matmul(prop, wn);
+            let dense = tape.matmul(prop, wn);
+            let sparse = tape.sparse_input(Arc::clone(&self.xs), Some(adj), wn, 0.3, fwd);
+            let sk = tape.add(dense, sparse);
             let mask: Vec<bool> = (0..5).map(|_| fwd.bernoulli(skip_p)).collect();
             let fused = tape.skip_conv(adj, xn, sk, wn, bn, &mask);
             let dropped = tape.dropout(fused, 0.3, fwd);
@@ -715,9 +739,10 @@ mod tests {
 
     /// Coverage for the remaining backward ports: hadamard, add_scaled,
     /// scale, max_pool, concat_cols, weighted_sum, lin_comb, dropout_rows,
-    /// add_bias — with two seeded heads.
+    /// add_bias, and the dense form of sparse_input — with two seeded heads.
     struct MiscFixture {
         x: Matrix,
+        xs: Arc<CsrMatrix>,
         w1: Matrix,
         w2: Matrix,
         ws: Matrix,
@@ -730,6 +755,7 @@ mod tests {
             let mut init = SplitRng::new(77);
             Self {
                 x: init.uniform_matrix(6, 3, -1.0, 1.0),
+                xs: sparse_features(6, 3, &mut init),
                 w1: init.uniform_matrix(3, 3, -0.5, 0.5),
                 w2: init.uniform_matrix(3, 3, -0.5, 0.5),
                 ws: init.uniform_matrix(1, 3, -1.0, 1.0),
@@ -745,7 +771,9 @@ mod tests {
             let w2 = tape.param(self.w2.clone());
             let ws = tape.param(self.ws.clone());
             let bn = tape.param(self.b.clone());
-            let a = tape.matmul(xn, w1);
+            let dense = tape.matmul(xn, w1);
+            let sparse = tape.sparse_input(Arc::clone(&self.xs), None, w1, 0.25, fwd);
+            let a = tape.add(dense, sparse);
             let b2 = tape.matmul(xn, w2);
             let h = tape.hadamard(a, b2);
             let s = tape.add_scaled(a, h, 0.5);

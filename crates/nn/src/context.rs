@@ -241,17 +241,7 @@ impl<'a> ForwardCtx<'a> {
         conv_shape: (usize, usize),
         prev_shape: (usize, usize),
     ) -> Option<Vec<bool>> {
-        if !self.fuse {
-            return None;
-        }
-        let cfg = match self.strategy {
-            Strategy::SkipNode(cfg) if self.train => cfg,
-            Strategy::SkipNodeTrainEval(cfg) => cfg,
-            _ => return None,
-        };
-        if conv_shape != prev_shape {
-            return None;
-        }
+        let cfg = self.fused_skip_config(conv_shape, prev_shape)?;
         Some(sample_skip_mask_segmented(
             cfg,
             self.degrees,
@@ -259,6 +249,24 @@ impl<'a> ForwardCtx<'a> {
             self.segments.map(Arc::as_ref),
             self.rng,
         ))
+    }
+
+    /// The SkipNode configuration [`ForwardCtx::fused_skip_mask`] would
+    /// sample from for these shapes, decided without drawing anything;
+    /// `None` when the layer takes the unfused chain.
+    pub(crate) fn fused_skip_config(
+        &self,
+        conv_shape: (usize, usize),
+        prev_shape: (usize, usize),
+    ) -> Option<&'a SkipNodeConfig> {
+        if !self.fuse || conv_shape != prev_shape {
+            return None;
+        }
+        match self.strategy {
+            Strategy::SkipNode(cfg) if self.train => Some(cfg),
+            Strategy::SkipNodeTrainEval(cfg) => Some(cfg),
+            _ => None,
+        }
     }
 
     /// Post-convolution hook for *middle* layers: applies PairNorm

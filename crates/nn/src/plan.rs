@@ -20,6 +20,11 @@
 //!   all) to the masked kernel whenever SkipNode is active and shapes
 //!   allow, falling back to the canonical unfused op chain otherwise.
 //!   Both paths are bit-identical and draw identically from the RNG.
+//! - **Sparse input selection** — a dropout of the input features fuses
+//!   with the `Conv`, `Dense` or (unfused) `ActivatedConv` that alone
+//!   reads it into one [`Tape::sparse_input`] over the features' stored
+//!   entries, when [`Tape::sparse_features`] accepts them. Bit-identical
+//!   to the dense chain, same RNG draws.
 //! - **Inference parity by construction** — eager and
 //!   [`Tape::inference`] forwards execute the *same* plan, so the no-grad
 //!   engine can never drift from training semantics.
@@ -42,9 +47,10 @@ use crate::context::ForwardCtx;
 use crate::models::JkAggregate;
 use crate::param::{Binding, ParamId};
 use skipnode_autograd::{FusedStep, NodeId, Tape};
-use skipnode_sparse::SpmmSchedule;
+use skipnode_sparse::{CsrMatrix, SpmmSchedule};
 use skipnode_tensor::simd::{self, GemmTile};
 use skipnode_tensor::ReadoutKind;
+use std::sync::Arc;
 
 /// A virtual register in a [`LayerPlan`]. `Reg(0)` is the input feature
 /// matrix; op `k` defines `Reg(k + 1)`.
@@ -172,6 +178,52 @@ pub enum PlanOp {
         /// Reduction applied within each segment.
         kind: ReadoutKind,
     },
+}
+
+impl PlanOp {
+    /// Visit every register this op reads.
+    fn reads(&self, f: &mut dyn FnMut(Reg)) {
+        match self {
+            PlanOp::Dropout { src, .. }
+            | PlanOp::DropRows { src, .. }
+            | PlanOp::Conv { src, .. }
+            | PlanOp::Dense { src, .. }
+            | PlanOp::Relu { src }
+            | PlanOp::Penultimate { src }
+            | PlanOp::Readout { src, .. } => f(*src),
+            PlanOp::ActivatedConv {
+                src,
+                carry,
+                init_residual,
+                residual,
+                ..
+            } => {
+                f(*src);
+                f(*carry);
+                if let Some((h0, _)) = init_residual {
+                    f(*h0);
+                }
+                if let Some(res) = residual {
+                    f(*res);
+                }
+            }
+            PlanOp::Propagate {
+                src,
+                carry,
+                teleport,
+            } => {
+                f(*src);
+                f(*carry);
+                if let Some((h0, _)) = teleport {
+                    f(*h0);
+                }
+            }
+            PlanOp::LinComb { parts } => parts.iter().for_each(|&(p, _)| f(p)),
+            PlanOp::WeightedSum { parts, .. } | PlanOp::Aggregate { parts, .. } => {
+                parts.iter().for_each(|&p| f(p))
+            }
+        }
+    }
 }
 
 /// Kernel-variant choices recorded into a plan by the startup auto-tuner
@@ -391,14 +443,87 @@ impl PlanExecutor {
         };
         let mut regs: Vec<NodeId> = Vec::with_capacity(plan.ops.len() + 1);
         regs.push(ctx.x);
-        for op in &plan.ops {
-            let node = exec_op(op, &regs, tape, binding, ctx, allow_fuse);
+        // The input's stored entries, built at most once per run.
+        let mut features: Option<Option<Arc<CsrMatrix>>> = None;
+        let mut sparse = None;
+        for (k, op) in plan.ops.iter().enumerate() {
+            if let Some(rate) = sparse_input_rate(plan, k, &regs, tape, binding, ctx, allow_fuse) {
+                if let Some(xs) = features.get_or_insert_with(|| tape.sparse_features(ctx.x)) {
+                    // The reader, the next op, draws this dropout's flags:
+                    // nothing draws in between, so the stream is unchanged.
+                    sparse = Some(SparseInput {
+                        xs: Arc::clone(xs),
+                        rate: if ctx.train { rate } else { 0.0 },
+                    });
+                    // The register is never read: its one reader is fused.
+                    regs.push(ctx.x);
+                    continue;
+                }
+            }
+            let node = exec_op(op, &regs, tape, binding, ctx, allow_fuse, sparse.take());
             regs.push(node);
         }
         regs[plan.output.0]
     }
 }
 
+/// A dropout of the input features deferred to the op that reads it, which
+/// then runs as one [`Tape::sparse_input`] over the stored entries `xs`.
+struct SparseInput {
+    xs: Arc<CsrMatrix>,
+    /// `0` at evaluation: no flags are drawn.
+    rate: f64,
+}
+
+/// The rate of op `k` when it is a dropout of the input features (`Reg(0)`)
+/// that the next op can fuse into one [`Tape::sparse_input`]. Decided from
+/// the plan and shapes before anything is drawn: the next op must be the
+/// dropout register's only reader (and the register not the plan output),
+/// reading it as the input of a `Conv`, a `Dense`, or an `ActivatedConv`
+/// with no initial residual or identity map that will not take the fused
+/// SkipNode kernel. Whether the features themselves qualify is
+/// [`Tape::sparse_features`]'s call.
+fn sparse_input_rate(
+    plan: &LayerPlan,
+    k: usize,
+    regs: &[NodeId],
+    tape: &Tape,
+    binding: &Binding,
+    ctx: &ForwardCtx,
+    allow_fuse: bool,
+) -> Option<f64> {
+    let PlanOp::Dropout { src: Reg(0), rate } = plan.ops[k] else {
+        return None;
+    };
+    let reg = Reg(k + 1);
+    let mut readers = 0;
+    for op in &plan.ops {
+        op.reads(&mut |r| readers += usize::from(r == reg));
+    }
+    if readers != 1 || plan.output == reg {
+        return None;
+    }
+    match plan.ops.get(k + 1)? {
+        PlanOp::Conv { src, .. } | PlanOp::Dense { src, .. } if *src == reg => Some(rate),
+        PlanOp::ActivatedConv {
+            src,
+            carry,
+            w,
+            init_residual: None,
+            identity_map: None,
+            ..
+        } if *src == reg => {
+            let conv_shape = (tape.shape(ctx.x).0, tape.shape(binding.node(*w)).1);
+            let carry_shape = tape.shape(regs[carry.0]);
+            let fuses = allow_fuse && ctx.fused_skip_config(conv_shape, carry_shape).is_some();
+            (!fuses).then_some(rate)
+        }
+        _ => None,
+    }
+}
+
+/// Execute one op; `sparse` is the deferred input dropout when `op` reads
+/// it (see [`sparse_input_rate`]).
 fn exec_op(
     op: &PlanOp,
     regs: &[NodeId],
@@ -406,6 +531,7 @@ fn exec_op(
     binding: &Binding,
     ctx: &mut ForwardCtx,
     allow_fuse: bool,
+    sparse: Option<SparseInput>,
 ) -> NodeId {
     let r = |reg: Reg| regs[reg.0];
     match op {
@@ -418,8 +544,14 @@ fn exec_op(
             }
         }
         PlanOp::Conv { src, w, b } => {
-            let p = tape.spmm(ctx.adj, r(*src));
-            let z = tape.matmul(p, binding.node(*w));
+            let wn = binding.node(*w);
+            let z = match sparse {
+                Some(s) => tape.sparse_input(s.xs, Some(ctx.adj), wn, s.rate, ctx.rng),
+                None => {
+                    let p = tape.spmm(ctx.adj, r(*src));
+                    tape.matmul(p, wn)
+                }
+            };
             tape.add_bias(z, binding.node(*b))
         }
         PlanOp::ActivatedConv {
@@ -442,9 +574,14 @@ fn exec_op(
             init_residual.map(|(h0, a)| (r(h0), a)),
             *identity_map,
             residual.map(&r),
+            sparse,
         ),
         PlanOp::Dense { src, w, b } => {
-            let z = tape.matmul(r(*src), binding.node(*w));
+            let wn = binding.node(*w);
+            let z = match sparse {
+                Some(s) => tape.sparse_input(s.xs, None, wn, s.rate, ctx.rng),
+                None => tape.matmul(r(*src), wn),
+            };
             tape.add_bias(z, binding.node(*b))
         }
         PlanOp::Relu { src } => tape.relu(r(*src)),
@@ -497,7 +634,8 @@ fn exec_op(
 /// replays the same scalar operations in the same order on the active
 /// rows only, so the two paths are bit-identical and consume identical
 /// RNG streams (the skip mask is drawn at the position `post_conv` would
-/// draw it).
+/// draw it). With `sparse`, the `spmm → matmul` head runs as one
+/// [`Tape::sparse_input`] that also draws the deferred input dropout.
 #[allow(clippy::too_many_arguments)]
 fn exec_activated_conv(
     tape: &mut Tape,
@@ -511,6 +649,7 @@ fn exec_activated_conv(
     init_residual: Option<(NodeId, f32)>,
     identity_map: Option<f32>,
     residual: Option<NodeId>,
+    sparse: Option<SparseInput>,
 ) -> NodeId {
     let wn = binding.node(w);
     let bn = b.map(|b| binding.node(b));
@@ -530,6 +669,10 @@ fn exec_activated_conv(
         None
     };
     if let Some(mask) = fused_mask {
+        debug_assert!(
+            sparse.is_none(),
+            "a fused layer never reads the sparse input"
+        );
         return tape.skip_conv_step(
             ctx.adj,
             FusedStep {
@@ -544,15 +687,21 @@ fn exec_activated_conv(
             &mask,
         );
     }
-    let p = tape.spmm(ctx.adj, src);
-    let support = match init_residual {
-        Some((h0, alpha)) => tape.lin_comb(&[(p, 1.0 - alpha), (h0, alpha)]),
-        None => p,
-    };
-    let t = tape.matmul(support, wn);
-    let z = match identity_map {
-        Some(beta) => tape.lin_comb(&[(support, 1.0 - beta), (t, beta)]),
-        None => t,
+    let z = match sparse {
+        // Chosen only without an initial residual or identity map.
+        Some(s) => tape.sparse_input(s.xs, Some(ctx.adj), wn, s.rate, ctx.rng),
+        None => {
+            let p = tape.spmm(ctx.adj, src);
+            let support = match init_residual {
+                Some((h0, alpha)) => tape.lin_comb(&[(p, 1.0 - alpha), (h0, alpha)]),
+                None => p,
+            };
+            let t = tape.matmul(support, wn);
+            match identity_map {
+                Some(beta) => tape.lin_comb(&[(support, 1.0 - beta), (t, beta)]),
+                None => t,
+            }
+        }
     };
     let z = match bn {
         Some(bn) => tape.add_bias(z, bn),

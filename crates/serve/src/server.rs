@@ -53,6 +53,9 @@ pub struct ServerStats {
     pub max_batch_formed: usize,
     /// Batches that hit the size cap (dispatched early).
     pub capped_batches: u64,
+    /// Queries dropped unanswered because their node id was out of range
+    /// when their batch ran; their receivers see a closed channel.
+    pub rejected: u64,
 }
 
 impl ServerStats {
@@ -103,7 +106,10 @@ impl InferenceServer {
         }
     }
 
-    /// Enqueue a query; the returned receiver yields the logits row.
+    /// Enqueue a query; the returned receiver yields the logits row. A
+    /// node id out of range when the query's batch runs (after the updates
+    /// queued before it) is rejected: the receiver's `recv` returns `Err`
+    /// and the server keeps serving.
     pub fn submit(&self, node: usize) -> mpsc::Receiver<Vec<f32>> {
         let (tx, rx) = mpsc::channel();
         let mut st = self.shared.state.lock().unwrap();
@@ -115,7 +121,8 @@ impl InferenceServer {
     /// Blocking query: submit and wait for the logits.
     ///
     /// # Panics
-    /// Panics if the server shut down before answering.
+    /// Panics if the query was rejected (node id out of range) or the
+    /// server shut down before answering.
     pub fn infer(&self, node: usize) -> Vec<f32> {
         self.submit(node)
             .recv()
@@ -194,12 +201,18 @@ fn worker_loop(
         }
         let updates: Vec<GraphUpdate> = st.updates.drain(..).collect();
         let take = st.queue.len().min(max_batch);
-        let batch: Vec<(usize, mpsc::Sender<Vec<f32>>)> = st.queue.drain(..take).collect();
+        let mut batch: Vec<(usize, mpsc::Sender<Vec<f32>>)> = st.queue.drain(..take).collect();
         drop(st);
 
         for update in &updates {
             engine.apply_update(update);
         }
+        // An out-of-range id would panic the engine and with it the only
+        // worker; drop those queries instead (their senders close here).
+        let n = engine.num_nodes();
+        let before = batch.len();
+        batch.retain(|&(q, _)| q < n);
+        stats.rejected += (before - batch.len()) as u64;
         if !batch.is_empty() {
             let queries: Vec<usize> = batch.iter().map(|(q, _)| *q).collect();
             let logits = engine.serve_batch(&queries);

@@ -201,3 +201,31 @@ fn inference_server_answers_match_full_forward_across_updates() {
     assert!(engine_stats.updates == 3);
     assert!(engine.first_hop_cached() > 0);
 }
+
+/// An out-of-range query id is rejected without taking the worker down:
+/// its receiver sees a closed channel, the next valid query is answered
+/// exactly as a twin engine answers it, and shutdown reports one rejection.
+#[test]
+fn out_of_range_query_is_rejected_and_the_server_keeps_serving() {
+    let graph = test_graph(40, 50, 5);
+    let ckpt = checkpoint_for("gcn", 43);
+    let engine = ServeEngine::from_checkpoint(&ckpt, &graph, ServeMode::F32).unwrap();
+    let mut twin = ServeEngine::from_checkpoint(&ckpt, &graph, ServeMode::F32).unwrap();
+    let n = engine.num_nodes();
+    let server = InferenceServer::start(engine, ServerConfig::default());
+
+    assert!(
+        server.submit(n + 5).recv().is_err(),
+        "an out-of-range query must be rejected, not answered"
+    );
+    // A timeout, so a dead worker fails the test instead of hanging it.
+    let answer = server
+        .submit(7)
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the server still answers valid queries");
+    assert_eq!(answer, twin.serve_one(7));
+
+    let (_, stats, _) = server.shutdown();
+    assert_eq!(stats.rejected, 1);
+    assert_eq!(stats.requests, 1);
+}

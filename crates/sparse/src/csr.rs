@@ -36,6 +36,13 @@ const SPMV_PARALLEL_THRESHOLD: usize = 1 << 16;
 /// Sentinel in a compact column map marking a masked (skipped) column.
 pub const COL_SKIP: u32 = u32::MAX;
 
+/// Input features count as sparse when at most `rows · cols /
+/// SPARSE_INPUT_DENSITY_DIVISOR` of their entries are nonzero. Such inputs
+/// run the input layer over their stored entries
+/// ([`CsrMatrix::product_with_values`]) instead of the dense chain; the bound
+/// is the measured crossover between the two (see `DESIGN.md` §8).
+pub const SPARSE_INPUT_DENSITY_DIVISOR: usize = 16;
+
 /// How pooled SpMM partitions output rows over the worker pool. Every
 /// candidate computes each output row whole with the same per-row
 /// accumulation order, so all schedules produce identical bytes — the
@@ -637,6 +644,159 @@ impl CsrMatrix {
                 acc += v * x[c as usize];
             }
             *o = acc;
+        }
+    }
+
+    /// The nonzero entries of a dense matrix as CSR, or `None` at the end
+    /// of the first row that takes the count past `max_nnz` — so a dense
+    /// input pays only the fraction of one pass it takes to cross the
+    /// bound. `-0.0` is not stored (it compares equal to zero); NaN is.
+    pub fn from_dense_within(m: &Matrix, max_nnz: usize) -> Option<CsrMatrix> {
+        /// Columns tested at once; all-zero windows, most of a sparse row,
+        /// cost one vectorized count.
+        const WINDOW: usize = 32;
+        let mut indptr = Vec::with_capacity(m.rows() + 1);
+        let mut indices = Vec::new();
+        let mut values = Vec::new();
+        indptr.push(0);
+        for r in 0..m.rows() {
+            for (w, window) in m.row(r).chunks(WINDOW).enumerate() {
+                if window.iter().filter(|&&v| v != 0.0).count() == 0 {
+                    continue;
+                }
+                for (c, &v) in window.iter().enumerate() {
+                    if v != 0.0 {
+                        indices.push((w * WINDOW + c) as u32);
+                        values.push(v);
+                    }
+                }
+            }
+            if indices.len() > max_nnz {
+                return None;
+            }
+            indptr.push(indices.len());
+        }
+        Some(Self {
+            rows: m.rows(),
+            cols: m.cols(),
+            indptr,
+            indices,
+            values,
+            cache: CsrCache::default(),
+        })
+    }
+
+    /// Flat row-major positions (`r · cols + c`) of the stored entries, in
+    /// storage order.
+    pub fn stored_positions(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.rows).flat_map(move |r| {
+            let (cols, _) = self.row(r);
+            cols.iter().map(move |&c| r * self.cols + c as usize)
+        })
+    }
+
+    /// The stored values, in storage order (row by row, ascending columns).
+    pub fn values(&self) -> &[f32] {
+        &self.values
+    }
+
+    /// `S = [adj ·] M` as CSR, where `M` is `self` with its stored values
+    /// replaced by `values` (one per stored entry, e.g. `self`'s values
+    /// after inverted dropout). Without `adj`, `S = M`.
+    ///
+    /// With `adj`, row `r` of `S` accumulates `adj[r, c] · M[c, :]` over
+    /// `adj`'s row in CSR order through [`simd::axpy_scatter`], from `+0`,
+    /// with ascending output columns. Each element therefore sees the same
+    /// operations in the same order as in the dense `spmm` of `adj` with
+    /// the densified `M`, minus the `a · 0` terms of entries `M` does not
+    /// store, which are exact no-ops for finite `a`: the stored values are
+    /// bit-identical to the dense product's, and every entry `S` does not
+    /// store is `+0` there.
+    ///
+    /// # Panics
+    /// Panics when `adj`'s columns do not match `self`'s rows, or `values`
+    /// does not hold one value per stored entry.
+    pub fn product_with_values(&self, adj: Option<&CsrMatrix>, values: &[f32]) -> CsrMatrix {
+        assert_eq!(values.len(), self.nnz(), "one value per stored entry");
+        let Some(adj) = adj else {
+            return Self {
+                rows: self.rows,
+                cols: self.cols,
+                indptr: self.indptr.clone(),
+                indices: self.indices.clone(),
+                values: values.to_vec(),
+                cache: CsrCache::default(),
+            };
+        };
+        assert_eq!(adj.cols, self.rows, "product_with_values inner dimension");
+        let isa = simd::active();
+        let f = self.cols;
+        // Gustavson row accumulation: a dense accumulator row plus a bitset
+        // of the columns this output row touched, read back in order.
+        let mut acc = vec![0.0f32; f];
+        let mut touched = vec![0u64; f.div_ceil(64)];
+        // Products made bound the stored entries; reserving them up front
+        // spares the output its regrowth.
+        let products: usize = adj.indices.iter().map(|&c| self.row_nnz(c as usize)).sum();
+        let capacity = products.min(adj.rows * f);
+        let mut indptr = Vec::with_capacity(adj.rows + 1);
+        let mut s_indices = Vec::with_capacity(capacity);
+        let mut s_values = Vec::with_capacity(capacity);
+        indptr.push(0);
+        for r in 0..adj.rows {
+            let (acols, avals) = adj.row(r);
+            for (&c, &a) in acols.iter().zip(avals) {
+                let (lo, hi) = (self.indptr[c as usize], self.indptr[c as usize + 1]);
+                let mcols = &self.indices[lo..hi];
+                for &p in mcols {
+                    touched[p as usize / 64] |= 1 << (p % 64);
+                }
+                simd::axpy_scatter(isa, a, mcols, &values[lo..hi], &mut acc);
+            }
+            for (word_idx, word) in touched.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let p = word_idx * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    s_indices.push(p as u32);
+                    s_values.push(acc[p]);
+                    acc[p] = 0.0;
+                }
+            }
+            indptr.push(s_indices.len());
+        }
+        Self {
+            rows: adj.rows,
+            cols: f,
+            indptr,
+            indices: s_indices,
+            values: s_values,
+            cache: CsrCache::default(),
+        }
+    }
+
+    /// `out = selfᵀ · g` (`self.cols × g.cols`); prior contents of `out` are
+    /// ignored. Walks `self`'s rows `r` in ascending order and accumulates
+    /// `self[r, p] · g[r, :]` into row `p` of `out` with [`simd::axpy`],
+    /// skipping exact zeros — the order and the skip of the dense `Aᵀ·B`
+    /// kernel, so the result is bit-identical to it on the densified matrix.
+    ///
+    /// # Panics
+    /// Panics on a shape mismatch.
+    pub fn t_spmm_into(&self, g: &Matrix, out: &mut Matrix) {
+        assert_eq!(g.rows(), self.rows, "t_spmm_into inner dimension");
+        assert_eq!(out.shape(), (self.cols, g.cols()), "t_spmm_into out shape");
+        let isa = simd::active();
+        out.as_mut_slice().fill(0.0);
+        for r in 0..self.rows {
+            let (cols, vals) = self.row(r);
+            let g_row = g.row(r);
+            for (&p, &v) in cols.iter().zip(vals) {
+                if v == 0.0 {
+                    continue;
+                }
+                simd::axpy(isa, v, g_row, out.row_mut(p as usize));
+            }
         }
     }
 

@@ -26,7 +26,9 @@ pub mod stats;
 mod stream;
 
 pub use build::{dedup_undirected_edges, CooBuilder};
-pub use csr::{CsrMatrix, SpmmSchedule, COL_SKIP, SPMM_PARALLEL_THRESHOLD};
+pub use csr::{
+    CsrMatrix, SpmmSchedule, COL_SKIP, SPARSE_INPUT_DENSITY_DIVISOR, SPMM_PARALLEL_THRESHOLD,
+};
 pub use normalize::{
     gcn_adjacency, gcn_adjacency_filtered, gcn_adjacency_with_node_mask, row_normalized_adjacency,
 };

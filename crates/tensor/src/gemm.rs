@@ -7,10 +7,12 @@
 //!   the autovectorizer lifts the inner loop to SIMD FMAs. `Aᵀ·B` streams
 //!   row-axpy updates into a cache-resident output slab; `A·Bᵀ` runs four
 //!   independent dot-product chains per output row.
-//! - **Zero skipping.** Rows of the feature matrix are extremely sparse
-//!   (binary bag-of-words), so tiles whose `A` window is entirely zero are
+//! - **Zero skipping.** Tiles whose `A` window is entirely zero are
 //!   skipped. Adding `0·x` for finite `x` is exact, so results are
-//!   unchanged.
+//!   unchanged. Sparse input features no longer reach these kernels on
+//!   `f32` tapes — the input layer runs over their stored entries
+//!   (`skipnode_autograd`'s sparse input op) — so the skip now pays only on
+//!   the bf16, int8 and dense-feature paths.
 //! - **Pooled dispatch.** Large products are split over disjoint output
 //!   row-blocks and dispatched on [`crate::pool`] — no per-call thread
 //!   spawn/join. Every output element is computed by exactly one chunk with

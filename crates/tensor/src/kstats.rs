@@ -54,10 +54,14 @@ pub enum Kernel {
     GemmI8,
     /// Segmented (per-graph) pooling reductions (work = input elements).
     SegReduce,
+    /// Sparse input layer `[Ã·] dropout(X) · W` over the stored entries of
+    /// sparse features, one call per op evaluation, recorded beside the
+    /// kernels it calls (work = stored entries of `[Ã·] dropout(X)`).
+    SparseInput,
 }
 
 /// Number of tracked kernel families.
-pub const KERNEL_COUNT: usize = 16;
+pub const KERNEL_COUNT: usize = 17;
 
 const NAMES: [&str; KERNEL_COUNT] = [
     "gemm",
@@ -76,6 +80,7 @@ const NAMES: [&str; KERNEL_COUNT] = [
     "quant_i8",
     "gemm_i8",
     "seg_reduce",
+    "sparse_input",
 ];
 
 static CALLS: [AtomicU64; KERNEL_COUNT] = [const { AtomicU64::new(0) }; KERNEL_COUNT];

@@ -114,6 +114,42 @@ impl SplitRng {
         }
     }
 
+    /// The flags [`SplitRng::fill_bernoulli`] would draw over `len` values,
+    /// kept only at `positions` (strictly ascending, each below `len`):
+    /// `out[k]` is flag `positions[k]`. Makes all `len` draws, so the
+    /// generator ends in the same state as after `fill_bernoulli`.
+    ///
+    /// # Panics
+    /// Panics when `positions` is not strictly ascending, reaches `len`, or
+    /// does not yield exactly `out.len()` positions.
+    pub fn fill_bernoulli_at(
+        &mut self,
+        p: f64,
+        len: usize,
+        positions: impl IntoIterator<Item = usize>,
+        out: &mut [bool],
+    ) {
+        let threshold = bernoulli_threshold(p);
+        let mut drawn = 0;
+        let mut k = 0;
+        for pos in positions {
+            assert!(
+                pos >= drawn && pos < len,
+                "positions must be strictly ascending and below len"
+            );
+            for _ in drawn..pos {
+                self.next_u64();
+            }
+            out[k] = (self.next_u64() >> 11) < threshold;
+            k += 1;
+            drawn = pos + 1;
+        }
+        assert_eq!(k, out.len(), "one position per output flag");
+        for _ in drawn..len {
+            self.next_u64();
+        }
+    }
+
     /// Uniform integer in `[0, n)` (Lemire's multiply-shift, unbiased for
     /// the `n` used in this workspace up to a 2^-64 defect).
     #[inline]
@@ -369,6 +405,41 @@ mod tests {
                 "fill_bernoulli({p}) moved the stream"
             );
         }
+    }
+
+    /// `fill_bernoulli_at` equals `fill_bernoulli` followed by a gather at
+    /// the positions, and leaves the generator in the same state.
+    #[test]
+    fn bernoulli_at_positions_equals_fill_then_gather() {
+        let len = 1_000;
+        let mut picker = SplitRng::new(3);
+        let mut positions: Vec<usize> = (0..len).filter(|_| picker.bernoulli(0.1)).collect();
+        positions.extend([len - 1]);
+        positions.dedup();
+        for p in [0.0, 0.5, 0.9] {
+            for pos in [&positions[..], &[], &[0]] {
+                let mut reference = SplitRng::new(19);
+                let mut gathered = reference.clone();
+                let mut all = vec![false; len];
+                reference.fill_bernoulli(p, &mut all);
+                let want: Vec<bool> = pos.iter().map(|&i| all[i]).collect();
+                let mut got = vec![true; pos.len()];
+                gathered.fill_bernoulli_at(p, len, pos.iter().copied(), &mut got);
+                assert_eq!(got, want, "fill_bernoulli_at({p}) differs from the gather");
+                assert_eq!(
+                    gathered.next_u64(),
+                    reference.next_u64(),
+                    "fill_bernoulli_at({p}) left a different state"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn bernoulli_at_rejects_unsorted_positions() {
+        let mut out = [false; 2];
+        SplitRng::new(1).fill_bernoulli_at(0.5, 10, [4, 2], &mut out);
     }
 
     /// The first 128 dropout flags at seed 7, p = 0.5, bit `i` of word

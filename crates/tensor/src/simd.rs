@@ -227,6 +227,36 @@ pub fn axpy(isa: Isa, alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
+/// `y[idx[i]] = alpha * x[i] + y[idx[i]]`: [`axpy`] of a sparse row
+/// (`idx` its column indices, `x` its values) into a dense accumulator.
+/// Each element takes the op [`axpy`] applies to it on the same ISA —
+/// FMA on vector ISAs, mul-then-add on [`Isa::Scalar`] — so accumulating
+/// only a row's stored entries reproduces the dense accumulation bit for
+/// bit, up to the skipped `alpha · 0` terms.
+///
+/// # Panics
+/// Panics when an index is out of `y`'s range.
+#[inline]
+pub fn axpy_scatter(isa: Isa, alpha: f32, idx: &[u32], x: &[f32], y: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if isa == Isa::Avx2 {
+        // SAFETY: see `axpy`.
+        unsafe { axpy_scatter_avx2(alpha, idx, x, y) };
+        return;
+    }
+    if isa == Isa::Scalar {
+        for (&i, &xv) in idx.iter().zip(x) {
+            y[i as usize] += alpha * xv;
+        }
+    } else {
+        // NEON: FMA is baseline on aarch64, so `mul_add` is one instruction.
+        for (&i, &xv) in idx.iter().zip(x) {
+            let o = &mut y[i as usize];
+            *o = alpha.mul_add(xv, *o);
+        }
+    }
+}
+
 /// Dot product. Vector ISAs use FMA lanes with a fixed-order horizontal
 /// fold (deterministic per ISA, tolerance-class); [`Isa::Scalar`] is the
 /// plain `acc += x*y` reference chain.
@@ -498,6 +528,15 @@ mod avx2 {
         }
     }
 
+    /// `mul_add` compiles to one `vfmadd` here, like `axpy_avx2`'s tail.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn axpy_scatter_avx2(alpha: f32, idx: &[u32], x: &[f32], y: &mut [f32]) {
+        for (&i, &xv) in idx.iter().zip(x) {
+            let o = &mut y[i as usize];
+            *o = alpha.mul_add(xv, *o);
+        }
+    }
+
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dot_avx2(x: &[f32], y: &[f32]) -> f32 {
         let n = x.len().min(y.len());
@@ -754,8 +793,8 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 use avx2::{
-    adam_step_avx2, add_scaled_avx2, axpy_avx2, dot4_avx2, dot_avx2, gemm_rows_avx2, relu_avx2,
-    sum_sq_f64_avx2,
+    adam_step_avx2, add_scaled_avx2, axpy_avx2, axpy_scatter_avx2, dot4_avx2, dot_avx2,
+    gemm_rows_avx2, relu_avx2, sum_sq_f64_avx2,
 };
 
 // ---------------------------------------------------------------------------
@@ -974,6 +1013,29 @@ mod tests {
             let ds = dot(Isa::Scalar, &x, &y0);
             let dv = dot(isa, &x, &y0);
             assert!((ds - dv).abs() <= 1e-4 * ds.abs().max(1.0));
+        }
+    }
+
+    /// Scattering a sparse row equals the dense axpy of the row with its
+    /// zeros filled in, bit for bit, on every available ISA.
+    #[test]
+    fn axpy_scatter_matches_dense_axpy_bitwise() {
+        let mut rng = SplitRng::new(15);
+        for len in [1usize, 7, 8, 17, 100] {
+            let idx: Vec<u32> = (0..len as u32).filter(|_| rng.bernoulli(0.4)).collect();
+            let vals: Vec<f32> = idx.iter().map(|_| rng.uniform(-1.0, 1.0)).collect();
+            let mut dense = vec![0.0f32; len];
+            for (&i, &v) in idx.iter().zip(&vals) {
+                dense[i as usize] = v;
+            }
+            let y0: Vec<f32> = (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect();
+            for isa in [Some(Isa::Scalar), vector_isa()].into_iter().flatten() {
+                let mut want = y0.clone();
+                let mut got = y0.clone();
+                axpy(isa, 0.7, &dense, &mut want);
+                axpy_scatter(isa, 0.7, &idx, &vals, &mut got);
+                assert_eq!(got, want, "{isa:?} len {len}");
+            }
         }
     }
 

@@ -10,9 +10,12 @@
 //! Both training engines must reproduce the literals: the eager engine
 //! draws its masks while recording, the compiled one in `begin_epoch`.
 //!
-//! Everything lives in ONE `#[test]` because the kernel ISA is
-//! process-global: the runs force the scalar kernels (the bitwise
-//! reference on every ISA) and `f32` storage.
+//! The kernel ISA is process-global, so each ISA's runs live in ONE
+//! `#[test]` and the tests take [`ISA_LOCK`] before forcing it. The first
+//! forces the scalar kernels (the bitwise reference on every ISA); the
+//! second pins the AVX2+FMA kernels, where the sparse input layer takes its
+//! FMA arm, and adds APPNP, whose input layer is a `Dense` op. Both use
+//! `f32` storage.
 
 use skipnode_core::{Sampling, SkipNodeConfig};
 use skipnode_graph::{full_supervised_split, load, DatasetName, Scale};
@@ -21,9 +24,17 @@ use skipnode_nn::{train_node_classifier, Strategy, TrainConfig, TrainEngine};
 use skipnode_tensor::precision::Storage;
 use skipnode_tensor::simd::{self, Isa};
 use skipnode_tensor::SplitRng;
+use std::sync::{Mutex, MutexGuard};
 
 const HIDDEN: usize = 16;
 const EPOCHS: usize = 3;
+
+/// Serialises the tests of this binary: each forces a process-global ISA.
+static ISA_LOCK: Mutex<()> = Mutex::new(());
+
+fn isa_lock() -> MutexGuard<'static, ()> {
+    ISA_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// FNV-1a over the bits of every parameter, in store order.
 fn param_hash<'a>(params: impl Iterator<Item = &'a skipnode_tensor::Matrix>) -> u64 {
@@ -71,11 +82,31 @@ fn run(backbone: &str, depth: usize, strategy: &Strategy, engine: TrainEngine) -
     (losses, param_hash(model.store().values()))
 }
 
+type Case<'a> = (&'a str, usize, &'a Strategy, [u64; EPOCHS], u64);
+
+/// Runs every case under both engines and asserts its literals.
+fn assert_cases(cases: &[Case<'_>]) {
+    for &(backbone, depth, strategy, losses, hash) in cases {
+        for engine in [TrainEngine::Compiled, TrainEngine::Eager] {
+            let (got_losses, got_hash) = run(backbone, depth, strategy, engine);
+            assert_eq!(
+                got_losses, losses,
+                "{backbone} ({engine:?}): per-epoch train_loss bits moved"
+            );
+            assert_eq!(
+                got_hash, hash,
+                "{backbone} ({engine:?}): final parameters moved"
+            );
+        }
+    }
+}
+
 #[test]
 fn dropout_masks_reproduce_the_recorded_training_runs() {
+    let _isa = isa_lock();
     simd::force(Isa::Scalar);
     let skipnode = Strategy::SkipNode(SkipNodeConfig::new(0.5, Sampling::Uniform));
-    let cases: [(&str, usize, &Strategy, [u64; EPOCHS], u64); 2] = [
+    let cases: [Case<'_>; 2] = [
         (
             "gcn",
             8,
@@ -91,17 +122,32 @@ fn dropout_masks_reproduce_the_recorded_training_runs() {
             0x521e80f0e63b0481,
         ),
     ];
-    for (backbone, depth, strategy, losses, hash) in cases {
-        for engine in [TrainEngine::Compiled, TrainEngine::Eager] {
-            let (got_losses, got_hash) = run(backbone, depth, strategy, engine);
-            assert_eq!(
-                got_losses, losses,
-                "{backbone} ({engine:?}): per-epoch train_loss bits moved"
-            );
-            assert_eq!(
-                got_hash, hash,
-                "{backbone} ({engine:?}): final parameters moved"
-            );
-        }
+    assert_cases(&cases);
+}
+
+#[test]
+fn avx2_training_runs_reproduce_the_recorded_bits() {
+    let _isa = isa_lock();
+    if simd::force(Isa::Avx2) != Isa::Avx2 {
+        eprintln!("skipped: this host has no AVX2+FMA; the AVX2 literals are not checked");
+        return;
     }
+    let skipnode = Strategy::SkipNode(SkipNodeConfig::new(0.5, Sampling::Uniform));
+    let cases: [Case<'_>; 2] = [
+        (
+            "gcn",
+            8,
+            &skipnode,
+            [0x3fff2600284ce230, 0x3fff0d2ef84bfaa4, 0x3ffeeb9399bb6cd6],
+            0x208a6e948f4c1258,
+        ),
+        (
+            "appnp",
+            4,
+            &Strategy::None,
+            [0x3fff409ab62edf82, 0x3ffd37d2235f8825, 0x3ffb382edef8aa82],
+            0xe1a393a5735ade41,
+        ),
+    ];
+    assert_cases(&cases);
 }
