@@ -3,11 +3,12 @@
 //! Tape-based reverse-mode automatic differentiation over dense matrices.
 //!
 //! The engine is deliberately specialized to what GNN training needs:
-//! values are whole [`Matrix`] activations (nodes × features), the op set
-//! is a closed enum (GEMM, sparse propagation, ReLU, dropout, PairNorm, the
-//! SkipNode row-combine, …), and losses produce explicit seed gradients so
-//! the *gradient at the classification layer* — the quantity Figure 2(b) of
-//! the paper tracks — is directly observable.
+//! values are whole [`Matrix`](skipnode_tensor::Matrix) activations
+//! (nodes × features), the op set is a closed enum (GEMM, sparse
+//! propagation, ReLU, dropout, PairNorm, the SkipNode row-combine, …), and
+//! losses produce explicit seed gradients so the *gradient at the
+//! classification layer* — the quantity Figure 2(b) of the paper tracks —
+//! is directly observable.
 //!
 //! A fresh [`Tape`] is built per forward pass; parameters are copied in as
 //! leaf nodes and their gradients read back out by registration order.

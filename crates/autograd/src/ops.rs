@@ -10,7 +10,6 @@
 
 use crate::tape::{AdjId, NodeId, Op, SkipConvCache, Tape};
 use skipnode_sparse::{CsrMatrix, COL_SKIP, SPARSE_INPUT_DENSITY_DIVISOR};
-use skipnode_tensor::precision::{self, Storage};
 use skipnode_tensor::{Matrix, ReadoutKind, SegmentTable, SplitRng};
 use std::sync::Arc;
 
@@ -113,18 +112,14 @@ impl Tape {
 
     /// The stored entries of `x` when [`Tape::sparse_input`] may stand in
     /// for the dense chain over it: `x` is a constant leaf (no gradient),
-    /// storage is `f32`, the tape is not int8-quantized (which keeps its
-    /// quantized GEMM), and at most `rows · cols /`
+    /// the tape is not int8-quantized (which keeps its quantized GEMM), and
+    /// at most `rows · cols /`
     /// [`SPARSE_INPUT_DENSITY_DIVISOR`] entries of `x` are nonzero. `None`
     /// otherwise. Builds the CSR with one counting pass that stops at the
     /// bound, so dense inputs pay a fraction of a pass.
     pub fn sparse_features(&self, x: NodeId) -> Option<Arc<CsrMatrix>> {
         let node = &self.nodes[x.0];
-        if !matches!(node.op, Op::Leaf)
-            || node.requires_grad
-            || self.is_quantized()
-            || precision::active() != Storage::F32
-        {
+        if !matches!(node.op, Op::Leaf) || node.requires_grad || self.is_quantized() {
             return None;
         }
         let m = node.value.matrix();

@@ -4,14 +4,12 @@
 //! the dropout flags, under the scalar kernels and the host's vector ISA,
 //! on a one-thread and a four-thread pool, eagerly and on an inference tape.
 //!
-//! The ISA and the storage precision are process-global, so the tests of
-//! this binary take `MODE_LOCK` (which resets storage to `f32`) before
-//! forcing either. The pool resolves its thread count once per process, so
+//! The ISA is process-global, so the tests of this binary take `MODE_LOCK`
+//! before forcing it. The pool resolves its thread count once per process, so
 //! the four-thread case reruns this binary with `SKIPNODE_THREADS=4`.
 
 use skipnode_autograd::{AdjId, NodeId, Tape};
 use skipnode_sparse::{CooBuilder, CsrMatrix, SPARSE_INPUT_DENSITY_DIVISOR};
-use skipnode_tensor::precision::{self, Storage};
 use skipnode_tensor::simd::{self, Isa};
 use skipnode_tensor::{pool, Matrix, SplitRng};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -19,9 +17,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 static MODE_LOCK: Mutex<()> = Mutex::new(());
 
 fn mode_lock() -> MutexGuard<'static, ()> {
-    let guard = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    precision::force(Storage::F32);
-    guard
+    MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Scalar plus the host's vector ISA, when it has one.
@@ -225,7 +221,7 @@ fn sparse_input_equals_the_dense_chain_on_a_four_thread_pool() {
 }
 
 #[test]
-fn sparse_features_refuses_dense_inputs_parameters_bf16_and_int8_tapes() {
+fn sparse_features_refuses_dense_inputs_parameters_and_int8_tapes() {
     let _modes = mode_lock();
     let x = features(40, 48, 3);
     let bound = 40 * 48 / SPARSE_INPUT_DENSITY_DIVISOR;
@@ -244,12 +240,6 @@ fn sparse_features_refuses_dense_inputs_parameters_bf16_and_int8_tapes() {
     assert!(tape.sparse_features(dense).is_none());
     assert!(tape.sparse_features(param).is_none());
     assert!(tape.sparse_features(computed).is_none());
-    precision::force(Storage::Bf16);
-    assert!(
-        tape.sparse_features(sparse).is_none(),
-        "bf16 keeps the dense chain"
-    );
-    precision::force(Storage::F32);
 
     let mut int8 = Tape::inference_quantized();
     let q = int8.constant(x);

@@ -19,8 +19,8 @@
 //!    logits equal a fresh evaluation on the rebuilt graph.
 //!
 //! The sweep covers batching windows (a `max_batch = 1` degenerate
-//! baseline vs. 200 µs and 1 ms coalescing windows), the three numeric
-//! paths (f32, bf16 streamed-operand staging, int8 weight quantization),
+//! baseline vs. 200 µs and 1 ms coalescing windows), the two numeric
+//! paths (f32, int8 weight quantization),
 //! and an update-rate mix that interleaves live graph edits with
 //! queries. The headline gate asserts the 200 µs window sustains at
 //! least 2× the baseline's completion throughput.
@@ -35,7 +35,6 @@ use skipnode_graph::{
 };
 use skipnode_nn::{evaluate, evaluate_quantized, BackboneSpec, ModelCheckpoint, Strategy};
 use skipnode_serve::{InferenceServer, ServeEngine, ServeMode, ServerConfig};
-use skipnode_tensor::precision::{self, Storage};
 use skipnode_tensor::{Matrix, SplitRng};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -318,14 +317,6 @@ fn main() {
         w1ms.hist.summary()
     );
 
-    let prev = precision::force(Storage::Bf16);
-    let bf16 = run(w200_cfg, ServeMode::F32, 0, 103);
-    precision::force(prev);
-    println!(
-        "  bf16 w=200us:     {:.0} req/s  {}",
-        bf16.throughput_rps,
-        bf16.hist.summary()
-    );
     let int8 = run(w200_cfg, ServeMode::Quantized, 0, 104);
     println!(
         "  int8 w=200us:     {:.0} req/s  {}",
@@ -397,18 +388,6 @@ fn main() {
             "serve_w1ms_hit_rate",
         ],
         &w1ms,
-    );
-    record(
-        &mut session.meta,
-        [
-            "serve_bf16_rps",
-            "serve_bf16_p50_us",
-            "serve_bf16_p95_us",
-            "serve_bf16_p99_us",
-            "serve_bf16_mean_batch",
-            "serve_bf16_hit_rate",
-        ],
-        &bf16,
     );
     record(
         &mut session.meta,

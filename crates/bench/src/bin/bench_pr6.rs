@@ -1,22 +1,15 @@
-//! PR 6 performance record: the SIMD kernel backend, the startup
-//! auto-tuner, and the cache-locality graph reordering pass.
+//! Performance record of the SIMD kernel backend and the cache-locality
+//! graph reordering pass.
 //!
-//! Part A proves the tuner contract: the first `profile_for` call times
-//! candidates (observable via `timing_runs()`), the second call for the
-//! same problem shape returns the cached winner without touching a clock,
-//! and `apply` installs the choices process-wide.
-//!
-//! Part B is the headline A/B: full training-epoch time for a
+//! Part A is the headline A/B: full training-epoch time for a
 //! compute-bound GCN+SkipNode stack (hidden 128) with the kernels forced
-//! to the scalar ISA versus the detected vector ISA plus the tuned
-//! profile. At least one (depth, rate) config must show a >= 1.5x epoch
-//! speedup on hosts with a vector ISA. Before anything is timed, two
-//! equivalence gates run: scalar logits must be byte-identical across
-//! every SpMM schedule (tuner choices are bit-neutral), and vector logits
-//! must match scalar within 1e-5 relative tolerance (FMA contraction is
-//! the only permitted difference).
+//! to the scalar ISA versus the detected vector ISA. At least one
+//! (depth, rate) config must show a >= 1.5x epoch speedup on hosts with a
+//! vector ISA. Before anything is timed, an equivalence gate runs: vector
+//! logits must match scalar within 1e-5 relative tolerance (FMA
+//! contraction is the only permitted difference).
 //!
-//! Part C records the cache-locality claim: SpMM latency on the
+//! Part B records the cache-locality claim: SpMM latency on the
 //! hub-heavy adjacency before and after RCM reordering. The ratio goes
 //! into the metadata without an assertion — locality wins depend on the
 //! host cache hierarchy — so the JSON itself carries the evidence.
@@ -31,10 +24,10 @@ use skipnode_graph::{
     partition_graph, reorder_graph, FeatureStyle, Graph, GraphReorder, PartitionConfig,
 };
 use skipnode_nn::models::{Gcn, Model};
-use skipnode_nn::{autotune, Adam, AdamConfig, ForwardCtx, Strategy};
-use skipnode_sparse::{CsrMatrix, SpmmSchedule};
+use skipnode_nn::{Adam, AdamConfig, ForwardCtx, Strategy};
+use skipnode_sparse::CsrMatrix;
 use skipnode_tensor::simd::{self, Isa};
-use skipnode_tensor::{pool, workspace, Matrix, SplitRng};
+use skipnode_tensor::{workspace, Matrix, SplitRng};
 use std::sync::Arc;
 
 /// Hidden width for the epoch A/B: wide enough that dense GEMM dominates
@@ -119,37 +112,15 @@ fn one_epoch(
     out.loss
 }
 
-/// Equivalence gates: schedule choices are byte-neutral under one ISA, and
-/// the vector ISA matches scalar within FMA-contraction tolerance.
+/// Equivalence gate: the vector ISA matches scalar within FMA-contraction
+/// tolerance.
 fn equivalence_gates(g: &Graph, full_adj: &Arc<CsrMatrix>, degrees: &[usize], vector_isa: Isa) {
     let strategy = Strategy::SkipNode(SkipNodeConfig::new(0.5, Sampling::Uniform));
     let mut rng = SplitRng::new(33);
     let model = Gcn::new(g.feature_dim(), HIDDEN, g.num_classes(), 4, 0.5, &mut rng);
 
     simd::force(Isa::Scalar);
-    let prior = full_adj.spmm_schedule();
-    full_adj.set_spmm_schedule(None);
     let scalar = forward_logits(&model, g, &strategy, full_adj, degrees);
-    let threads = pool::num_threads();
-    for schedule in [
-        SpmmSchedule::RowSplit { chunks: threads },
-        SpmmSchedule::RowSplit {
-            chunks: 4 * threads,
-        },
-        SpmmSchedule::NnzBalanced {
-            chunks: 2 * threads,
-        },
-    ] {
-        full_adj.set_spmm_schedule(Some(schedule));
-        let probe = forward_logits(&model, g, &strategy, full_adj, degrees);
-        assert_eq!(
-            probe.as_slice(),
-            scalar.as_slice(),
-            "schedule {} must be byte-neutral",
-            schedule.name()
-        );
-    }
-    full_adj.set_spmm_schedule(prior);
 
     if vector_isa != Isa::Scalar {
         simd::force(vector_isa);
@@ -162,7 +133,7 @@ fn equivalence_gates(g: &Graph, full_adj: &Arc<CsrMatrix>, degrees: &[usize], ve
         }
         simd::force(Isa::Scalar);
     }
-    println!("equivalence gates passed (schedules byte-neutral, vector within 1e-5)");
+    println!("equivalence gate passed (vector within 1e-5)");
 }
 
 fn main() {
@@ -180,35 +151,7 @@ fn main() {
 
     equivalence_gates(&g, &full_adj, &degrees, vector_isa);
 
-    // ---- Part A: tuner cache contract ---------------------------------
-    // First call times candidates; the second returns the cached winner
-    // without a single additional timing pass.
-    simd::force(vector_isa);
-    autotune::reset();
-    let runs_before = autotune::timing_runs();
-    let profile = autotune::profile_for(&full_adj, HIDDEN, 0.5);
-    let runs_after_first = autotune::timing_runs();
-    assert!(
-        runs_after_first > runs_before,
-        "first tuning call must time candidates"
-    );
-    let cached = autotune::profile_for(&full_adj, HIDDEN, 0.5);
-    assert_eq!(
-        autotune::timing_runs(),
-        runs_after_first,
-        "second tuning call re-timed candidates instead of hitting the cache"
-    );
-    assert!(
-        Arc::ptr_eq(&profile, &cached),
-        "cache must return the same profile object"
-    );
-    println!(
-        "tuner: {} ({} timing passes, second lookup cache-hit)",
-        profile.summary(),
-        runs_after_first - runs_before
-    );
-
-    // ---- Part B: epoch time, scalar vs vector+tuned -------------------
+    // ---- Part A: epoch time, scalar vs vector -------------------------
     let depths: Vec<usize> = if fast { vec![4] } else { vec![4, 16] };
     let mut best_speedup = 0.0f64;
     let mut best_config = String::new();
@@ -216,15 +159,8 @@ fn main() {
     for &depth in &depths {
         for &rate in &[0.25f64, 0.5] {
             let strategy = Strategy::SkipNode(SkipNodeConfig::new(rate, Sampling::Uniform));
-            let mut mean = |isa: Isa, tuned: bool, group: &str| {
+            let mut mean = |isa: Isa, group: &str| {
                 simd::force(isa);
-                if tuned {
-                    autotune::apply(&profile, &full_adj);
-                } else {
-                    autotune::reset();
-                    full_adj.set_spmm_schedule(None);
-                    simd::set_gemm_tile(simd::GemmTile::T4x16);
-                }
                 let mut rng = SplitRng::new(33);
                 let mut model = Gcn::new(
                     g.feature_dim(),
@@ -251,8 +187,8 @@ fn main() {
                     })
                     .mean_ns
             };
-            let scalar_ns = mean(Isa::Scalar, false, "epoch_scalar");
-            let vector_ns = mean(vector_isa, true, "epoch_simd_tuned");
+            let scalar_ns = mean(Isa::Scalar, "epoch_scalar");
+            let vector_ns = mean(vector_isa, "epoch_simd");
             let speedup = scalar_ns / vector_ns;
             speedup_summary.push(format!("d{depth}/rho{rate}={speedup:.2}"));
             if speedup > best_speedup {
@@ -265,17 +201,15 @@ fn main() {
     if vector_isa != Isa::Scalar {
         assert!(
             best_speedup >= 1.5,
-            "SIMD+tuned epoch must be >= 1.5x scalar on some config; best was \
+            "SIMD epoch must be >= 1.5x scalar on some config; best was \
              {best_speedup:.2}x ({best_config})"
         );
     } else {
         println!("scalar-only host: speedup assertion skipped");
     }
-    // Leave the tuned profile installed for the remaining timings.
     simd::force(vector_isa);
-    autotune::apply(&profile, &full_adj);
 
-    // ---- Part C: cache-locality reordering ----------------------------
+    // ---- Part B: cache-locality reordering ----------------------------
     // SpMM over the hub-heavy adjacency, original node order vs RCM. The
     // reordered run multiplies an isomorphic relabeling, so the work is
     // identical; only the memory-access pattern changes.
@@ -307,8 +241,6 @@ fn main() {
         ("epoch_speedups", speedup_summary.join(" ")),
         ("best_epoch_speedup", format!("{best_speedup:.2}")),
         ("best_epoch_config", best_config),
-        ("tuner_timing_runs", autotune::timing_runs().to_string()),
-        ("tuner_cache_hit_on_second_call", "true".to_string()),
         ("spmm_reorder_speedups", reorder_summary.join(" ")),
     ]);
     session.finish("results/BENCH_PR6.json");

@@ -1,19 +1,15 @@
-//! PR 8 performance record: reduced-precision compute + checkpointing.
+//! Performance record of int8 inference and tape-level checkpointing.
 //!
-//! Three claims, each gated inline before anything is recorded:
+//! The bench times full compiled training epochs and a pure SpMM
+//! microbench in `f32`, trains a model on Cora, and gates two claims
+//! inline before anything is recorded:
 //!
-//! 1. **bf16 storage / f32 accumulate** — packing the streamed dense
-//!    operand of the SpMM/GEMM families to bfloat16 halves its memory
-//!    traffic on bandwidth-bound shapes. The bench A/Bs full training
-//!    epochs and a pure SpMM microbench under `f32` vs `bf16`, and trains
-//!    the same model under both modes on Cora: the test-accuracy delta
-//!    must stay within `precision::accuracy_tolerance()`.
-//! 2. **int8 inference** — per-column symmetric PTQ of the trained
+//! 1. **int8 inference** — per-column symmetric PTQ of the trained
 //!    checkpoint, i32 accumulation. Quantized evaluation must lose at
 //!    most 1 accuracy point against the f32 evaluation of the *same*
 //!    checkpoint, and the dense-layer compute of that checkpoint must run
 //!    at least 1.5x faster through the int8 GEMM.
-//! 3. **tape-level gradient checkpointing** — segmented recompute keeps a
+//! 2. **tape-level gradient checkpointing** — segmented recompute keeps a
 //!    depth-256 SkipNode training run within 2x the peak workspace bytes
 //!    of the plain depth-16 run, bit-identically (a checkpointed-vs-plain
 //!    gate runs first, as does the compiled-vs-eager f32 identity gate).
@@ -37,7 +33,6 @@ use skipnode_nn::{
     AdamConfig, ForwardCtx, Strategy, StrategySampler, TrainConfig,
 };
 use skipnode_sparse::CsrMatrix;
-use skipnode_tensor::precision::{self, Storage};
 use skipnode_tensor::quant::{qgemm, QuantizedMatrix};
 use skipnode_tensor::{workspace, Matrix, SplitRng};
 use std::sync::Arc;
@@ -179,11 +174,6 @@ fn main() {
     let mut session = BenchSession::start("8");
     let fast = session.fast;
     let bench = &mut session.bench;
-    assert_eq!(
-        precision::active(),
-        Storage::F32,
-        "bench_pr8 A/Bs precision modes itself; run it without SKIPNODE_PRECISION"
-    );
 
     let g = skewed_graph();
     let full_adj = g.gcn_adjacency();
@@ -199,15 +189,11 @@ fn main() {
             "planted_partition n=3000 m=15000 power=0.8".to_string(),
         ),
         ("backbone", "gcn + SkipNode-U(0.5)".to_string()),
-        (
-            "accuracy_tolerance",
-            format!("{}", precision::accuracy_tolerance()),
-        ),
     ]);
 
     // ---- gate: compiled-vs-eager identity, f32 mode ------------------
     // The engine identity from bench_pr5 must still hold with the
-    // precision layer and checkpointing hooks compiled in.
+    // checkpointing hooks compiled in.
     {
         let depth = 16;
         let mut rng_e = SplitRng::new(33);
@@ -293,49 +279,38 @@ fn main() {
         println!("checkpointed-vs-plain bitwise gate passed (depth {depth}, {gate_epochs} epochs)");
     }
 
-    // ---- bf16: epoch time + SpMM microbench --------------------------
-    // The same compiled program, timed under each storage mode; the mode
-    // only reroutes the kernel interiors, so the schedule is identical.
-    for mode in [Storage::F32, Storage::Bf16] {
-        let prev = precision::force(mode);
+    // ---- f32: epoch time + SpMM microbench ---------------------------
+    {
         let depth = 16;
         let (mut model, mut program, mut opt, mut rng) =
             compiled_setup(&g, &full_adj, &strategy, depth, 0);
         let mut bench_rng = rng.split();
-        bench.run(
-            "epoch_compiled",
-            &format!("d{depth}/{}", mode.name()),
-            || {
-                one_epoch_compiled(
-                    &mut program,
-                    model.as_mut(),
-                    &mut opt,
-                    &g,
-                    &train_idx,
-                    &strategy,
-                    &full_adj,
-                    &degrees,
-                    &mut bench_rng,
-                )
-            },
-        );
+        bench.run("epoch_compiled", &format!("d{depth}/f32"), || {
+            one_epoch_compiled(
+                &mut program,
+                model.as_mut(),
+                &mut opt,
+                &g,
+                &train_idx,
+                &strategy,
+                &full_adj,
+                &degrees,
+                &mut bench_rng,
+            )
+        });
         let x = SplitRng::new(5).uniform_matrix(g.num_nodes(), 64, -1.0, 1.0);
         let mut out = Matrix::zeros(g.num_nodes(), 64);
-        bench.run("spmm", &format!("n3000_f64/{}", mode.name()), || {
+        bench.run("spmm", "n3000_f64/f32", || {
             full_adj.spmm_into(&x, &mut out);
         });
-        precision::force(prev);
     }
 
-    // ---- bf16: accuracy-delta gate on Cora ---------------------------
-    // Two full training runs differing only in TrainConfig::precision;
-    // the test-accuracy delta must stay within the gate tolerance.
+    // ---- f32 training on Cora: the checkpoint the int8 gate reads -----
     let cora = load(DatasetName::Cora, Scale::Bench, 7);
     let cora_split = full_supervised_split(&cora, &mut SplitRng::new(11));
     let cora_strategy = Strategy::SkipNode(SkipNodeConfig::new(0.3, Sampling::Uniform));
-    let cora_cfg = |mode: Storage| TrainConfig {
+    let cora_cfg = TrainConfig {
         epochs: if fast { 12 } else { 60 },
-        precision: Some(mode),
         ..TrainConfig::default()
     };
     let mut cora_rng = SplitRng::new(21);
@@ -345,31 +320,11 @@ fn main() {
         &cora,
         &cora_split,
         &cora_strategy,
-        &cora_cfg(Storage::F32),
+        &cora_cfg,
         &mut SplitRng::new(77),
     );
-    let mut bf16_rng = SplitRng::new(21);
-    let mut bf16_model = build(&cora, 4, &mut bf16_rng);
-    let res_bf16 = train_node_classifier(
-        bf16_model.as_mut(),
-        &cora,
-        &cora_split,
-        &cora_strategy,
-        &cora_cfg(Storage::Bf16),
-        &mut SplitRng::new(77),
-    );
-    let delta = (res_f32.test_accuracy - res_bf16.test_accuracy).abs();
-    println!(
-        "cora test accuracy: f32 {:.4}, bf16 {:.4} (delta {:.4})",
-        res_f32.test_accuracy, res_bf16.test_accuracy, delta
-    );
-    assert!(
-        delta <= precision::accuracy_tolerance(),
-        "bf16 accuracy delta {delta:.4} exceeds gate {}",
-        precision::accuracy_tolerance()
-    );
+    println!("cora test accuracy: f32 {:.4}", res_f32.test_accuracy);
     meta.push(("cora_acc_f32", format!("{:.4}", res_f32.test_accuracy)));
-    meta.push(("cora_acc_bf16", format!("{:.4}", res_bf16.test_accuracy)));
 
     // ---- int8: accuracy drop + dense-layer throughput ----------------
     // `cora_model` now holds the f32-trained checkpoint; quantized

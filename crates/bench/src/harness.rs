@@ -58,9 +58,8 @@ impl BenchSession {
         }
     }
 
-    /// Append [`crate::perf_metadata`] (SIMD ISA, GEMM tile, precision
-    /// mode, tuner profile, workspace and kernel counters) to the record
-    /// and write it alongside the timing samples.
+    /// Append [`crate::perf_metadata`] (SIMD ISA, workspace and kernel
+    /// counters) to the record and write it alongside the timing samples.
     pub fn finish(mut self, path: &str) {
         self.meta.extend(crate::perf_metadata());
         self.bench.write_json(path, &self.meta);

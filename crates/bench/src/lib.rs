@@ -23,22 +23,15 @@ pub use table::TablePrinter;
 pub use timing::{fmt_ns, Bencher, LatencyHistogram, Sample};
 
 /// Kernel-backend provenance for bench JSON metadata: the detected SIMD
-/// ISA, the installed GEMM microkernel tile, the active storage precision
-/// (`skipnode_tensor::precision`), the auto-tuner's active profile
-/// (`"untuned"` until some run applies one), the workspace free-list's
-/// live/peak byte counters at snapshot time, and the conversion-kernel
-/// counters (bf16 pack/widen, int8 quantize/GEMM) so a results file says
-/// not just which precision mode was set but how much data actually moved
-/// through the reduced-precision paths. The conversion counters read 0
-/// unless `SKIPNODE_KERNEL_STATS=1` (or the bench forced collection on).
+/// ISA, the workspace free-list's live/peak byte counters at snapshot
+/// time, and the int8 conversion-kernel counters (quantize/GEMM), so a
+/// results file says how much data actually moved through the quantized
+/// paths. The conversion counters read 0 unless
+/// `SKIPNODE_KERNEL_STATS=1` (or the bench forced collection on).
 /// Recorded by every `bench_pr*` binary.
 pub fn perf_metadata() -> Vec<(&'static str, String)> {
     use skipnode_tensor::kstats::{self, Kernel};
-    use skipnode_tensor::{precision, simd, workspace};
-    let tuner = match skipnode_nn::autotune::active_profile() {
-        Some(p) => p.summary(),
-        None => "untuned".to_string(),
-    };
+    use skipnode_tensor::{simd, workspace};
     let ws = workspace::stats();
     let ks = kstats::snapshot();
     let conv = |k: Kernel| {
@@ -47,13 +40,8 @@ pub fn perf_metadata() -> Vec<(&'static str, String)> {
     };
     vec![
         ("simd_isa", simd::active().name().to_string()),
-        ("gemm_tile", simd::gemm_tile().name().to_string()),
-        ("precision", precision::active().name().to_string()),
-        ("tuner_profile", tuner),
         ("workspace_live_bytes", ws.live_bytes.to_string()),
         ("workspace_peak_live_bytes", ws.peak_live_bytes.to_string()),
-        ("kernel_pack_bf16", conv(Kernel::PackBf16)),
-        ("kernel_widen_bf16", conv(Kernel::WidenBf16)),
         ("kernel_quant_i8", conv(Kernel::QuantI8)),
         ("kernel_gemm_i8", conv(Kernel::GemmI8)),
     ]

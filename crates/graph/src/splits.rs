@@ -29,7 +29,7 @@ impl Split {
     }
 }
 
-/// The Planetoid "public split" protocol [53]: 20 labeled nodes per class
+/// The Planetoid "public split" protocol \[53\]: 20 labeled nodes per class
 /// for training, the next 500 nodes for validation, the next 1000 for
 /// testing (clamped for small graphs).
 pub fn semi_supervised_split(g: &Graph, rng: &mut SplitRng) -> Split {

@@ -69,19 +69,19 @@ pub(crate) fn sample_skip_mask_segmented(
 pub enum Strategy {
     /// Plain backbone.
     None,
-    /// DropEdge [25]: delete a fraction of edges each epoch and
+    /// DropEdge \[25\]: delete a fraction of edges each epoch and
     /// renormalize the adjacency.
     DropEdge {
         /// Fraction of edges removed.
         rate: f64,
     },
-    /// DropNode [34]: remove a fraction of nodes (and incident edges) from
+    /// DropNode \[34\]: remove a fraction of nodes (and incident edges) from
     /// the propagation graph each epoch; removed nodes get zero rows.
     DropNode {
         /// Fraction of nodes removed.
         rate: f64,
     },
-    /// PairNorm [22]: center-and-scale normalization after each middle
+    /// PairNorm \[22\]: center-and-scale normalization after each middle
     /// convolution (active at train *and* eval — it is architectural).
     PairNorm {
         /// Target row-norm scale `s`.
@@ -187,11 +187,6 @@ pub struct ForwardCtx<'a> {
     /// flip it off to A/B against the unfused op chain. Both paths produce
     /// bit-identical outputs and draw identically from `rng`.
     pub fuse: bool,
-    /// Auto-tuner profile in effect (see [`crate::autotune`]); plan-driven
-    /// forwards annotate their [`crate::plan::LayerPlan`] from it so the
-    /// executor runs the chosen kernel variants. `None` means process
-    /// defaults.
-    pub tune: Option<Arc<crate::autotune::TuneProfile>>,
     /// Cache-locality reordering of the graph this forward runs on (from
     /// [`Graph::node_order`]). Skip masks are then sampled in logical
     /// order so reordered runs stay RNG-identical to unreordered ones.
@@ -222,7 +217,6 @@ impl<'a> ForwardCtx<'a> {
             rng,
             penultimate: None,
             fuse: true,
-            tune: crate::autotune::active_profile(),
             node_order: None,
             segments: None,
         }

@@ -25,7 +25,6 @@
 //! println!("test accuracy: {:.3}", result.test_accuracy);
 //! ```
 
-pub mod autotune;
 mod checkpoint;
 mod context;
 mod diagnostics;
@@ -59,7 +58,7 @@ pub use minibatch::{
 pub use models::{BackboneSpec, BuildError, Model};
 pub use optim::{Adam, AdamConfig};
 pub use param::{Binding, LayerInit, ParamId, ParamStore};
-pub use plan::{LayerPlan, PlanBuilder, PlanExecutor, PlanOp, PlanTuning, Reg};
+pub use plan::{LayerPlan, PlanBuilder, PlanExecutor, PlanOp, Reg};
 pub use schedule::{clip_global_norm, LrSchedule};
 pub use trainer::{
     evaluate, evaluate_packed, evaluate_quantized, train_graph_classifier, train_node_classifier,

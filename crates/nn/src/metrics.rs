@@ -21,7 +21,7 @@ pub fn accuracy(logits: &Matrix, labels: &[usize], idx: &[usize]) -> f64 {
     correct as f64 / idx.len() as f64
 }
 
-/// MAD [17]: the mean over nodes of the average cosine distance from each
+/// MAD \[17\]: the mean over nodes of the average cosine distance from each
 /// node to its neighbors. Zero means fully over-smoothed features (paper
 /// Figures 2(a) and 5(b)). Nodes without neighbors are skipped.
 pub fn mean_average_distance(features: &Matrix, adjacency: &[Vec<usize>]) -> f64 {

@@ -7,10 +7,9 @@
 //!   once into degree-balanced [`SubgraphShard`]s (see
 //!   `skipnode_graph::ShardSet`), cache each shard's induced normalized
 //!   adjacency, and compile **one [`TrainProgram`] per shard** that every
-//!   epoch replays with the PR 5 liveness engine — fused SkipNode kernels
-//!   and the auto-tuner profile included. Cut edges are dropped; that is
-//!   the documented Cluster-GCN trade-off, quantified by
-//!   `ShardSet::cut_edges`.
+//!   epoch replays with the liveness engine, fused SkipNode kernels
+//!   included. Cut edges are dropped; that is the documented Cluster-GCN
+//!   trade-off, quantified by `ShardSet::cut_edges`.
 //! - [`BatchScheme::NeighborSampling`] (GraphSAGE): per batch of seed
 //!   training nodes, sample a bounded-fanout neighborhood (halo nodes
 //!   re-imported, unlike the cluster scheme) and run an eager forward on
@@ -107,7 +106,7 @@ fn epoch_shard_order(shards: usize, shuffle_seed: u64, epoch: usize) -> Vec<usiz
 
 /// Train with mini-batches on an in-memory [`Graph`]; evaluation stays
 /// full-batch (exact), which is what makes the 1-shard cluster run
-/// bit-identical to [`train_node_classifier`].
+/// bit-identical to [`crate::train_node_classifier`].
 pub fn train_node_classifier_minibatch(
     model: &mut dyn Model,
     graph: &Graph,
@@ -190,30 +189,6 @@ fn train_over_shards(
     let k = set.shards.len();
     let train_total: usize = set.shards.iter().map(|s| s.local_split.train.len()).sum();
     assert!(train_total > 0, "no training nodes in any shard");
-
-    if crate::autotune::enabled(cfg.tune) {
-        // Profile on the largest shard's adjacency: every shard shares
-        // the winning kernel variants (bit-neutral, so this cannot change
-        // numbers — only speed).
-        let probe = set
-            .shards
-            .iter()
-            .max_by_key(|s| s.nodes.len())
-            .expect("non-empty shard set");
-        let adj = probe.graph.gcn_adjacency();
-        let f = model
-            .store()
-            .values()
-            .map(|m| m.cols())
-            .max()
-            .unwrap_or_else(|| probe.graph.feature_dim());
-        let rate = match strategy {
-            Strategy::SkipNode(c) | Strategy::SkipNodeTrainEval(c) => c.rate(),
-            _ => 0.0,
-        };
-        let profile = crate::autotune::profile_for(&adj, f, rate);
-        crate::autotune::apply(&profile, &adj);
-    }
 
     let mut opt = Adam::new(model.store(), cfg.adam);
     let mut recorder = DiagnosticsRecorder::new(cfg.diagnostics_every);

@@ -2,16 +2,16 @@
 //!
 //! | Backbone | Paper ref | Depth knob |
 //! |---|---|---|
-//! | [`Gcn`] | Kipf & Welling [5] | stacked convolutions |
-//! | [`Gcn::residual`] (ResGCN) | [5]+[33] | stacked convolutions + skips |
-//! | [`JkNet`] | Xu et al. [6] | convolutions, jumping concat |
-//! | [`InceptGcn`] | Kazi et al. [28] | parallel branches up to depth L |
-//! | [`Gcnii`] | Chen et al. [9] | initial residual + identity map |
-//! | [`Appnp`] | Klicpera et al. [8] | personalized-PageRank steps |
-//! | [`GprGnn`] | Chien et al. [7] | learnable propagation weights |
-//! | [`Grand`] | Feng et al. [10] | random-propagation order |
-//! | [`Sgc`] | Wu et al. [20] | linear propagation hops |
-//! | [`Gat`] | Veličković et al. [42] | attention layers (beyond-paper) |
+//! | [`Gcn`] | Kipf & Welling \[5\] | stacked convolutions |
+//! | [`Gcn::residual`] (ResGCN) | \[5\]+\[33\] | stacked convolutions + skips |
+//! | [`JkNet`] | Xu et al. \[6\] | convolutions, jumping concat |
+//! | [`InceptGcn`] | Kazi et al. \[28\] | parallel branches up to depth L |
+//! | [`Gcnii`] | Chen et al. \[9\] | initial residual + identity map |
+//! | [`Appnp`] | Klicpera et al. \[8\] | personalized-PageRank steps |
+//! | [`GprGnn`] | Chien et al. \[7\] | learnable propagation weights |
+//! | [`Grand`] | Feng et al. \[10\] | random-propagation order |
+//! | [`Sgc`] | Wu et al. \[20\] | linear propagation hops |
+//! | [`Gat`] | Veličković et al. \[42\] | attention layers (beyond-paper) |
 
 mod appnp;
 mod gat;
@@ -76,17 +76,12 @@ pub trait Model {
     /// The default executes [`Model::plan`] through [`PlanExecutor`];
     /// models without a plan must override this.
     fn forward(&self, tape: &mut Tape, binding: &Binding, ctx: &mut ForwardCtx) -> NodeId {
-        let mut plan = self.plan().unwrap_or_else(|| {
+        let plan = self.plan().unwrap_or_else(|| {
             panic!(
                 "{} provides neither a layer plan nor a forward override",
                 self.name()
             )
         });
-        // Record the tuner's kernel choices in the IR so the executor (and
-        // anything compiled from this tape) runs the chosen variants.
-        if let Some(profile) = &ctx.tune {
-            plan.tuning = Some(profile.plan_tuning());
-        }
         PlanExecutor::run(&plan, tape, binding, ctx)
     }
 

@@ -47,8 +47,7 @@ use crate::context::ForwardCtx;
 use crate::models::JkAggregate;
 use crate::param::{Binding, ParamId};
 use skipnode_autograd::{FusedStep, NodeId, Tape};
-use skipnode_sparse::{CsrMatrix, SpmmSchedule};
-use skipnode_tensor::simd::{self, GemmTile};
+use skipnode_sparse::CsrMatrix;
 use skipnode_tensor::ReadoutKind;
 use std::sync::Arc;
 
@@ -226,32 +225,6 @@ impl PlanOp {
     }
 }
 
-/// Kernel-variant choices recorded into a plan by the startup auto-tuner
-/// (`crate::autotune`). The ISA/tile/schedule/fuse choices are bit-neutral
-/// under the accumulation-order policy, so an annotated plan computes the
-/// same values as an unannotated one — only faster. The recorded storage
-/// precision is the exception: it is informational (the process-global
-/// precision mode controls the kernels), and bf16 staging is
-/// tolerance-class rather than bit-neutral. `None` tuning means "use the
-/// process defaults".
-#[derive(Debug, Clone)]
-pub struct PlanTuning {
-    /// ISA the profile was timed under (`"scalar"`, `"avx2+fma"`, …).
-    pub isa: &'static str,
-    /// GEMM microkernel tile the executor installs before running.
-    pub gemm_tile: GemmTile,
-    /// SpMM worker schedule the adjacency was tuned to (informational
-    /// here; [`crate::autotune::apply`] installs it on the matrix).
-    pub spmm_schedule: Option<SpmmSchedule>,
-    /// Whether [`PlanOp::ActivatedConv`] may take the fused masked-kernel
-    /// path. `false` pins the canonical unfused chain (bit-identical, same
-    /// RNG draws).
-    pub fuse: bool,
-    /// Storage precision the tuner timed under (`"f32"` or `"bf16"`;
-    /// see `skipnode_tensor::precision`).
-    pub precision: &'static str,
-}
-
 /// A compiled forward pass: a straight-line program of [`PlanOp`]s plus
 /// the register holding the logits.
 #[derive(Debug, Clone)]
@@ -260,9 +233,6 @@ pub struct LayerPlan {
     pub ops: Vec<PlanOp>,
     /// The register whose value is the forward output.
     pub output: Reg,
-    /// Auto-tuner annotation (`None` until a tuned context executes the
-    /// plan; see [`PlanTuning`]).
-    pub tuning: Option<PlanTuning>,
 }
 
 /// Builder for [`LayerPlan`]s: each method appends one op and returns the
@@ -409,7 +379,6 @@ impl PlanBuilder {
         LayerPlan {
             ops: self.ops,
             output,
-            tuning: None,
         }
     }
 }
@@ -431,23 +400,13 @@ impl PlanExecutor {
         binding: &Binding,
         ctx: &mut ForwardCtx,
     ) -> NodeId {
-        // Install the annotated GEMM tile before any op runs; bit-neutral,
-        // so un-annotated executions in the same process are unaffected
-        // beyond speed.
-        let allow_fuse = match &plan.tuning {
-            Some(t) => {
-                simd::set_gemm_tile(t.gemm_tile);
-                t.fuse
-            }
-            None => true,
-        };
         let mut regs: Vec<NodeId> = Vec::with_capacity(plan.ops.len() + 1);
         regs.push(ctx.x);
         // The input's stored entries, built at most once per run.
         let mut features: Option<Option<Arc<CsrMatrix>>> = None;
         let mut sparse = None;
         for (k, op) in plan.ops.iter().enumerate() {
-            if let Some(rate) = sparse_input_rate(plan, k, &regs, tape, binding, ctx, allow_fuse) {
+            if let Some(rate) = sparse_input_rate(plan, k, &regs, tape, binding, ctx) {
                 if let Some(xs) = features.get_or_insert_with(|| tape.sparse_features(ctx.x)) {
                     // The reader, the next op, draws this dropout's flags:
                     // nothing draws in between, so the stream is unchanged.
@@ -460,7 +419,7 @@ impl PlanExecutor {
                     continue;
                 }
             }
-            let node = exec_op(op, &regs, tape, binding, ctx, allow_fuse, sparse.take());
+            let node = exec_op(op, &regs, tape, binding, ctx, sparse.take());
             regs.push(node);
         }
         regs[plan.output.0]
@@ -490,7 +449,6 @@ fn sparse_input_rate(
     tape: &Tape,
     binding: &Binding,
     ctx: &ForwardCtx,
-    allow_fuse: bool,
 ) -> Option<f64> {
     let PlanOp::Dropout { src: Reg(0), rate } = plan.ops[k] else {
         return None;
@@ -515,7 +473,7 @@ fn sparse_input_rate(
         } if *src == reg => {
             let conv_shape = (tape.shape(ctx.x).0, tape.shape(binding.node(*w)).1);
             let carry_shape = tape.shape(regs[carry.0]);
-            let fuses = allow_fuse && ctx.fused_skip_config(conv_shape, carry_shape).is_some();
+            let fuses = ctx.fused_skip_config(conv_shape, carry_shape).is_some();
             (!fuses).then_some(rate)
         }
         _ => None,
@@ -530,7 +488,6 @@ fn exec_op(
     tape: &mut Tape,
     binding: &Binding,
     ctx: &mut ForwardCtx,
-    allow_fuse: bool,
     sparse: Option<SparseInput>,
 ) -> NodeId {
     let r = |reg: Reg| regs[reg.0];
@@ -566,7 +523,6 @@ fn exec_op(
             tape,
             binding,
             ctx,
-            allow_fuse,
             r(*src),
             r(*carry),
             *w,
@@ -641,7 +597,6 @@ fn exec_activated_conv(
     tape: &mut Tape,
     binding: &Binding,
     ctx: &mut ForwardCtx,
-    allow_fuse: bool,
     src: NodeId,
     carry: NodeId,
     w: ParamId,
@@ -659,16 +614,7 @@ fn exec_activated_conv(
     // already matches the conv output (ResGCN's first middle layer widens
     // in→hidden and goes without).
     let residual = residual.filter(|&res| tape.shape(res) == conv_shape);
-    // `allow_fuse = false` (a tuned plan that measured fusion as a loss)
-    // pins the unfused chain without touching the RNG stream: the mask is
-    // then drawn inside `post_conv`, exactly where the unfused path draws
-    // it anyway.
-    let fused_mask = if allow_fuse {
-        ctx.fused_skip_mask(conv_shape, carry_shape)
-    } else {
-        None
-    };
-    if let Some(mask) = fused_mask {
+    if let Some(mask) = ctx.fused_skip_mask(conv_shape, carry_shape) {
         debug_assert!(
             sparse.is_none(),
             "a fused layer never reads the sparse input"

@@ -12,7 +12,6 @@ use crate::schedule::{clip_global_norm, LrSchedule};
 use skipnode_autograd::{softmax_cross_entropy, Tape, TrainProgram};
 use skipnode_graph::{Graph, GraphBatch, Reordering, Split};
 use skipnode_sparse::CsrMatrix;
-use skipnode_tensor::precision::{self, Storage};
 use skipnode_tensor::{workspace, Matrix, SegmentTable, SplitRng};
 use std::sync::Arc;
 
@@ -53,14 +52,6 @@ pub struct TrainConfig {
     pub engine: TrainEngine,
     /// Route SkipNode middle layers through the fused masked kernel.
     pub fuse: bool,
-    /// Run the startup auto-tuner (see [`crate::autotune`]) before the
-    /// first epoch and train with the winning kernel variants. Cached per
-    /// problem shape, bit-neutral, overridable via `SKIPNODE_TUNE`.
-    pub tune: bool,
-    /// Storage precision for this run: `None` inherits the process mode
-    /// (`SKIPNODE_PRECISION`); `Some(mode)` forces it for the duration of
-    /// the run and restores the previous mode afterwards.
-    pub precision: Option<Storage>,
     /// Tape-level gradient checkpointing for the compiled engine: split
     /// the schedule into this many recompute segments (`0`/`1` disables).
     /// Bitwise-neutral — forward values and gradients are unchanged; only
@@ -81,31 +72,8 @@ impl Default for TrainConfig {
             clip_norm: None,
             engine: TrainEngine::default(),
             fuse: true,
-            tune: false,
-            precision: None,
             checkpoint_segments: 0,
         }
-    }
-}
-
-/// Scoped override of the process storage precision: installs `mode` on
-/// construction and restores the previous mode on drop, so a forced-bf16
-/// run cannot leak its mode into later runs in the same process.
-struct PrecisionGuard {
-    prev: Storage,
-}
-
-impl PrecisionGuard {
-    fn install(mode: Option<Storage>) -> Option<Self> {
-        mode.map(|m| Self {
-            prev: precision::force(m),
-        })
-    }
-}
-
-impl Drop for PrecisionGuard {
-    fn drop(&mut self) {
-        precision::force(self.prev);
     }
 }
 
@@ -310,26 +278,8 @@ fn train_classifier_core(
     rng: &mut SplitRng,
     diag_graph: Option<&Graph>,
 ) -> TrainResult {
-    let _precision = PrecisionGuard::install(cfg.precision);
     let full_adj = Arc::clone(&data.full_adj);
     let degrees = &data.degrees;
-    if crate::autotune::enabled(cfg.tune) {
-        // One cached timing pass per problem shape; every installed choice
-        // is bit-neutral, so tuned and untuned runs produce identical
-        // numbers. `ForwardCtx::new` picks the applied profile up.
-        let f = model
-            .store()
-            .values()
-            .map(|m| m.cols())
-            .max()
-            .unwrap_or_else(|| data.features.cols());
-        let rate = match strategy {
-            Strategy::SkipNode(c) | Strategy::SkipNodeTrainEval(c) => c.rate(),
-            _ => 0.0,
-        };
-        let profile = crate::autotune::profile_for(&full_adj, f, rate);
-        crate::autotune::apply(&profile, &full_adj);
-    }
     let adj_list = (cfg.record_mad || cfg.diagnostics_every > 0)
         .then(|| diag_graph.map(|g| g.adjacency_list()))
         .flatten();

@@ -46,12 +46,11 @@ use std::fmt;
 /// Numeric path the engine serves on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeMode {
-    /// Full-precision dense products (bf16 storage staging still applies
-    /// if the process-global precision mode says so).
+    /// Full-precision `f32` dense products.
     F32,
     /// Int8 weight quantization: every plan GEMM runs through [`qgemm`]
     /// against weights quantized once at load — bitwise identical to
-    /// [`skipnode_nn::trainer::evaluate_quantized`], which re-quantizes
+    /// [`skipnode_nn::evaluate_quantized`], which re-quantizes
     /// per evaluation with the same per-column code.
     Quantized,
 }
@@ -290,9 +289,22 @@ impl ServeEngine {
         self.adj.snapshot()
     }
 
+    /// Whether [`ServeEngine::apply_update`] accepts `update` against the
+    /// current graph: both `AddEdge` endpoints are existing nodes, and an
+    /// `AddNode` row is as wide as the model's input features.
+    pub fn accepts_update(&self, update: &GraphUpdate) -> bool {
+        match update {
+            GraphUpdate::AddEdge(u, v) => *u < self.num_nodes() && *v < self.num_nodes(),
+            GraphUpdate::AddNode(features) => features.len() == self.feat_dim,
+        }
+    }
+
     /// Apply one structural update, patching the normalized adjacency in
     /// place and invalidating exactly the first-hop cache rows whose
     /// adjacency row changed.
+    ///
+    /// # Panics
+    /// Panics on an update [`ServeEngine::accepts_update`] rejects.
     pub fn apply_update(&mut self, update: &GraphUpdate) {
         match update {
             GraphUpdate::AddEdge(u, v) => {
@@ -658,7 +670,7 @@ impl ServeEngine {
     }
 
     /// Dense product against a plan weight: pre-quantized int8 GEMM in
-    /// quantized mode, the standard (precision-mode-aware) GEMM otherwise.
+    /// quantized mode, the standard f32 GEMM otherwise.
     fn plan_matmul(&self, a: &Matrix, w: ParamId) -> Matrix {
         if let Some(qb) = self.qweights.get(&w) {
             let mut out = workspace::take(a.rows(), qb.n());

@@ -56,6 +56,10 @@ pub struct ServerStats {
     /// Queries dropped unanswered because their node id was out of range
     /// when their batch ran; their receivers see a closed channel.
     pub rejected: u64,
+    /// Graph updates dropped unapplied because they were malformed when
+    /// their turn came: an `AddEdge` endpoint out of range, or an
+    /// `AddNode` row whose width is not the model's input width.
+    pub rejected_updates: u64,
 }
 
 impl ServerStats {
@@ -129,7 +133,9 @@ impl InferenceServer {
             .expect("server shut down before answering")
     }
 
-    /// Enqueue a graph update; applied before the next batch executes.
+    /// Enqueue a graph update; applied before the next batch executes. A
+    /// malformed update (see [`ServeEngine::accepts_update`]) is dropped
+    /// and counted in [`ServerStats::rejected_updates`].
     pub fn update(&self, update: GraphUpdate) {
         let mut st = self.shared.state.lock().unwrap();
         st.updates.push_back(update);
@@ -204,8 +210,15 @@ fn worker_loop(
         let mut batch: Vec<(usize, mpsc::Sender<Vec<f32>>)> = st.queue.drain(..take).collect();
         drop(st);
 
+        // A malformed update would panic the engine and with it the only
+        // worker; drop it instead. Each is checked against the graph as the
+        // updates before it left it.
         for update in &updates {
-            engine.apply_update(update);
+            if engine.accepts_update(update) {
+                engine.apply_update(update);
+            } else {
+                stats.rejected_updates += 1;
+            }
         }
         // An out-of-range id would panic the engine and with it the only
         // worker; drop those queries instead (their senders close here).

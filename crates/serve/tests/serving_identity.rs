@@ -229,3 +229,31 @@ fn out_of_range_query_is_rejected_and_the_server_keeps_serving() {
     assert_eq!(stats.rejected, 1);
     assert_eq!(stats.requests, 1);
 }
+
+/// A malformed graph update — an edge to a node that does not exist, or a
+/// node whose feature row is not `IN_DIM` wide — is dropped and counted
+/// instead of killing the only worker: the next query is answered exactly
+/// as a twin engine that never saw the updates answers it.
+#[test]
+fn malformed_updates_are_rejected_and_the_server_keeps_serving() {
+    let graph = test_graph(40, 50, 5);
+    let ckpt = checkpoint_for("gcn", 43);
+    let engine = ServeEngine::from_checkpoint(&ckpt, &graph, ServeMode::F32).unwrap();
+    let mut twin = ServeEngine::from_checkpoint(&ckpt, &graph, ServeMode::F32).unwrap();
+    let n = engine.num_nodes();
+    let server = InferenceServer::start(engine, ServerConfig::default());
+
+    server.update(GraphUpdate::AddEdge(3, n + 2));
+    server.update(GraphUpdate::AddNode(vec![0.5; IN_DIM + 1]));
+    // A timeout, so a dead worker fails the test instead of hanging it.
+    let answer = server
+        .submit(7)
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the server still answers valid queries");
+    assert_eq!(answer, twin.serve_one(7));
+
+    let (_, stats, engine_stats) = server.shutdown();
+    assert_eq!(stats.rejected_updates, 2);
+    assert_eq!(stats.requests, 1);
+    assert_eq!(engine_stats.updates, 0);
+}

@@ -22,9 +22,8 @@
 //! the forward and backward pass.
 
 use crate::stats;
-use skipnode_tensor::precision::{self, Storage};
 use skipnode_tensor::simd;
-use skipnode_tensor::{bf16, kstats, pool, workspace, Matrix};
+use skipnode_tensor::{kstats, pool, workspace, Matrix};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Below this many multiply-adds (`nnz * feature_dim`), SpMM stays serial.
@@ -43,36 +42,6 @@ pub const COL_SKIP: u32 = u32::MAX;
 /// is the measured crossover between the two (see `DESIGN.md` §8).
 pub const SPARSE_INPUT_DENSITY_DIVISOR: usize = 16;
 
-/// How pooled SpMM partitions output rows over the worker pool. Every
-/// candidate computes each output row whole with the same per-row
-/// accumulation order, so all schedules produce identical bytes — the
-/// auto-tuner picks purely on speed (row-split has cheaper boundaries;
-/// nnz-balancing wins on degree-skewed graphs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpmmSchedule {
-    /// Equal-row chunks (`chunks` of them).
-    RowSplit {
-        /// Number of pooled chunks.
-        chunks: usize,
-    },
-    /// nnz-balanced chunks via binary search on `indptr` (the default
-    /// policy when no schedule has been tuned).
-    NnzBalanced {
-        /// Number of pooled chunks.
-        chunks: usize,
-    },
-}
-
-impl SpmmSchedule {
-    /// Stable name used in bench metadata and tuner reports.
-    pub fn name(self) -> String {
-        match self {
-            SpmmSchedule::RowSplit { chunks } => format!("row_split:{chunks}"),
-            SpmmSchedule::NnzBalanced { chunks } => format!("nnz_balanced:{chunks}"),
-        }
-    }
-}
-
 /// Lazily computed per-matrix metadata. Deliberately excluded from
 /// equality/cloning: it is a cache of derived quantities, not state.
 #[derive(Default)]
@@ -85,9 +54,6 @@ struct CsrCache {
     /// its thread count once per process, so in practice this holds one or
     /// two entries; a tiny scan beats hashing.
     partitions: Mutex<Vec<(usize, Arc<Vec<usize>>)>>,
-    /// Tuner-selected pooled-dispatch schedule (None = default policy).
-    /// Bit-neutral: every schedule produces identical bytes.
-    schedule: Mutex<Option<SpmmSchedule>>,
 }
 
 /// A CSR sparse matrix of `f32` values.
@@ -314,67 +280,15 @@ impl CsrMatrix {
             return;
         }
         kstats::record(kstats::Kernel::Spmm, self.rows);
-        if precision::active() == Storage::Bf16 {
-            // Stage X packed once (O(n·d)), stream it at half width
-            // through the O(nnz·d) accumulation.
-            let xq = self.stage_bf16(x, self.nnz() * d);
-            if self.nnz() * d < SPMM_PARALLEL_THRESHOLD || self.rows <= 1 {
-                self.spmm_rows_bf16(&xq, d, out.as_mut_slice(), 0, self.rows);
-            } else {
-                let bounds = self.schedule_bounds();
-                let elem_bounds: Vec<usize> = bounds.iter().map(|&r| r * d).collect();
-                let xq_ref = &xq;
-                pool::par_ranges_mut(out.as_mut_slice(), &elem_bounds, |idx, block| {
-                    self.spmm_rows_bf16(xq_ref, d, block, bounds[idx], bounds[idx + 1]);
-                });
-            }
-            bf16::give_scratch_u16(xq);
-            return;
-        }
         if self.nnz() * d < SPMM_PARALLEL_THRESHOLD || self.rows <= 1 {
             self.spmm_rows(x, out.as_mut_slice(), 0, self.rows);
             return;
         }
-        let bounds = self.schedule_bounds();
+        let bounds = self.nnz_partition(pool::chunk_count(self.rows));
         let elem_bounds: Vec<usize> = bounds.iter().map(|&r| r * d).collect();
         pool::par_ranges_mut(out.as_mut_slice(), &elem_bounds, |idx, block| {
             self.spmm_rows(x, block, bounds[idx], bounds[idx + 1]);
         });
-    }
-
-    /// Narrow a dense operand into a pooled bf16 staging buffer, recording
-    /// the widen-on-load volume the consuming kernel will stream.
-    fn stage_bf16(&self, x: &Matrix, widen_volume: usize) -> Vec<u16> {
-        let mut xq = bf16::take_scratch_u16(x.rows() * x.cols());
-        bf16::narrow_slice(simd::active(), x.as_slice(), &mut xq);
-        kstats::record(kstats::Kernel::WidenBf16, widen_volume);
-        xq
-    }
-
-    /// Select the pooled-dispatch schedule for this matrix (normally set by
-    /// the auto-tuner; `None` restores the default nnz-balanced policy).
-    /// Bit-neutral — see [`SpmmSchedule`].
-    pub fn set_spmm_schedule(&self, schedule: Option<SpmmSchedule>) {
-        *self.cache.schedule.lock().expect("schedule cache poisoned") = schedule;
-    }
-
-    /// The tuner-selected schedule, if any.
-    pub fn spmm_schedule(&self) -> Option<SpmmSchedule> {
-        *self.cache.schedule.lock().expect("schedule cache poisoned")
-    }
-
-    /// Row boundaries the pooled SpMM paths dispatch with, honoring the
-    /// tuned schedule when one is set.
-    fn schedule_bounds(&self) -> Arc<Vec<usize>> {
-        match self.spmm_schedule() {
-            Some(SpmmSchedule::RowSplit { chunks }) => {
-                let chunks = chunks.clamp(1, self.rows.max(1));
-                let per = self.rows.div_ceil(chunks);
-                Arc::new((0..=chunks).map(|i| (i * per).min(self.rows)).collect())
-            }
-            Some(SpmmSchedule::NnzBalanced { chunks }) => self.nnz_partition(chunks),
-            None => self.nnz_partition(pool::chunk_count(self.rows)),
-        }
     }
 
     /// nnz-balanced row boundaries for `chunks` chunks: `chunks + 1`
@@ -431,30 +345,6 @@ impl CsrMatrix {
         }
     }
 
-    /// bf16 twin of [`CsrMatrix::spmm_rows`]: `xq` is the packed operand
-    /// (row-major, `d` columns); neighbor rows are widened on load inside
-    /// [`bf16::axpy_bf16`] and accumulated in f32 in the same CSR order.
-    fn spmm_rows_bf16(
-        &self,
-        xq: &[u16],
-        d: usize,
-        out: &mut [f32],
-        row_begin: usize,
-        row_end: usize,
-    ) {
-        stats::record_spmm_rows(row_end - row_begin);
-        let isa = simd::active();
-        for (local, r) in (row_begin..row_end).enumerate() {
-            let (cols, vals) = self.row(r);
-            let out_row = &mut out[local * d..(local + 1) * d];
-            out_row.fill(0.0);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let c = c as usize;
-                bf16::axpy_bf16(isa, v, &xq[c * d..(c + 1) * d], out_row);
-            }
-        }
-    }
-
     /// `self * x` computed **only** for the output rows listed in `rows`
     /// (sorted, duplicate-free), written compacted: row `k` of `out` is
     /// output row `rows[k]`. This is the forward half of SkipNode's fused
@@ -487,25 +377,14 @@ impl CsrMatrix {
             cum.push(cum.last().unwrap() + self.row_nnz(r));
         }
         let sub_nnz = *cum.last().unwrap();
-        let xq = (precision::active() == Storage::Bf16).then(|| self.stage_bf16(x, sub_nnz * d));
         let kernel = |out: &mut [f32], lo: usize, hi: usize| {
             stats::record_spmm_rows(hi - lo);
             for (local, &r) in rows[lo..hi].iter().enumerate() {
                 let (cols, vals) = self.row(r as usize);
                 let out_row = &mut out[local * d..(local + 1) * d];
                 out_row.fill(0.0);
-                match &xq {
-                    Some(q) => {
-                        for (&c, &v) in cols.iter().zip(vals) {
-                            let c = c as usize;
-                            bf16::axpy_bf16(isa, v, &q[c * d..(c + 1) * d], out_row);
-                        }
-                    }
-                    None => {
-                        for (&c, &v) in cols.iter().zip(vals) {
-                            simd::axpy(isa, v, x.row(c as usize), out_row);
-                        }
-                    }
+                for (&c, &v) in cols.iter().zip(vals) {
+                    simd::axpy(isa, v, x.row(c as usize), out_row);
                 }
             }
         };
@@ -525,9 +404,6 @@ impl CsrMatrix {
             pool::par_ranges_mut(out.as_mut_slice(), &elem_bounds, |idx, block| {
                 kernel(block, bounds[idx], bounds[idx + 1]);
             });
-        }
-        if let Some(q) = xq {
-            bf16::give_scratch_u16(q);
         }
     }
 
@@ -555,8 +431,6 @@ impl CsrMatrix {
         }
         kstats::record(kstats::Kernel::SpmmCompact, self.rows);
         let isa = simd::active();
-        let xq = (precision::active() == Storage::Bf16)
-            .then(|| self.stage_bf16(x_compact, self.nnz() * d));
         let kernel = |out: &mut [f32], row_begin: usize, row_end: usize| {
             stats::record_spmm_rows(row_end - row_begin);
             for (local, r) in (row_begin..row_end).enumerate() {
@@ -568,27 +442,18 @@ impl CsrMatrix {
                     if m == COL_SKIP {
                         continue;
                     }
-                    match &xq {
-                        Some(q) => {
-                            let m = m as usize;
-                            bf16::axpy_bf16(isa, v, &q[m * d..(m + 1) * d], out_row);
-                        }
-                        None => simd::axpy(isa, v, x_compact.row(m as usize), out_row),
-                    }
+                    simd::axpy(isa, v, x_compact.row(m as usize), out_row);
                 }
             }
         };
         if self.nnz() * d < SPMM_PARALLEL_THRESHOLD || self.rows <= 1 {
             kernel(out.as_mut_slice(), 0, self.rows);
         } else {
-            let bounds = self.schedule_bounds();
+            let bounds = self.nnz_partition(pool::chunk_count(self.rows));
             let elem_bounds: Vec<usize> = bounds.iter().map(|&r| r * d).collect();
             pool::par_ranges_mut(out.as_mut_slice(), &elem_bounds, |idx, block| {
                 kernel(block, bounds[idx], bounds[idx + 1]);
             });
-        }
-        if let Some(q) = xq {
-            bf16::give_scratch_u16(q);
         }
     }
 
@@ -911,9 +776,7 @@ impl SubsetRowSource for CsrMatrix {
 
 /// Shared driver for the subset × col-mapped product (see
 /// [`CsrMatrix::spmm_rows_subset_mapped`] for semantics). Pooled with
-/// nnz-balanced chunking over the subset; bf16 storage mode stages the
-/// compact operand only — narrowing is elementwise, so a compact staging
-/// holds exactly the bytes the full staging would for the same rows.
+/// nnz-balanced chunking over the subset.
 pub(crate) fn spmm_subset_mapped_impl<S: SubsetRowSource + ?Sized>(
     src: &S,
     x_compact: &Matrix,
@@ -941,12 +804,6 @@ pub(crate) fn spmm_subset_mapped_impl<S: SubsetRowSource + ?Sized>(
         cum.push(cum.last().unwrap() + src.source_row(r).0.len());
     }
     let sub_nnz = *cum.last().unwrap();
-    let xq = (precision::active() == Storage::Bf16).then(|| {
-        let mut q = bf16::take_scratch_u16(x_compact.rows() * x_compact.cols());
-        bf16::narrow_slice(isa, x_compact.as_slice(), &mut q);
-        kstats::record(kstats::Kernel::WidenBf16, sub_nnz * d);
-        q
-    });
     let kernel = |out: &mut [f32], lo: usize, hi: usize| {
         stats::record_spmm_rows(hi - lo);
         for (local, &r) in rows[lo..hi].iter().enumerate() {
@@ -958,13 +815,7 @@ pub(crate) fn spmm_subset_mapped_impl<S: SubsetRowSource + ?Sized>(
                 if m == COL_SKIP {
                     continue;
                 }
-                match &xq {
-                    Some(q) => {
-                        let m = m as usize;
-                        bf16::axpy_bf16(isa, v, &q[m * d..(m + 1) * d], out_row);
-                    }
-                    None => simd::axpy(isa, v, x_compact.row(m as usize), out_row),
-                }
+                simd::axpy(isa, v, x_compact.row(m as usize), out_row);
             }
         }
     };
@@ -984,9 +835,6 @@ pub(crate) fn spmm_subset_mapped_impl<S: SubsetRowSource + ?Sized>(
         pool::par_ranges_mut(out.as_mut_slice(), &elem_bounds, |idx, block| {
             kernel(block, bounds[idx], bounds[idx + 1]);
         });
-    }
-    if let Some(q) = xq {
-        bf16::give_scratch_u16(q);
     }
 }
 
@@ -1117,51 +965,6 @@ mod tests {
         assert_eq!(got, Matrix::from_rows(&[&[8.0], &[0.0], &[-0.5]]));
         let empty = Matrix::zeros(2, 0);
         assert_eq!(m.spmm(&empty).shape(), (3, 0));
-    }
-
-    /// Every tuned schedule must reproduce the default policy's bytes —
-    /// the tuner relies on schedule choice being bit-neutral.
-    #[test]
-    fn tuned_schedules_are_bit_neutral() {
-        let n: usize = 700;
-        let mut indptr = vec![0usize];
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for r in 0..n {
-            // Skewed: node 0 is a hub connected to everyone.
-            let mut cols: Vec<u32> = vec![0];
-            if r > 0 {
-                cols.push(r as u32);
-            }
-            for &c in &cols {
-                indices.push(c);
-                values.push((c as f32 * 0.01 + r as f32 * 0.001).sin());
-            }
-            indptr.push(indices.len());
-        }
-        let m = CsrMatrix::new(n, n, indptr, indices, values);
-        let mut x = Matrix::zeros(n, 400);
-        for r in 0..n {
-            for c in 0..400 {
-                x.set(r, c, ((r * 5 + c) % 11) as f32 * 0.3 - 1.5);
-            }
-        }
-        assert!(m.nnz() * 400 >= super::SPMM_PARALLEL_THRESHOLD);
-        let mut reference = workspace::take_scratch(n, 400);
-        m.spmm_into(&x, &mut reference);
-        for schedule in [
-            SpmmSchedule::RowSplit { chunks: 3 },
-            SpmmSchedule::NnzBalanced { chunks: 7 },
-            SpmmSchedule::RowSplit { chunks: 1 },
-        ] {
-            m.set_spmm_schedule(Some(schedule));
-            let mut got = workspace::take_scratch(n, 400);
-            m.spmm_into(&x, &mut got);
-            assert_eq!(got, reference, "schedule {}", schedule.name());
-            workspace::give(got);
-        }
-        m.set_spmm_schedule(None);
-        workspace::give(reference);
     }
 
     /// The mapped subset kernel must agree with `spmm_rows_subset` under an

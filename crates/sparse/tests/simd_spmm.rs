@@ -12,7 +12,7 @@
 //! On hosts without a vector ISA every test reduces to scalar-vs-scalar
 //! and still passes.
 
-use skipnode_sparse::{CooBuilder, CsrMatrix, SpmmSchedule};
+use skipnode_sparse::{CooBuilder, CsrMatrix};
 use skipnode_tensor::simd::{active, force, Isa};
 use skipnode_tensor::{Matrix, SplitRng};
 
@@ -72,26 +72,39 @@ fn assert_bits_equal(got: &Matrix, want: &Matrix, label: &str) {
     }
 }
 
+/// Row blocks computed separately: equal-row or nnz-balanced boundaries.
+fn spmm_in_blocks(a: &CsrMatrix, x: &Matrix, bounds: &[usize]) -> Matrix {
+    let d = x.cols();
+    let mut out = Matrix::zeros(a.rows(), d);
+    for w in bounds.windows(2) {
+        let block = &mut out.as_mut_slice()[w[0] * d..w[1] * d];
+        a.spmm_rows(x, block, w[0], w[1]);
+    }
+    out
+}
+
 /// Odd feature widths (not multiples of any lane count), empty rows,
-/// single-row output: the SIMD tail paths must stay schedule-invariant.
+/// single-row output: the SIMD tail paths must stay invariant to how the
+/// output rows are split into blocks.
 #[test]
 fn simd_spmm_is_invariant_to_schedule_bitwise() {
     pin_vector_isa();
     let a = skewed(2600);
+    let rows = a.rows();
+    let row_split: Vec<usize> = (0..=5).map(|i| (i * rows.div_ceil(5)).min(rows)).collect();
     for d in [1usize, 3, 7, 8, 9, 13, 130] {
         let x = dense_input(a.cols(), d, 21);
-        let mut reference = Matrix::zeros(a.rows(), d);
-        a.spmm_rows(&x, reference.as_mut_slice(), 0, a.rows());
-        for schedule in [
-            None,
-            Some(SpmmSchedule::RowSplit { chunks: 5 }),
-            Some(SpmmSchedule::NnzBalanced { chunks: 9 }),
+        let mut reference = Matrix::zeros(rows, d);
+        a.spmm_rows(&x, reference.as_mut_slice(), 0, rows);
+        assert_bits_equal(&a.spmm(&x), &reference, &format!("d={d} pooled"));
+        let nnz_split = a.nnz_partition(9);
+        for (name, bounds) in [
+            ("row_split:5", &row_split[..]),
+            ("nnz_balanced:9", &nnz_split),
         ] {
-            a.set_spmm_schedule(schedule);
-            let got = a.spmm(&x);
-            assert_bits_equal(&got, &reference, &format!("d={d} schedule={schedule:?}"));
+            let got = spmm_in_blocks(&a, &x, bounds);
+            assert_bits_equal(&got, &reference, &format!("d={d} schedule={name}"));
         }
-        a.set_spmm_schedule(None);
     }
 }
 

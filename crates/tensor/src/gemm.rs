@@ -2,17 +2,18 @@
 //!
 //! Three layout-specialized kernels (`A·B`, `Aᵀ·B`, `A·Bᵀ`) share a design:
 //!
-//! - **Register tiling.** The `A·B` kernel computes 4×8 output tiles with
-//!   accumulators held in locals and fixed-size (`[f32; 8]`) row windows, so
-//!   the autovectorizer lifts the inner loop to SIMD FMAs. `Aᵀ·B` streams
-//!   row-axpy updates into a cache-resident output slab; `A·Bᵀ` runs four
-//!   independent dot-product chains per output row.
+//! - **Register tiling.** The scalar `A·B` kernel computes 4×8 output
+//!   tiles with accumulators held in locals and fixed-size (`[f32; 8]`) row
+//!   windows, so the autovectorizer lifts the inner loop to SIMD FMAs; the
+//!   vector kernel ([`crate::simd::gemm_rows`]) uses 4×16 tiles. `Aᵀ·B`
+//!   streams row-axpy updates into a cache-resident output slab; `A·Bᵀ`
+//!   runs four independent dot-product chains per output row.
 //! - **Zero skipping.** Tiles whose `A` window is entirely zero are
 //!   skipped. Adding `0·x` for finite `x` is exact, so results are
 //!   unchanged. Sparse input features no longer reach these kernels on
 //!   `f32` tapes — the input layer runs over their stored entries
 //!   (`skipnode_autograd`'s sparse input op) — so the skip now pays only on
-//!   the bf16, int8 and dense-feature paths.
+//!   the int8 and dense-feature paths.
 //! - **Pooled dispatch.** Large products are split over disjoint output
 //!   row-blocks and dispatched on [`crate::pool`] — no per-call thread
 //!   spawn/join. Every output element is computed by exactly one chunk with
@@ -22,11 +23,9 @@
 //! All kernels **overwrite** `out`; callers may pass recycled, non-zeroed
 //! buffers from [`crate::workspace`].
 
-use crate::bf16;
 use crate::kstats;
 use crate::matrix::Matrix;
 use crate::pool;
-use crate::precision::{self, Storage};
 use crate::simd::{self, Isa};
 
 /// Below this many multiply-adds, pool dispatch overhead dominates.
@@ -53,9 +52,6 @@ pub fn gemm(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     }
     kstats::record(kstats::Kernel::Gemm, m);
     let isa = simd::active();
-    if precision::active() == Storage::Bf16 {
-        return gemm_bf16_staged(isa, a, b, out);
-    }
     if m * n * k < PARALLEL_THRESHOLD || m == 1 {
         gemm_rows_dispatch(isa, a, b, out.as_mut_slice(), 0, m);
         return;
@@ -67,34 +63,8 @@ pub fn gemm(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     });
 }
 
-/// bf16-mode `A·B`: narrow `B` once into a packed staging buffer, then run
-/// the widen-on-load microkernels over the same row-block split as the f32
-/// driver. `B` is the streamed operand (re-read per row tile), so halving
-/// its footprint is where the bandwidth goes; `A` rows and the `f32`
-/// accumulators are untouched.
-fn gemm_bf16_staged(isa: Isa, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut bq = bf16::take_scratch_u16(k * n);
-    bf16::narrow_slice(isa, b.as_slice(), &mut bq);
-    // Widen-on-load volume: every 4-row tile group streams B once.
-    kstats::record(kstats::Kernel::WidenBf16, m.div_ceil(4) * k * n);
-    let tile = simd::gemm_tile();
-    if m * n * k < PARALLEL_THRESHOLD || m == 1 {
-        bf16::gemm_rows_bf16(isa, tile, a, &bq, n, out.as_mut_slice(), 0, m);
-    } else {
-        let rows = rows_per_chunk(m);
-        let bq_ref = &bq;
-        pool::par_chunks_mut(out.as_mut_slice(), rows * n, |idx, block| {
-            let begin = idx * rows;
-            bf16::gemm_rows_bf16(isa, tile, a, bq_ref, n, block, begin, (begin + rows).min(m));
-        });
-    }
-    bf16::give_scratch_u16(bq);
-}
-
 /// Route one output row block to the scalar reference or the SIMD
-/// microkernel (tile chosen by the auto-tuner; every tile is bit-equal).
+/// microkernel.
 fn gemm_rows_dispatch(
     isa: Isa,
     a: &Matrix,
@@ -105,7 +75,7 @@ fn gemm_rows_dispatch(
 ) {
     match isa {
         Isa::Scalar => gemm_rows(a, b, out, row_begin, row_end),
-        isa => simd::gemm_rows(isa, simd::gemm_tile(), a, b, out, row_begin, row_end),
+        isa => simd::gemm_rows(isa, a, b, out, row_begin, row_end),
     }
 }
 
@@ -352,7 +322,6 @@ pub(crate) fn a_bt_rows(a: &Matrix, b: &Matrix, out: &mut [f32], row_begin: usiz
 #[cfg(test)]
 mod tests {
     use crate::matrix::Matrix;
-    use crate::precision::{self, Storage};
     use crate::rng::SplitRng;
 
     fn naive(a: &Matrix, b: &Matrix) -> Matrix {
@@ -376,22 +345,12 @@ mod tests {
         }
     }
 
-    /// Plain `gemm` honours the ambient storage mode (the `SKIPNODE_PRECISION`
-    /// CI legs run this suite under bf16), so tests comparing it against the
-    /// f32 naive reference widen their tolerance to bf16 rounding there.
-    fn gemm_tol(f32_tol: f32) -> f32 {
-        match precision::active() {
-            Storage::Bf16 => 0.05,
-            Storage::F32 => f32_tol,
-        }
-    }
-
     #[test]
     fn parallel_gemm_matches_naive_on_large_matrices() {
         let mut rng = SplitRng::new(3);
         let a = rng.uniform_matrix(70, 65, -1.0, 1.0);
         let b = rng.uniform_matrix(65, 70, -1.0, 1.0);
-        assert_close(&a.matmul(&b), &naive(&a, &b), gemm_tol(1e-3));
+        assert_close(&a.matmul(&b), &naive(&a, &b), 1e-3);
     }
 
     #[test]
@@ -424,7 +383,7 @@ mod tests {
         let b = rng.uniform_matrix(11, 13, -1.0, 1.0);
         let mut out = Matrix::full(9, 13, f32::NAN);
         super::gemm(&a, &b, &mut out);
-        assert_close(&out, &naive(&a, &b), gemm_tol(1e-4));
+        assert_close(&out, &naive(&a, &b), 1e-4);
     }
 
     #[test]
@@ -435,7 +394,7 @@ mod tests {
         a.set(7, 0, -1.5);
         let mut rng = SplitRng::new(7);
         let b = rng.uniform_matrix(12, 9, -1.0, 1.0);
-        assert_close(&a.matmul(&b), &naive(&a, &b), gemm_tol(1e-5));
+        assert_close(&a.matmul(&b), &naive(&a, &b), 1e-5);
         let c = rng.uniform_matrix(10, 9, -1.0, 1.0);
         assert_close(&a.t_matmul(&c), &naive(&a.transpose(), &c), 1e-4);
     }

@@ -6,8 +6,7 @@
 //! families, **elements** for elementwise, reduce, and Adam kernels. The
 //! counters complement the [`crate::workspace`] free-list counters: the
 //! workspace says what memory moved, these say which kernels did the
-//! flops, which is the observability needed to sanity-check the
-//! auto-tuner's choices.
+//! flops.
 //!
 //! When disabled (the default) the cost per kernel call is one relaxed
 //! atomic load of the cached enable flag. Bench binaries hold an
@@ -43,11 +42,6 @@ pub enum Kernel {
     Reduce,
     /// Fused Adam parameter step (work = parameter elements).
     Adam,
-    /// f32 → bf16 narrowing (work = elements packed).
-    PackBf16,
-    /// bf16 → f32 widening, counted by the bf16 drivers as packed elements
-    /// streamed through widen-on-load (work = elements widened).
-    WidenBf16,
     /// f32 → int8 symmetric quantization (work = elements quantized).
     QuantI8,
     /// int8 GEMM with i32 accumulation (work = output rows).
@@ -61,7 +55,7 @@ pub enum Kernel {
 }
 
 /// Number of tracked kernel families.
-pub const KERNEL_COUNT: usize = 17;
+pub const KERNEL_COUNT: usize = 15;
 
 const NAMES: [&str; KERNEL_COUNT] = [
     "gemm",
@@ -75,8 +69,6 @@ const NAMES: [&str; KERNEL_COUNT] = [
     "elemwise",
     "reduce",
     "adam",
-    "pack_bf16",
-    "widen_bf16",
     "quant_i8",
     "gemm_i8",
     "seg_reduce",

@@ -9,11 +9,9 @@
 //! matrix).
 //!
 //! Everything is `f32` storage with `f64` accumulation in the reductions
-//! where precision matters (norms, losses, power iteration). Two
-//! reduced-precision side channels exist: [`precision`] selects bf16
-//! packed staging for the streamed operand of the hot kernels (f32
-//! accumulation throughout, see [`bf16`]), and [`quant`] provides int8
-//! symmetric post-training quantization for the no-grad inference path.
+//! where precision matters (norms, losses, power iteration). One
+//! reduced-precision side channel exists: [`quant`] provides int8
+//! post-training quantization for the no-grad inference path.
 //!
 //! # Quick example
 //!
@@ -26,14 +24,12 @@
 //! assert_eq!(c, a);
 //! ```
 
-pub mod bf16;
 mod gemm;
 mod init;
 pub mod kstats;
 mod linalg;
 mod matrix;
 pub mod pool;
-pub mod precision;
 pub mod quant;
 mod reduce;
 mod rng;

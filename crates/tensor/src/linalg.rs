@@ -123,16 +123,6 @@ pub fn max_singular_value(w: &Matrix, max_iters: usize) -> f64 {
 mod tests {
     use super::*;
 
-    /// Iterative solves route every matmul through the ambient storage
-    /// mode; under bf16 (the `SKIPNODE_PRECISION` CI legs) convergence
-    /// plateaus near 2⁻⁸ relative, so accuracy assertions widen there.
-    fn bf16_tol(f32_tol: f64) -> f64 {
-        match crate::precision::active() {
-            crate::precision::Storage::Bf16 => 0.1,
-            crate::precision::Storage::F32 => f32_tol,
-        }
-    }
-
     #[test]
     fn singular_value_of_diagonal_matrix() {
         let w = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, -7.0]]);
@@ -165,7 +155,7 @@ mod tests {
             }
         }
         let s = max_singular_value(&w, 500);
-        assert!((s - 15.0).abs() < bf16_tol(1e-2), "s = {s}");
+        assert!((s - 15.0).abs() < 1e-2, "s = {s}");
     }
 
     #[test]
@@ -177,9 +167,9 @@ mod tests {
             out.copy_from_slice(a.matmul(&xv).as_slice());
         };
         let (val, vec) = power_iteration(2, apply, &[], PowerIterOptions::default());
-        assert!((val + 5.0).abs() < bf16_tol(1e-4), "val = {val}");
+        assert!((val + 5.0).abs() < 1e-4, "val = {val}");
         // Eigenvector for -5 is (1, -1)/sqrt(2) up to sign.
-        assert!(((vec[0] + vec[1]).abs() as f64) < bf16_tol(1e-3));
+        assert!(((vec[0] + vec[1]).abs() as f64) < 1e-3);
     }
 
     #[test]

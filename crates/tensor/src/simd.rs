@@ -53,7 +53,7 @@ pub enum Isa {
 }
 
 impl Isa {
-    /// Stable lowercase name used in bench metadata and tuner reports.
+    /// Stable lowercase name used in bench metadata.
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
@@ -140,60 +140,6 @@ pub fn force(isa: Isa) -> Isa {
     let applied = if supported(isa) { isa } else { Isa::Scalar };
     ACTIVE.store(code(applied), Ordering::Relaxed);
     applied
-}
-
-// ---------------------------------------------------------------------------
-// GEMM register-tile selection
-// ---------------------------------------------------------------------------
-
-/// Register-tile shape candidates for the SIMD GEMM microkernel
-/// (`rows × columns` of output per tile step). All candidates produce
-/// bit-identical results — per-element accumulation order is `p = 0..k`
-/// regardless of tile shape — so the auto-tuner may pick freely on speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GemmTile {
-    /// 4 rows × 8 columns (one vector wide).
-    T4x8,
-    /// 4 rows × 16 columns.
-    T4x16,
-    /// 8 rows × 8 columns.
-    T8x8,
-    /// 6 rows × 16 columns.
-    T6x16,
-}
-
-impl GemmTile {
-    /// Every candidate the tuner times, in a fixed order.
-    pub const ALL: [GemmTile; 4] = [
-        GemmTile::T4x8,
-        GemmTile::T4x16,
-        GemmTile::T8x8,
-        GemmTile::T6x16,
-    ];
-
-    /// Stable name used in bench metadata and tuner reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            GemmTile::T4x8 => "4x8",
-            GemmTile::T4x16 => "4x16",
-            GemmTile::T8x8 => "8x8",
-            GemmTile::T6x16 => "6x16",
-        }
-    }
-}
-
-/// Process-global tile choice; encoding is index into [`GemmTile::ALL`].
-static TILE: AtomicU8 = AtomicU8::new(1); // default T4x16
-
-/// The tile the SIMD GEMM currently uses (tuner-set, bit-neutral).
-pub fn gemm_tile() -> GemmTile {
-    GemmTile::ALL[(TILE.load(Ordering::Relaxed) as usize).min(GemmTile::ALL.len() - 1)]
-}
-
-/// Select the GEMM register tile (normally called by the auto-tuner).
-pub fn set_gemm_tile(tile: GemmTile) {
-    let idx = GemmTile::ALL.iter().position(|&t| t == tile).unwrap_or(1);
-    TILE.store(idx as u8, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -310,13 +256,12 @@ pub fn sum_sq_f64(isa: Isa, x: &[f32]) -> f64 {
 }
 
 /// SIMD GEMM row kernel: rows `[row_begin, row_end)` of `a·b` into the row
-/// block `out`, using the register tile `tile`. Per-element accumulation
-/// order is `p = 0..k` with exact zero-skip for every tile shape, so all
-/// tiles (and the serial/pooled split) produce identical bytes; versus the
-/// scalar reference the only difference is FMA contraction.
+/// block `out`, in 4×16 register tiles. Per-element accumulation order is
+/// `p = 0..k` with exact zero-skip, so the serial/pooled split produces
+/// identical bytes; versus the scalar reference the only difference is FMA
+/// contraction.
 pub fn gemm_rows(
     isa: Isa,
-    tile: GemmTile,
     a: &Matrix,
     b: &Matrix,
     out: &mut [f32],
@@ -326,30 +271,16 @@ pub fn gemm_rows(
     #[cfg(target_arch = "x86_64")]
     if isa == Isa::Avx2 {
         // SAFETY: see `axpy`.
-        unsafe {
-            match tile {
-                GemmTile::T4x8 => gemm_rows_avx2::<4, 1>(a, b, out, row_begin, row_end),
-                GemmTile::T4x16 => gemm_rows_avx2::<4, 2>(a, b, out, row_begin, row_end),
-                GemmTile::T8x8 => gemm_rows_avx2::<8, 1>(a, b, out, row_begin, row_end),
-                GemmTile::T6x16 => gemm_rows_avx2::<6, 2>(a, b, out, row_begin, row_end),
-            }
-        }
+        unsafe { gemm_rows_avx2(a, b, out, row_begin, row_end) };
         return;
     }
     #[cfg(target_arch = "aarch64")]
     if isa == Isa::Neon {
         // SAFETY: NEON is baseline on aarch64.
-        unsafe {
-            match tile {
-                GemmTile::T4x8 => gemm_rows_neon::<4, 2>(a, b, out, row_begin, row_end),
-                GemmTile::T4x16 => gemm_rows_neon::<4, 4>(a, b, out, row_begin, row_end),
-                GemmTile::T8x8 => gemm_rows_neon::<8, 2>(a, b, out, row_begin, row_end),
-                GemmTile::T6x16 => gemm_rows_neon::<6, 4>(a, b, out, row_begin, row_end),
-            }
-        }
+        unsafe { gemm_rows_neon(a, b, out, row_begin, row_end) };
         return;
     }
-    let _ = (isa, tile);
+    let _ = isa;
     gemm_rows_portable(a, b, out, row_begin, row_end);
 }
 
@@ -649,18 +580,20 @@ mod avx2 {
         }
     }
 
-    /// Register-tiled GEMM rows: `MR` output rows × `NU` 8-lane column
-    /// vectors per tile. Accumulation over `p` is in scalar order with the
-    /// same all-rows-zero skip as the scalar kernel, so every tile shape
-    /// produces identical bytes.
+    /// Register-tiled GEMM rows: `MR = 4` output rows × `NU = 2` 8-lane
+    /// column vectors per tile. Accumulation over `p` is in scalar order
+    /// with the same all-rows-zero skip as the scalar kernel, so the tile
+    /// and remainder paths agree bitwise.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemm_rows_avx2<const MR: usize, const NU: usize>(
+    pub unsafe fn gemm_rows_avx2(
         a: &Matrix,
         b: &Matrix,
         out: &mut [f32],
         row_begin: usize,
         row_end: usize,
     ) {
+        const MR: usize = 4;
+        const NU: usize = 2;
         let k = a.cols();
         let n = b.cols();
         let bd = b.as_slice();
@@ -878,15 +811,18 @@ mod neon {
         }
     }
 
-    /// NEON GEMM rows: `MR` output rows × `NU` 4-lane column vectors.
+    /// NEON GEMM rows: `MR = 4` output rows × `NU = 4` 4-lane column
+    /// vectors per tile.
     #[target_feature(enable = "neon")]
-    pub unsafe fn gemm_rows_neon<const MR: usize, const NU: usize>(
+    pub unsafe fn gemm_rows_neon(
         a: &Matrix,
         b: &Matrix,
         out: &mut [f32],
         row_begin: usize,
         row_end: usize,
     ) {
+        const MR: usize = 4;
+        const NU: usize = 4;
         let k = a.cols();
         let n = b.cols();
         let bd = b.as_slice();
@@ -1035,23 +971,6 @@ mod tests {
                 axpy(isa, 0.7, &dense, &mut want);
                 axpy_scatter(isa, 0.7, &idx, &vals, &mut got);
                 assert_eq!(got, want, "{isa:?} len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn gemm_tiles_agree_bitwise_with_each_other() {
-        let Some(isa) = vector_isa() else { return };
-        let mut rng = SplitRng::new(14);
-        let a = rng.uniform_matrix(13, 9, -1.0, 1.0);
-        let b = rng.uniform_matrix(9, 21, -1.0, 1.0);
-        let mut reference: Option<Vec<f32>> = None;
-        for tile in GemmTile::ALL {
-            let mut out = vec![f32::NAN; 13 * 21];
-            gemm_rows(isa, tile, &a, &b, &mut out, 0, 13);
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => assert_eq!(r, &out, "tile {}", tile.name()),
             }
         }
     }

@@ -6,8 +6,6 @@
 //! depend on the thread count (disjoint output partitioning + fixed chunk
 //! constants), so agreement here holds for every `SKIPNODE_THREADS` value.
 
-use skipnode_tensor::bf16;
-use skipnode_tensor::precision::{self, Storage};
 use skipnode_tensor::{Matrix, SplitRng};
 
 /// Naive triple-loop `a * b` accumulating in the same `p = 0..k` order as the
@@ -25,17 +23,6 @@ fn reference_gemm(a: &Matrix, b: &Matrix) -> Matrix {
         }
     }
     out
-}
-
-/// `b` as the `A·B` kernel reads it: under bf16 storage the kernel
-/// narrows its streamed `B` operand, so the reference must see the same
-/// rounded values.
-fn stored_b(b: &Matrix) -> Matrix {
-    if precision::active() == Storage::Bf16 {
-        b.map(|x| bf16::widen(bf16::narrow(x)))
-    } else {
-        b.clone()
-    }
 }
 
 fn assert_bitwise(kernel: &Matrix, reference: &Matrix, label: &str) {
@@ -76,11 +63,7 @@ fn gemm_matches_reference_across_shapes() {
         let a = rng.uniform_matrix(m, k, -2.0, 2.0);
         let b = rng.uniform_matrix(k, n, -2.0, 2.0);
         let got = a.matmul(&b);
-        assert_bitwise(
-            &got,
-            &reference_gemm(&a, &stored_b(&b)),
-            &format!("gemm {m}x{k}x{n}"),
-        );
+        assert_bitwise(&got, &reference_gemm(&a, &b), &format!("gemm {m}x{k}x{n}"));
     }
 }
 
@@ -130,11 +113,7 @@ fn zero_skip_is_exact() {
         }
     }
     let b = rng.uniform_matrix(19, 13, -2.0, 2.0);
-    assert_bitwise(
-        &a.matmul(&b),
-        &reference_gemm(&a, &stored_b(&b)),
-        "zero-skip gemm",
-    );
+    assert_bitwise(&a.matmul(&b), &reference_gemm(&a, &b), "zero-skip gemm");
     let c = rng.uniform_matrix(23, 13, -2.0, 2.0);
     assert_bitwise(
         &a.t_matmul(&c),
@@ -151,11 +130,7 @@ fn into_kernels_ignore_stale_buffer_contents() {
     let b = rng.uniform_matrix(6, 11, -1.0, 1.0);
     let mut out = Matrix::full(9, 11, f32::NAN);
     a.matmul_into(&b, &mut out);
-    assert_bitwise(
-        &out,
-        &reference_gemm(&a, &stored_b(&b)),
-        "matmul_into stale",
-    );
+    assert_bitwise(&out, &reference_gemm(&a, &b), "matmul_into stale");
 
     let mut out2 = Matrix::full(6, 11, f32::NAN);
     let c = rng.uniform_matrix(9, 11, -1.0, 1.0);

@@ -9,14 +9,13 @@
 //!   scalar loop on every ISA.
 //! - **FMA-class kernels** (the GEMM family) contract `a*b + acc` on vector
 //!   ISAs, so they match the scalar reference only to rounding — pinned
-//!   here at 1e-5 relative tolerance. Within one ISA, every `GemmTile`
-//!   must agree bit-for-bit because tiling never reorders the k-loop.
+//!   here at 1e-5 relative tolerance.
 //!
 //! Everything lives in ONE `#[test]` because the active ISA is process
 //! global: parallel test threads flipping `simd::force` would race. This
 //! binary owns its process, so a single serial test is safe.
 
-use skipnode_tensor::simd::{self, GemmTile, Isa};
+use skipnode_tensor::simd::{self, Isa};
 use skipnode_tensor::{l2_norm_sq, Matrix, SplitRng};
 
 /// Best vector ISA the host supports, or `None` on scalar-only machines
@@ -37,7 +36,7 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (1, 13, 7),   // single output row
     (7, 13, 1),   // single output column
     (4, 8, 16),   // exact tile multiples
-    (6, 16, 16),  // T6x16 tile exactly
+    (6, 16, 16),  // one 4x16 tile plus a 2-row remainder
     (13, 11, 17), // primes everywhere
     (33, 3, 9),   // tall with tiny inner dim
     (3, 0, 4),    // empty inner dimension
@@ -103,20 +102,5 @@ fn vectorized_kernels_match_the_scalar_reference() {
             relu_s.as_slice(),
             "relu {label}: vector lanes must match scalar bytes"
         );
-
-        // Tile invariance: every tile shape keeps the k-loop order, so all
-        // products under the vector ISA agree bit-for-bit.
-        let reference_tile = a.matmul(&b);
-        let prior = simd::gemm_tile();
-        for tile in GemmTile::ALL {
-            simd::set_gemm_tile(tile);
-            assert_eq!(
-                a.matmul(&b).as_slice(),
-                reference_tile.as_slice(),
-                "tile {} diverges on {label}",
-                tile.name()
-            );
-        }
-        simd::set_gemm_tile(prior);
     }
 }

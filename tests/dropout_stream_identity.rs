@@ -14,14 +14,12 @@
 //! `#[test]` and the tests take [`ISA_LOCK`] before forcing it. The first
 //! forces the scalar kernels (the bitwise reference on every ISA); the
 //! second pins the AVX2+FMA kernels, where the sparse input layer takes its
-//! FMA arm, and adds APPNP, whose input layer is a `Dense` op. Both use
-//! `f32` storage.
+//! FMA arm, and adds APPNP, whose input layer is a `Dense` op.
 
 use skipnode_core::{Sampling, SkipNodeConfig};
 use skipnode_graph::{full_supervised_split, load, DatasetName, Scale};
 use skipnode_nn::models::build_by_name;
 use skipnode_nn::{train_node_classifier, Strategy, TrainConfig, TrainEngine};
-use skipnode_tensor::precision::Storage;
 use skipnode_tensor::simd::{self, Isa};
 use skipnode_tensor::SplitRng;
 use std::sync::{Mutex, MutexGuard};
@@ -70,7 +68,6 @@ fn run(backbone: &str, depth: usize, strategy: &Strategy, engine: TrainEngine) -
         patience: 0,
         diagnostics_every: 1,
         engine,
-        precision: Some(Storage::F32),
         ..Default::default()
     };
     let result = train_node_classifier(model.as_mut(), &g, &split, strategy, &cfg, &mut rng);

@@ -13,7 +13,6 @@ use skipnode_nn::models::build_by_name;
 use skipnode_nn::{compile_train_program, Strategy, StrategySampler};
 use skipnode_sparse::SPARSE_INPUT_DENSITY_DIVISOR;
 use skipnode_tensor::kstats::{self, Kernel};
-use skipnode_tensor::precision::{self, Storage};
 use skipnode_tensor::{workspace, Matrix, SplitRng};
 
 fn density(g: &Graph) -> f64 {
@@ -62,7 +61,6 @@ fn calls_in_one_compiled_epoch(g: &Graph) -> u64 {
 #[test]
 fn sparse_input_family_counts_one_call_per_sparse_epoch_and_none_on_dense_features() {
     kstats::set_enabled(true);
-    precision::force(Storage::F32);
 
     let cora = load(DatasetName::Cora, Scale::Bench, 7);
     assert!(density(&cora) <= 1.0 / SPARSE_INPUT_DENSITY_DIVISOR as f64);
