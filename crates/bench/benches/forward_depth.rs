@@ -14,7 +14,7 @@ fn main() {
     let g = load(DatasetName::Cora, Scale::Bench, 7);
     let full_adj = g.gcn_adjacency();
     let degrees = g.degrees();
-    let mut bench = Bencher::from_env();
+    let bench = Bencher::default();
     for &depth in &[4usize, 16, 64] {
         for (label, strategy) in [
             ("vanilla", Strategy::None),

@@ -5,7 +5,7 @@ use skipnode_bench::timing::Bencher;
 use skipnode_tensor::SplitRng;
 
 fn main() {
-    let mut bench = Bencher::from_env();
+    let bench = Bencher::default();
     for &(n, k, m) in &[
         (2708usize, 1433usize, 64usize),
         (2708, 64, 64),

@@ -8,7 +8,7 @@ use skipnode_graph::{load, DatasetName, Scale};
 use skipnode_tensor::SplitRng;
 
 fn main() {
-    let mut bench = Bencher::from_env();
+    let bench = Bencher::default();
     for name in [DatasetName::Cora, DatasetName::OgbnArxiv] {
         let g = load(name, Scale::Bench, 7);
         let degrees = g.degrees();

@@ -6,7 +6,7 @@ use skipnode_graph::{load, DatasetName, Scale};
 use skipnode_tensor::SplitRng;
 
 fn main() {
-    let mut bench = Bencher::from_env();
+    let bench = Bencher::default();
     for name in [
         DatasetName::Cora,
         DatasetName::Chameleon,

@@ -61,7 +61,7 @@ fn main() {
             Strategy::SkipNode(SkipNodeConfig::new(0.5, Sampling::Biased)),
         ),
     ];
-    let mut bench = Bencher::from_env();
+    let bench = Bencher::default();
     for (label, strategy) in strategies {
         let mut model = Gcn::new(g.feature_dim(), 64, g.num_classes(), 5, 0.5, &mut rng);
         let mut opt = Adam::new(model.store(), AdamConfig::default());

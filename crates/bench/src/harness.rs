@@ -1,70 +1,12 @@
-//! Experiment plumbing: CLI args, factories, the split-averaged runner,
-//! and the shared [`BenchSession`] harness for `bench_prN` binaries.
+//! Experiment plumbing: CLI args, factories, and the split-averaged runner
+//! shared by the table, figure, and ablation binaries.
 
 use crate::executor::Executor;
-use crate::timing::Bencher;
 use skipnode_core::{Sampling, SkipNodeConfig};
 use skipnode_graph::{full_supervised_split, semi_supervised_split, Graph, Scale, Split};
 use skipnode_nn::models::{BuildError, Model};
 use skipnode_nn::{train_node_classifier, Strategy, TrainConfig};
-use skipnode_tensor::{kstats, pool, SplitRng};
-
-/// The boilerplate every `bench_prN` binary used to open and close by
-/// hand, in one place: the [`kstats::ExitReport`] guard (kernel-counter
-/// table at process exit), forced kernel-counter collection, the
-/// [`Bencher`] timer, the `SKIPNODE_BENCH_FAST=1` smoke flag, and the
-/// metadata record that [`BenchSession::finish`] completes with
-/// [`crate::perf_metadata`] before writing the JSON results file.
-///
-/// ```no_run
-/// use skipnode_bench::BenchSession;
-/// let mut session = BenchSession::start("9");
-/// session.meta.push(("graph", "packed batch".to_string()));
-/// session.bench.run("epoch", "packed", || { /* timed body */ });
-/// session.finish("results/BENCH_PR9.json");
-/// ```
-pub struct BenchSession {
-    /// Prints the kernel-counter table to stderr when the binary exits.
-    _kstats: kstats::ExitReport,
-    /// Wall-clock timer (budgets from `SKIPNODE_BENCH_*` env vars).
-    pub bench: Bencher,
-    /// `SKIPNODE_BENCH_FAST=1`: binaries shrink sizes and skip wall-clock
-    /// assertions (CI machines are noisy) but keep every identity and
-    /// accuracy gate.
-    pub fast: bool,
-    /// Metadata rows for the JSON record; pre-seeded with the PR number
-    /// and thread count, finished with [`crate::perf_metadata`].
-    pub meta: Vec<(&'static str, String)>,
-}
-
-impl BenchSession {
-    /// Open a session for PR `pr`: install the kstats exit report, force
-    /// kernel counters on (so conversion/kernel metadata in the JSON is
-    /// non-zero regardless of the environment), read the fast flag, and
-    /// seed the metadata record.
-    pub fn start(pr: &str) -> Self {
-        let _kstats = kstats::exit_report();
-        kstats::set_enabled(true);
-        let fast = std::env::var("SKIPNODE_BENCH_FAST").is_ok_and(|v| v == "1");
-        let meta = vec![
-            ("pr", pr.to_string()),
-            ("threads", pool::num_threads().to_string()),
-        ];
-        Self {
-            _kstats,
-            bench: Bencher::from_env(),
-            fast,
-            meta,
-        }
-    }
-
-    /// Append [`crate::perf_metadata`] (SIMD ISA, workspace and kernel
-    /// counters) to the record and write it alongside the timing samples.
-    pub fn finish(mut self, path: &str) {
-        self.meta.extend(crate::perf_metadata());
-        self.bench.write_json(path, &self.meta);
-    }
-}
+use skipnode_tensor::SplitRng;
 
 /// Common CLI arguments for experiment binaries.
 ///

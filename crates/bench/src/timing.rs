@@ -2,11 +2,8 @@
 //!
 //! Replaces the external benchmark framework with a dependency-free
 //! warmup-then-measure loop: each benchmark runs until a wall-clock budget
-//! is spent, and we report mean/min/median nanoseconds per iteration. The
-//! collected samples can be printed as an aligned table or serialized to a
-//! small hand-rolled JSON file (no serde in the container).
+//! is spent, and we report mean/min/median nanoseconds per iteration.
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 /// One benchmark's timing summary.
@@ -58,7 +55,6 @@ pub struct Bencher {
     warmup: Duration,
     budget: Duration,
     max_iters: u64,
-    results: Vec<Sample>,
 }
 
 impl Default for Bencher {
@@ -74,21 +70,12 @@ impl Bencher {
             warmup,
             budget,
             max_iters: 10_000,
-            results: Vec::new(),
         }
     }
 
-    /// Honor `SKIPNODE_BENCH_FAST=1` for smoke runs (CI, tests).
-    pub fn from_env() -> Self {
-        if std::env::var("SKIPNODE_BENCH_FAST").is_ok_and(|v| v == "1") {
-            Self::new(Duration::from_millis(10), Duration::from_millis(50))
-        } else {
-            Self::default()
-        }
-    }
-
-    /// Run one benchmark case; the routine's result is black-boxed.
-    pub fn run<T, F: FnMut() -> T>(&mut self, group: &str, name: &str, mut f: F) -> &Sample {
+    /// Run one benchmark case and print its summary; the routine's result
+    /// is black-boxed.
+    pub fn run<T, F: FnMut() -> T>(&self, group: &str, name: &str, mut f: F) -> Sample {
         // Warmup until the budget is spent (at least once).
         let start = Instant::now();
         loop {
@@ -119,219 +106,8 @@ impl Bencher {
             median_ns: median,
         };
         println!("{}", sample.pretty());
-        self.results.push(sample);
-        self.results.last().unwrap()
+        sample
     }
-
-    /// All samples collected so far.
-    pub fn results(&self) -> &[Sample] {
-        &self.results
-    }
-
-    /// Serialize every collected sample to a JSON file, with free-form
-    /// metadata key/value pairs recorded alongside.
-    ///
-    /// # Panics
-    /// Panics if the parent directory cannot be created or the file cannot
-    /// be written (benchmarks want loud failures).
-    pub fn write_json(&self, path: &str, metadata: &[(&str, String)]) {
-        let json = render_json(&self.results, metadata);
-        if let Some(parent) = std::path::Path::new(path).parent() {
-            std::fs::create_dir_all(parent).expect("create results dir");
-        }
-        std::fs::write(path, json).expect("write bench json");
-        println!("wrote {path}");
-    }
-}
-
-/// Fixed-bucket log-scale latency histogram for open-loop serving
-/// benchmarks: O(1) record, tail quantiles without storing every sample.
-///
-/// Buckets are geometric with ratio 2^(1/4) (four per octave) spanning
-/// 64 ns to ~69 s, so any quantile is resolved within ~19% relative
-/// error — plenty for p50/p95/p99 reporting — while the whole histogram
-/// is one small fixed array regardless of request count.
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    counts: Vec<u64>,
-    total: u64,
-    sum_ns: f64,
-    min_ns: f64,
-    max_ns: f64,
-}
-
-/// log2 of the first bucket boundary (64 ns).
-const HIST_LOG2_MIN: f64 = 6.0;
-/// Sub-buckets per octave.
-const HIST_PER_OCTAVE: f64 = 4.0;
-/// Octaves covered (64 ns · 2^30 ≈ 69 s).
-const HIST_OCTAVES: usize = 30;
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        Self {
-            counts: vec![0; HIST_OCTAVES * HIST_PER_OCTAVE as usize],
-            total: 0,
-            sum_ns: 0.0,
-            min_ns: f64::INFINITY,
-            max_ns: 0.0,
-        }
-    }
-
-    fn bucket(ns: f64) -> usize {
-        if ns <= 0.0 {
-            return 0;
-        }
-        let idx = ((ns.log2() - HIST_LOG2_MIN) * HIST_PER_OCTAVE).floor();
-        (idx.max(0.0) as usize).min(HIST_OCTAVES * HIST_PER_OCTAVE as usize - 1)
-    }
-
-    /// Lower boundary of bucket `i` in nanoseconds.
-    fn bucket_lo(i: usize) -> f64 {
-        (HIST_LOG2_MIN + i as f64 / HIST_PER_OCTAVE).exp2()
-    }
-
-    /// Record one latency in nanoseconds.
-    pub fn record_ns(&mut self, ns: f64) {
-        self.counts[Self::bucket(ns)] += 1;
-        self.total += 1;
-        self.sum_ns += ns;
-        self.min_ns = self.min_ns.min(ns);
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Record one latency from a [`Duration`].
-    pub fn record(&mut self, d: Duration) {
-        self.record_ns(d.as_nanos() as f64);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean latency in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum_ns / self.total as f64
-        }
-    }
-
-    /// The `q`-quantile (`0 < q <= 1`) in nanoseconds, interpolated
-    /// within its bucket and clamped to the observed min/max. 0 when
-    /// empty.
-    pub fn quantile_ns(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.total as f64).ceil().max(1.0) as u64;
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if cum + c >= rank {
-                // Linear interpolation across the bucket span by rank.
-                let lo = Self::bucket_lo(i);
-                let hi = Self::bucket_lo(i + 1);
-                let within = (rank - cum) as f64 / c as f64;
-                let v = lo + (hi - lo) * within;
-                return v.clamp(self.min_ns, self.max_ns);
-            }
-            cum += c;
-        }
-        self.max_ns
-    }
-
-    /// Median latency.
-    pub fn p50_ns(&self) -> f64 {
-        self.quantile_ns(0.50)
-    }
-
-    /// 95th-percentile latency.
-    pub fn p95_ns(&self) -> f64 {
-        self.quantile_ns(0.95)
-    }
-
-    /// 99th-percentile latency.
-    pub fn p99_ns(&self) -> f64 {
-        self.quantile_ns(0.99)
-    }
-
-    /// `p50/p95/p99 (mean, n)` one-liner for logs and JSON metadata.
-    pub fn summary(&self) -> String {
-        format!(
-            "p50 {} / p95 {} / p99 {} (mean {}, n={})",
-            fmt_ns(self.p50_ns()),
-            fmt_ns(self.p95_ns()),
-            fmt_ns(self.p99_ns()),
-            fmt_ns(self.mean_ns()),
-            self.total,
-        )
-    }
-
-    /// Fold another histogram into this one (same fixed buckets).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum_ns += other.sum_ns;
-        self.min_ns = self.min_ns.min(other.min_ns);
-        self.max_ns = self.max_ns.max(other.max_ns);
-    }
-}
-
-/// Render samples + metadata as a pretty-printed JSON document.
-fn render_json(samples: &[Sample], metadata: &[(&str, String)]) -> String {
-    let mut out = String::from("{\n");
-    for (k, v) in metadata {
-        let _ = writeln!(out, "  {}: {},", quote(k), quote(v));
-    }
-    out.push_str("  \"benchmarks\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"group\": {}, \"name\": {}, \"iters\": {}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"median_ns\": {:.1}}}",
-            quote(&s.group),
-            quote(&s.name),
-            s.iters,
-            s.mean_ns,
-            s.min_ns,
-            s.median_ns,
-        );
-        out.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// JSON string escaping for keys/values (quotes, backslashes, control chars).
-fn quote(s: &str) -> String {
-    let mut q = String::with_capacity(s.len() + 2);
-    q.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => q.push_str("\\\""),
-            '\\' => q.push_str("\\\\"),
-            '\n' => q.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(q, "\\u{:04x}", c as u32);
-            }
-            c => q.push(c),
-        }
-    }
-    q.push('"');
-    q
 }
 
 #[cfg(test)]
@@ -339,65 +115,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_collects_samples_and_renders_json() {
-        let mut b = Bencher::new(Duration::from_millis(1), Duration::from_millis(5));
+    fn bench_measures_a_sample() {
+        let b = Bencher::new(Duration::from_millis(1), Duration::from_millis(5));
         let mut x = 0u64;
-        b.run("smoke", "incr", || {
+        let s = b.run("smoke", "incr", || {
             x = x.wrapping_add(1);
             x
         });
-        assert_eq!(b.results().len(), 1);
-        let s = &b.results()[0];
         assert!(s.iters > 0);
         assert!(s.mean_ns >= 0.0 && s.min_ns <= s.mean_ns);
-        let json = render_json(b.results(), &[("threads", "4".to_string())]);
-        assert!(json.contains("\"threads\": \"4\""));
-        assert!(json.contains("\"group\": \"smoke\""));
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn latency_histogram_quantiles_bracket_uniform_samples() {
-        let mut h = LatencyHistogram::new();
-        // 1..=1000 µs uniformly: p50 ≈ 500 µs, p99 ≈ 990 µs.
-        for us in 1..=1000u64 {
-            h.record_ns(us as f64 * 1e3);
-        }
-        assert_eq!(h.count(), 1000);
-        let (p50, p95, p99) = (h.p50_ns(), h.p95_ns(), h.p99_ns());
-        assert!(p50 <= p95 && p95 <= p99, "quantiles must be monotone");
-        // Bucket resolution is ~19%, allow 25% slack.
-        assert!((p50 - 500e3).abs() < 0.25 * 500e3, "p50 = {p50}");
-        assert!((p99 - 990e3).abs() < 0.25 * 990e3, "p99 = {p99}");
-        assert!((h.mean_ns() - 500.5e3).abs() < 1.0);
-        assert!(h.summary().contains("n=1000"));
-    }
-
-    #[test]
-    fn latency_histogram_edge_cases_and_merge() {
-        let empty = LatencyHistogram::new();
-        assert_eq!(empty.p99_ns(), 0.0);
-        assert_eq!(empty.mean_ns(), 0.0);
-
-        let mut a = LatencyHistogram::new();
-        a.record(Duration::from_micros(10));
-        // Quantiles of a single sample clamp to that sample.
-        assert_eq!(a.p50_ns(), 10e3);
-        assert_eq!(a.p99_ns(), 10e3);
-
-        // Out-of-range values land in the boundary buckets, not panic.
-        a.record_ns(0.0);
-        a.record_ns(1e15);
-        assert_eq!(a.count(), 3);
-
-        let mut b = LatencyHistogram::new();
-        b.record(Duration::from_micros(20));
-        b.merge(&a);
-        assert_eq!(b.count(), 4);
+        assert_eq!(s.group, "smoke");
     }
 
     #[test]

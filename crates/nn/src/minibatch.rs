@@ -33,7 +33,7 @@ use crate::schedule::clip_global_norm;
 use crate::trainer::{build_seeds, evaluate, TrainConfig, TrainEngine, TrainResult};
 use skipnode_autograd::{Tape, TrainProgram};
 use skipnode_graph::{Graph, LargeGraph, ShardSet, Split, SubgraphShard};
-use skipnode_tensor::{kstats, workspace, Matrix, SplitRng};
+use skipnode_tensor::{workspace, Matrix, SplitRng};
 
 /// How training nodes are batched per epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -230,10 +230,8 @@ fn train_over_shards(
             if sh.local_split.train.is_empty() {
                 continue;
             }
-            kstats::set_shard(Some(s as u32));
             let (loss, head_norm, mut param_grads) =
                 shard_step(model, sh, programs[s].as_mut(), strategy, cfg, rng);
-            kstats::set_shard(None);
             epoch_loss += loss * sh.local_split.train.len() as f64 / train_total as f64;
             grad_norm_sq += head_norm * head_norm;
             if let Some(max_norm) = cfg.clip_norm {

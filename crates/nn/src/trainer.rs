@@ -174,7 +174,7 @@ pub fn evaluate_packed(
 /// quantized per column (symmetric, i8) and dense products run through the
 /// integer GEMM with i32 accumulation. Tolerance-class — logits track the
 /// f32 path but are not bitwise equal; argmax agreement is what the
-/// accuracy gate in `bench_pr8` checks.
+/// accuracy gate in `tests/precision_gates.rs` checks.
 pub fn evaluate_quantized(
     model: &dyn Model,
     graph: &Graph,

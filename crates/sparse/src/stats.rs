@@ -3,9 +3,9 @@
 //! SkipNode's fused layer op claims to *skip* work for masked rows; these
 //! counters make that claim testable. Every SpMM-family kernel records how
 //! many output rows it actually computed (one relaxed atomic add per chunk,
-//! not per row, so the hot path is unaffected). Tests and the `bench_pr2`
-//! binary read the counter before/after a forward pass to assert that row
-//! work scales with the non-skipped fraction.
+//! not per row, so the hot path is unaffected). Tests read the counter
+//! before/after a forward pass to assert that row work scales with the
+//! non-skipped fraction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

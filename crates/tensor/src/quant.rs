@@ -33,7 +33,8 @@
 //! the same scalar expression. The whole kernel is therefore bitwise
 //! reproducible across ISAs and thread counts. Quantization error against
 //! the f32 reference is bounded by the per-row/per-column scales; the
-//! accuracy gate lives in `bench_pr8` and the integration tests, not here.
+//! accuracy gate lives in the integration tests (`tests/precision_gates.rs`),
+//! not here.
 //!
 //! Inputs are assumed finite (trained checkpoints).
 
@@ -824,7 +825,7 @@ mod tests {
     #[ignore]
     fn probe_qgemm_throughput() {
         let mut rng = SplitRng::new(3);
-        // The bench_pr8 checkpoint layer mix: Cora depth-4 GCN at m=2708.
+        // The layer mix of a Cora depth-4 GCN checkpoint at m=2708.
         let shapes = [
             (2708usize, 1433usize, 64usize),
             (2708, 64, 64),

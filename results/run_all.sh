@@ -1,7 +1,9 @@
 #!/bin/bash
-# Regenerates every committed file in results/ (single-core budgets,
-# ~75 min total). Scale --epochs / --splits / --depths up on real machines;
-# each binary documents its full-fidelity settings.
+# Regenerates the paper's tables and figures in results/ (single-core
+# budgets). Scale --epochs / --splits / --depths up on real machines; each
+# binary documents its full-fidelity settings. The BENCH_PR*.json files are
+# historical performance records and are not regenerated; the perf/
+# benchmark measures performance now.
 set -x
 cd "$(dirname "$0")/.."
 B="cargo run -p skipnode-bench --release --bin"
@@ -20,10 +22,4 @@ $B table3 -- --splits 3 --epochs 80 --depth 2 --backbones gcn --datasets cornell
 $B ablation_eval_mode -- --epochs 100 --splits 1 > results/ablation_eval_mode.txt 2>&1
 $B ablation_sampling -- --epochs 100 --splits 1 --depths 12 > results/ablation_sampling.txt 2>&1
 $B ablation_centrality -- --epochs 80 --depth 10 > results/ablation_centrality.txt 2>&1
-# Performance-record benches (one per perf PR; each writes results/BENCH_PRn.json).
-# SKIPNODE_KERNEL_STATS=1 makes the conversion-kernel counters in the JSON
-# metadata non-zero; drop it for minimum-overhead timing runs.
-for n in 1 2 3 4 5 6 7 8 9 10; do
-  SKIPNODE_KERNEL_STATS=1 $B "bench_pr$n" > "results/bench_pr$n.txt" 2>&1
-done
 echo ALL_DONE
