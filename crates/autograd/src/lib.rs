@@ -33,6 +33,7 @@ mod attention;
 mod gradcheck;
 mod infer;
 mod loss;
+pub mod op_timers;
 mod ops;
 pub mod subset;
 mod tape;

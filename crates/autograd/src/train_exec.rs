@@ -27,13 +27,15 @@
 //!   its gradient slots across epochs.
 //!
 //! Replay runs the same forward interpreter (`Tape::eval_node`) and the
-//! same backward step (`Tape::backward_step`) as an eagerly recorded tape;
+//! same backward step (`Tape::backward_step`) as an eagerly recorded tape,
+//! timing each call per op kind when [`crate::op_timers`] collect;
 //! only scheduling and buffer lifetimes differ. Every op compiles, so the
 //! eager tape stays as the reference the equivalence tests compare against:
 //! replayed losses, values, and parameter gradients are bit-identical to
 //! it.
 
 use crate::infer::{op_inputs, NO_USE};
+use crate::op_timers::{self, Phase};
 use crate::tape::{accum, backward_value_reads, NodeId, Op, Tape, Value};
 use skipnode_sparse::{CsrMatrix, COL_SKIP};
 use skipnode_tensor::{workspace, Matrix, SplitRng};
@@ -407,8 +409,13 @@ impl TrainProgram {
             if !self.needed[idx] || matches!(self.tape.nodes[idx].op, Op::Leaf) {
                 continue;
             }
+            let (kind, t) = (
+                op_timers::kind(&self.tape.nodes[idx].op),
+                op_timers::start(),
+            );
             self.tape
                 .eval_node(idx, &self.last_value_use, &self.pinned, true);
+            op_timers::stop(t, Phase::Forward, kind);
             for &v in &self.free_after_fwd[idx] {
                 self.tape.release(v as usize);
             }
@@ -429,14 +436,25 @@ impl TrainProgram {
                 if !self.needed[idx] || matches!(self.tape.nodes[idx].op, Op::Leaf) {
                     continue;
                 }
-                match &self.ck {
-                    Some(c) => self.tape.eval_node(idx, &c.last_use, &self.pinned, true),
-                    None => unreachable!(),
-                }
+                self.eval_ck(idx);
                 self.release_ck_fwd_frees(idx);
             }
             self.drop_segment_interior(s);
         }
+    }
+
+    /// Evaluate node `idx` under the checkpointed liveness, timed as
+    /// forward work.
+    fn eval_ck(&mut self, idx: usize) {
+        let (kind, t) = (
+            op_timers::kind(&self.tape.nodes[idx].op),
+            op_timers::start(),
+        );
+        match &self.ck {
+            Some(c) => self.tape.eval_node(idx, &c.last_use, &self.pinned, true),
+            None => unreachable!(),
+        }
+        op_timers::stop(t, Phase::Forward, kind);
     }
 
     /// Apply the intra-segment forward free list of node `idx`.
@@ -545,7 +563,12 @@ impl TrainProgram {
                 None => (&self.last_value_use, &self.free_after_bwd),
             };
             let steal = !self.pinned[idx] && last_use[idx] == 2 * self.tape.len() - 1 - idx;
+            let (kind, t) = (
+                op_timers::kind(&self.tape.nodes[idx].op),
+                op_timers::start(),
+            );
             self.tape.backward_step(idx, g, grads, steal);
+            op_timers::stop(t, Phase::Backward, kind);
             for &v in &free_after_bwd[idx] {
                 self.tape.release(v as usize);
             }
@@ -582,10 +605,7 @@ impl TrainProgram {
                     {
                         continue;
                     }
-                    match &self.ck {
-                        Some(c) => self.tape.eval_node(idx, &c.last_use, &self.pinned, true),
-                        None => unreachable!(),
-                    }
+                    self.eval_ck(idx);
                     self.release_ck_fwd_frees(idx);
                 }
                 self.backward_span(lo, hi.min(max_id + 1) - 1, grads, param_grads);
