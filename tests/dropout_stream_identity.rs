@@ -5,7 +5,10 @@
 //! to how masks are drawn, stored or applied that moves one draw or one
 //! rounding fails here. GCN depth 8 with dropout 0.5 and SkipNode-U
 //! ρ = 0.5 exercises `Op::Mask` and the skip sampler; GRAND exercises
-//! `Op::RowMask` through its row dropout.
+//! `Op::RowMask` through its row dropout. ResGCN, JKNet, InceptGCN and
+//! GCNII at depth 6 under the same strategy pin the fused layer's gradient
+//! into its carry where other routes also land: the post-ReLU residual,
+//! the aggregation head and the initial residual.
 //!
 //! Both training engines must reproduce the literals: the eager engine
 //! draws its masks while recording, the compiled one in `begin_epoch`.
@@ -103,7 +106,7 @@ fn dropout_masks_reproduce_the_recorded_training_runs() {
     let _isa = isa_lock();
     simd::force(Isa::Scalar);
     let skipnode = Strategy::SkipNode(SkipNodeConfig::new(0.5, Sampling::Uniform));
-    let cases: [Case<'_>; 2] = [
+    let cases: [Case<'_>; 6] = [
         (
             "gcn",
             8,
@@ -118,6 +121,34 @@ fn dropout_masks_reproduce_the_recorded_training_runs() {
             [0x3fff5086bb395458, 0x3ffd0bc5fa3b526a, 0x3ffae804a123c54d],
             0x521e80f0e63b0481,
         ),
+        (
+            "resgcn",
+            6,
+            &skipnode,
+            [0x3fff95c0a82553f1, 0x3ffd06ccb99ac686, 0x3ffaa68f0c703b6c],
+            0x9fef6954b033cd10,
+        ),
+        (
+            "jknet",
+            6,
+            &skipnode,
+            [0x3fff22b13d9b60c5, 0x3ffdaf7952d229fc, 0x3ffbd73b0ddf6e10],
+            0x822280dc9004f884,
+        ),
+        (
+            "inceptgcn",
+            6,
+            &skipnode,
+            [0x3fff3da05c2b6a97, 0x3ffdb7ba49439026, 0x3ffc04ede85ccdb2],
+            0x6a35e9847d4682ce,
+        ),
+        (
+            "gcnii",
+            6,
+            &skipnode,
+            [0x3fff4df21a916b94, 0x3ffde81639eea90b, 0x3ffccbb3e3d40489],
+            0xc73822a1e12d6dbf,
+        ),
     ];
     assert_cases(&cases);
 }
@@ -130,7 +161,7 @@ fn avx2_training_runs_reproduce_the_recorded_bits() {
         return;
     }
     let skipnode = Strategy::SkipNode(SkipNodeConfig::new(0.5, Sampling::Uniform));
-    let cases: [Case<'_>; 2] = [
+    let cases: [Case<'_>; 6] = [
         (
             "gcn",
             8,
@@ -144,6 +175,34 @@ fn avx2_training_runs_reproduce_the_recorded_bits() {
             &Strategy::None,
             [0x3fff409ab62edf82, 0x3ffd37d2235f8825, 0x3ffb382edef8aa82],
             0xe1a393a5735ade41,
+        ),
+        (
+            "resgcn",
+            6,
+            &skipnode,
+            [0x3fff95c0a79dea4c, 0x3ffd06ccb9545522, 0x3ffaa68f0bc0eae9],
+            0x628d5e38009e1ed4,
+        ),
+        (
+            "jknet",
+            6,
+            &skipnode,
+            [0x3fff22b13db07149, 0x3ffdaf79527f4e61, 0x3ffbd73b0e4d7b78],
+            0xf4ff419948a65d6e,
+        ),
+        (
+            "inceptgcn",
+            6,
+            &skipnode,
+            [0x3fff3da05be9c4b8, 0x3ffdb7ba486e9b95, 0x3ffc04ede9dadfc0],
+            0xc32cb70c07d1fd5c,
+        ),
+        (
+            "gcnii",
+            6,
+            &skipnode,
+            [0x3fff4df21a76c913, 0x3ffde81639dafe75, 0x3ffccbb3e36edebe],
+            0xc33828c173ebdfd5,
         ),
     ];
     assert_cases(&cases);
