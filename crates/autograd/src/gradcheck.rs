@@ -325,8 +325,9 @@ mod tests {
                     init_residual: init_alpha.map(|alpha| (node(4), alpha)),
                     identity_map: beta,
                     residual: res.then(|| node(5)),
+                    dropout: 0.0,
                 };
-                t.skip_conv_step(a, step, &mask)
+                t.skip_conv_step(a, step, &mut SplitRng::new(0), |_| mask.to_vec())
             });
             let variant = (bias, init_alpha, beta, res);
             assert!(dev < 3e-2, "{variant:?} operand {role}: dev {dev}");

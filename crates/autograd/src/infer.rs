@@ -16,7 +16,8 @@
 //!    depth-64 stack therefore runs in an O(1)-sized working set instead of
 //!    retaining ~2 buffers per layer for a backward pass that never comes.
 //! 2. **In-place reuse.** Elementwise ops (ReLU, scale, bias, masks,
-//!    row-combine, Hadamard, max-pool) steal a dying operand's buffer and
+//!    row-combine, Hadamard, max-pool) and the fused SkipNode layer (its
+//!    carry's rows) steal a dying operand's buffer and
 //!    mutate it in place rather than copy-then-free. Without stealing they
 //!    copy first and run the same in-place arithmetic, so every mode
 //!    produces bit-identical values.
@@ -26,7 +27,7 @@
 
 use crate::attention::gat_forward;
 use crate::tape::{apply_dropout, apply_row_dropout, NodeId, Op, Tape, Value};
-use skipnode_sparse::{CsrMatrix, COL_SKIP};
+use skipnode_sparse::CsrMatrix;
 use skipnode_tensor::quant::{qgemm, QuantizedMatrix};
 use skipnode_tensor::segment::segment_reduce_into;
 use skipnode_tensor::{kstats, workspace, Matrix};
@@ -103,35 +104,27 @@ pub(crate) fn op_inputs(op: &Op, f: &mut dyn FnMut(usize)) {
 /// [`crate::FusedStep`] with matrices in place of tape nodes.
 struct SkipConvArgs<'a> {
     mat: &'a CsrMatrix,
+    /// The propagation input, already masked by the folded dropout on the
+    /// rows the gather reads.
     xv: &'a Matrix,
     wv: &'a Matrix,
     bv: Option<&'a Matrix>,
-    sv: &'a Matrix,
     init: Option<(&'a Matrix, f32)>,
     beta: Option<f32>,
-    resv: Option<&'a Matrix>,
 }
 
-/// Compute the generalized fused SkipNode layer value:
-/// `row_combine(relu(support·W̃ [+ b]) [+ res], skip, mask)` with the
-/// SpMM/GEMM restricted to the active (non-skipped) rows.
+/// Compute the generalized fused SkipNode layer on its active rows:
+/// `relu(support·W̃ [+ b])` with the SpMM/GEMM restricted to `active`.
 ///
-/// Returns `(value, gemm_left, relu_active)`:
-/// - `gemm_left` is the compact GEMM left operand (`(Ã x)`, or the
-///   initial-residual support), kept for the backward `dW` product;
-/// - `relu_active` holds the pre-residual ReLU activations on active rows
-///   when a post-activation residual is fused (the residual add hides the
-///   ReLU mask from the output); `0×0` otherwise.
+/// Returns `(relu_active, gemm_left)`, both compact (`|active|` rows):
+/// the ReLU output, which the caller scatters into the layer's output and
+/// keeps as the backward's ReLU mask, and the GEMM left operand (`(Ã x)`,
+/// or the initial-residual support), kept for the backward `dW` product.
 ///
 /// Every arithmetic step replays the unfused op chain's elementwise order
-/// (`lin_comb` accumulation, bias-then-ReLU, post-ReLU residual add), so
-/// the fused value is bit-identical to the unfused chain.
-fn skip_conv_compute(
-    args: &SkipConvArgs<'_>,
-    active: &[u32],
-    col_map: &[u32],
-) -> (Matrix, Matrix, Matrix) {
-    let n = col_map.len();
+/// (`lin_comb` accumulation, bias-then-ReLU), so the fused value is
+/// bit-identical to the unfused chain.
+fn skip_conv_compute(args: &SkipConvArgs<'_>, active: &[u32]) -> (Matrix, Matrix) {
     let d_out = args.wv.cols();
     // Compact gather: P = (Ã x) on active rows only.
     let mut p = workspace::take_scratch(active.len(), args.xv.cols());
@@ -183,29 +176,20 @@ fn skip_conv_compute(
             }
         }
     }
-    // Scatter: skipped rows copy the skip branch verbatim; active rows add
-    // the post-activation residual when present.
-    let mut value = workspace::take_scratch(n, d_out);
-    for (r, &m) in col_map.iter().enumerate() {
-        let dst = value.row_mut(r);
-        if m == COL_SKIP {
-            dst.copy_from_slice(args.sv.row(r));
-        } else {
-            dst.copy_from_slice(z.row(m as usize));
-            if let Some(res) = args.resv {
-                for (v, &rv) in dst.iter_mut().zip(res.row(r)) {
-                    *v += rv;
-                }
-            }
+    (z, s)
+}
+
+/// N(active): the columns `mat` stores in the rows `active`, ascending,
+/// written to `out`.
+fn neighborhood(mat: &CsrMatrix, active: &[u32], out: &mut Vec<u32>) {
+    let mut seen = vec![false; mat.cols()];
+    for &r in active {
+        for &c in mat.row(r as usize).0 {
+            seen[c as usize] = true;
         }
     }
-    let relu_active = if args.resv.is_some() {
-        z
-    } else {
-        workspace::give(z);
-        Matrix::zeros(0, 0)
-    };
-    (value, s, relu_active)
+    out.clear();
+    out.extend((0..mat.cols() as u32).filter(|&c| seen[c as usize]));
 }
 
 impl Tape {
@@ -376,29 +360,75 @@ impl Tape {
                 init_residual,
                 identity_map,
                 residual,
+                dropped,
+                rate,
                 cache,
             } => {
+                let mat = &self.adjs[*adj].mat;
+                if retain || !dropped.is_empty() {
+                    neighborhood(mat, &cache.active, &mut cache.nbr);
+                }
+                // The folded dropout, applied only on N(active): the gather
+                // reads no other row of its input. The flags of those rows
+                // are kept in N(active) order for the backward.
+                cache.nbr_dropped.clear();
+                let masked = (!dropped.is_empty()).then(|| {
+                    let xv = self.val(x.0);
+                    let d = xv.cols();
+                    let mut m = workspace::take_scratch(xv.rows(), d);
+                    for &c in &cache.nbr {
+                        let c = c as usize;
+                        let flags = &dropped[c * d..(c + 1) * d];
+                        let row = m.row_mut(c);
+                        row.copy_from_slice(xv.row(c));
+                        apply_dropout(row, flags, *rate);
+                        cache.nbr_dropped.extend_from_slice(flags);
+                    }
+                    m
+                });
                 let args = SkipConvArgs {
-                    mat: &self.adjs[*adj].mat,
-                    xv: self.val(x.0),
+                    mat,
+                    xv: masked.as_ref().unwrap_or_else(|| self.val(x.0)),
                     wv: self.val(w.0),
                     bv: b.map(|b| self.val(b.0)),
-                    sv: self.val(skip.0),
                     init: init_residual.map(|(h0, a)| (self.val(h0.0), a)),
                     beta: *identity_map,
-                    resv: residual.map(|r| self.val(r.0)),
                 };
-                let (value, p_active, relu_active) =
-                    skip_conv_compute(&args, &cache.active, &cache.col_map);
+                let (z, p_active) = skip_conv_compute(&args, &cache.active);
+                if let Some(m) = masked {
+                    workspace::give(m);
+                }
+                // Skipped rows keep the skip branch's row: start from its
+                // buffer when this op is its last reader, and overwrite the
+                // active rows with the conv branch (plus the residual).
+                let mut value = self.reuse_or_copy(skip.0, idx, last_use, pinned, &[]);
+                for (local, &r) in cache.active.iter().enumerate() {
+                    let r = r as usize;
+                    let dst = value.row_mut(r);
+                    match residual {
+                        Some(res) if *res == *skip => {
+                            for (v, &zv) in dst.iter_mut().zip(z.row(local)) {
+                                *v += zv;
+                            }
+                        }
+                        Some(res) => {
+                            let rows = z.row(local).iter().zip(self.val(res.0).row(r));
+                            for (v, (&zv, &rv)) in dst.iter_mut().zip(rows) {
+                                *v = zv + rv;
+                            }
+                        }
+                        None => dst.copy_from_slice(z.row(local)),
+                    }
+                }
                 if retain {
                     // Keep the backward caches; recycle the previous
                     // evaluation's buffers (`give` ignores the 0×0 case).
                     workspace::give(std::mem::replace(&mut cache.p_active, p_active));
-                    workspace::give(std::mem::replace(&mut cache.relu_active, relu_active));
+                    workspace::give(std::mem::replace(&mut cache.relu_active, z));
                 } else {
                     // Backward-only caches; recycle them immediately.
                     workspace::give(p_active);
-                    workspace::give(relu_active);
+                    workspace::give(z);
                 }
                 value
             }

@@ -40,6 +40,10 @@ pub struct FusedStep {
     /// ResGCN-style residual added *after* the ReLU on active rows. Must be
     /// `n × d_out`.
     pub residual: Option<NodeId>,
+    /// Inverted dropout rate applied to `x` inside the op (`0` for none):
+    /// the layer reads `dropout(x)` without a standalone [`Tape::dropout`]
+    /// node, which a plan folds in when `x` is the layer's carry.
+    pub dropout: f64,
 }
 
 impl Tape {
@@ -218,8 +222,8 @@ impl Tape {
 
     /// Fused SkipNode layer (Eq. 4 applied to a whole GCN layer):
     /// `row_combine(relu(Ã·x·W + b), skip, take_skip)` as one masked
-    /// kernel. Convenience wrapper over [`Tape::skip_conv_step`] for the
-    /// plain bias-only step.
+    /// kernel. Convenience form of [`Tape::skip_conv_step`] for the plain
+    /// bias-only step with no dropout and a given skip mask.
     pub fn skip_conv(
         &mut self,
         adj: AdjId,
@@ -229,38 +233,71 @@ impl Tape {
         b: NodeId,
         take_skip: &[bool],
     ) -> NodeId {
-        self.skip_conv_step(
-            adj,
-            FusedStep {
-                x,
-                skip,
-                w,
-                b: Some(b),
-                init_residual: None,
-                identity_map: None,
-                residual: None,
-            },
-            take_skip,
-        )
+        let step = FusedStep {
+            x,
+            skip,
+            w,
+            b: Some(b),
+            init_residual: None,
+            identity_map: None,
+            residual: None,
+            dropout: 0.0,
+        };
+        self.record_skip_conv(adj, step, Vec::new(), take_skip)
     }
 
     /// Generalized fused SkipNode layer: one masked kernel computing
     /// `row_combine(relu(support·W̃ [+ b]) [+ residual], skip, take_skip)`
-    /// where `support` optionally mixes in a GCNII initial residual and
-    /// `W̃` optionally applies the identity map (see [`FusedStep`]).
+    /// where `support = Ã·dropout(x)`, optionally mixed with a GCNII
+    /// initial residual, and `W̃` optionally applies the identity map (see
+    /// [`FusedStep`]).
     ///
-    /// Unlike the unfused `spmm → [lin_comb] → matmul → [lin_comb] →
-    /// [add_bias] → relu → [add] → row_combine` chain, rows with
-    /// `take_skip[i]` never enter the SpMM or the GEMM — the sparse
+    /// Unlike the unfused `[mask →] spmm → [lin_comb] → matmul →
+    /// [lin_comb] → [add_bias] → relu → [add] → row_combine` chain, rows
+    /// with `take_skip[i]` never enter the SpMM or the GEMM — the sparse
     /// gather, dense product, bias, and ReLU all run on the compacted
-    /// active-row set only, so per-layer work scales with the non-skipped
-    /// fraction. Skipped rows copy `skip`'s row; their backward is the
-    /// identity route, exactly as in [`Tape::row_combine`]. The value is
-    /// bit-identical to the unfused chain in the same operand order.
+    /// active-row set only, and the dropout is applied only to the rows of
+    /// `x` that gather reads (the active set's neighborhood), so per-layer
+    /// work scales with the non-skipped fraction. Skipped rows copy `skip`'s
+    /// row; their backward is the identity route, exactly as in
+    /// [`Tape::row_combine`]. The value, every gradient and the RNG stream
+    /// are bit-identical to the unfused chain in the same operand order.
+    ///
+    /// Draws from `rng` what the chain would: `n · d_in` dropout flags
+    /// when `step.dropout > 0` (as [`Tape::dropout`] does), then the skip
+    /// mask through `take_skip`.
     ///
     /// Requires `skip` to already have the output width (`n × d_out`),
     /// which holds for SkipNode's middle hidden→hidden layers.
-    pub fn skip_conv_step(&mut self, adj: AdjId, step: FusedStep, take_skip: &[bool]) -> NodeId {
+    pub fn skip_conv_step(
+        &mut self,
+        adj: AdjId,
+        step: FusedStep,
+        rng: &mut SplitRng,
+        take_skip: impl FnOnce(&mut SplitRng) -> Vec<bool>,
+    ) -> NodeId {
+        assert!(
+            (0.0..1.0).contains(&step.dropout),
+            "dropout rate must be in [0,1)"
+        );
+        let mut dropped = Vec::new();
+        if step.dropout > 0.0 {
+            let (n, d_in) = self.shape(step.x);
+            dropped.resize(n * d_in, false);
+            rng.fill_bernoulli(step.dropout, &mut dropped);
+        }
+        let take_skip = take_skip(rng);
+        self.record_skip_conv(adj, step, dropped, &take_skip)
+    }
+
+    /// Check shapes and record an `Op::SkipConv` with drawn flags.
+    fn record_skip_conv(
+        &mut self,
+        adj: AdjId,
+        step: FusedStep,
+        dropped: Vec<bool>,
+        take_skip: &[bool],
+    ) -> NodeId {
         let FusedStep {
             x,
             skip,
@@ -269,6 +306,7 @@ impl Tape {
             init_residual,
             identity_map,
             residual,
+            dropout,
         } = step;
         let (n, d_in) = self.shape(x);
         let d_out = self.shape(w).1;
@@ -316,8 +354,8 @@ impl Tape {
                 active.push(r as u32);
             }
         }
-        // `p_active` / `relu_active` are backward-only caches that a
-        // retaining evaluation fills in; they start empty.
+        // The neighborhood and the compact caches are backward records
+        // that a retaining evaluation fills in; they start empty.
         self.record(
             n,
             d_out,
@@ -330,9 +368,13 @@ impl Tape {
                 init_residual,
                 identity_map,
                 residual,
+                dropped,
+                rate: dropout,
                 cache: Box::new(SkipConvCache {
                     active,
                     col_map,
+                    nbr: Vec::new(),
+                    nbr_dropped: Vec::new(),
                     p_active: Matrix::zeros(0, 0),
                     relu_active: Matrix::zeros(0, 0),
                 }),

@@ -79,11 +79,11 @@ pub(crate) enum Op {
     },
     /// Fused SkipNode layer:
     /// `row_combine(relu(support·W̃ [+ b]) [+ residual], skip, mask)` as one
-    /// masked kernel, where `support` optionally mixes an initial residual
-    /// (`init_residual`) into the propagation and `W̃` optionally applies
-    /// GCNII's identity map (`identity_map`). Skipped rows copy `skip` and
-    /// never enter the SpMM/GEMM; their backward is the identity route. See
-    /// [`Tape::skip_conv_step`].
+    /// masked kernel, where `support = Ã·dropout(x)` optionally mixes an
+    /// initial residual (`init_residual`) into the propagation and `W̃`
+    /// optionally applies GCNII's identity map (`identity_map`). Skipped
+    /// rows copy `skip` and never enter the SpMM/GEMM; their backward is the
+    /// identity route. See [`Tape::skip_conv_step`].
     SkipConv {
         adj: usize,
         x: NodeId,
@@ -93,6 +93,10 @@ pub(crate) enum Op {
         init_residual: Option<(NodeId, f32)>,
         identity_map: Option<f32>,
         residual: Option<NodeId>,
+        /// The folded dropout of `x`: one flag per element of `x`, applied
+        /// like [`Op::Mask`]'s (empty when `rate == 0`).
+        dropped: Vec<bool>,
+        rate: f64,
         cache: Box<SkipConvCache>,
     },
     /// Sparse input layer: `[Ã·] dropout(X) · W` over the stored entries of
@@ -166,14 +170,19 @@ pub(crate) struct SkipConvCache {
     /// Inverse map: node → position in `active`, or
     /// [`skipnode_sparse::COL_SKIP`] for skipped rows.
     pub col_map: Vec<u32>,
+    /// N(active), ascending: the rows of `x` the active rows' gather reads,
+    /// which are also the only rows of `Ãᵀ·dS` that can be nonzero.
+    pub nbr: Vec<u32>,
+    /// The folded dropout's flags on the rows of `nbr`, in that order
+    /// (empty without a dropout): the backward reads them contiguously.
+    pub nbr_dropped: Vec<bool>,
     /// The GEMM left operand gathered on the active rows
     /// (`|active| × d_in`): `(Ã x)` — or the initial-residual mix
     /// `(1-α)(Ã x) + α h0` when one is fused — reused for `dW = Sᵀ·dZ`.
     pub p_active: Matrix,
-    /// Pre-residual ReLU output on the active rows (`|active| × d_out`).
-    /// Only kept when a post-activation residual is fused (the fused
-    /// output then includes the residual, so the ReLU mask can no longer
-    /// be read back from it); empty (`0×0`) otherwise.
+    /// Pre-residual ReLU output on the active rows (`|active| × d_out`):
+    /// the backward's ReLU mask, so the op never reads its own `n × d_out`
+    /// output back and the next layer may take that buffer over.
     pub relu_active: Matrix,
 }
 
@@ -270,9 +279,7 @@ impl Drop for Tape {
         for node in self.nodes.drain(..) {
             if let Op::SkipConv { cache, .. } = node.op {
                 workspace::give(cache.p_active);
-                if cache.relu_active.rows() > 0 {
-                    workspace::give(cache.relu_active);
-                }
+                workspace::give(cache.relu_active);
             }
             if let Value::Owned(m) = node.value {
                 workspace::give(m);
@@ -293,6 +300,10 @@ pub struct Tape {
     params: Vec<NodeId>,
     infer: bool,
     quantized: bool,
+    /// The fused layer backward's `Ãᵀ·dS` rows on N(active), reused by
+    /// every such step: its row count changes with each skip mask, and a
+    /// workspace buffer per count seen would stay parked on the free-list.
+    nbr_scratch: Vec<f32>,
 }
 
 impl Tape {
@@ -703,37 +714,20 @@ impl Tape {
                 init_residual,
                 identity_map,
                 residual,
+                dropped,
+                rate,
                 cache,
             } => {
                 let d_out = g.cols();
                 // dZ on the active rows only: gather g and apply the ReLU
-                // mask (skipped rows never flow through the conv branch).
-                // With a fused post-activation residual the output rows
-                // already include it, so the mask comes from the cached
-                // pre-residual activation instead of the fused output.
-                let out = residual.is_none().then(|| self.val(idx));
+                // mask kept from the forward (skipped rows never flow
+                // through the conv branch).
                 let mut gz = workspace::take_scratch(cache.active.len(), d_out);
                 for (local, &r) in cache.active.iter().enumerate() {
-                    let r = r as usize;
-                    let mask_row = match out {
-                        Some(o) => o.row(r),
-                        None => cache.relu_active.row(local),
-                    };
+                    let relu = cache.relu_active.row(local);
                     let dst = gz.row_mut(local);
-                    for ((dv, &gv), &ov) in dst.iter_mut().zip(g.row(r)).zip(mask_row) {
+                    for ((dv, &gv), &ov) in dst.iter_mut().zip(g.row(r as usize)).zip(relu) {
                         *dv = if ov > 0.0 { gv } else { 0.0 };
-                    }
-                }
-                if let Some(res) = residual {
-                    if self.rg(*res) {
-                        // Added after the ReLU: its gradient is the unmasked
-                        // upstream gradient on the active rows.
-                        let mut dres = workspace::take(g.rows(), d_out);
-                        for &r in &cache.active {
-                            let r = r as usize;
-                            dres.row_mut(r).copy_from_slice(g.row(r));
-                        }
-                        accum(grads, *res, dres);
                     }
                 }
                 if let Some(b) = b {
@@ -751,15 +745,22 @@ impl Tape {
                 if self.rg(*w) {
                     // dW = Sᵀ · dT over the active rows (cached compact
                     // support); with the identity map z = (1-β)s + β·s·W,
-                    // so dT = β·dZ.
-                    let mut dw = cache.p_active.t_matmul(&gz);
+                    // so dT = β·dZ. The register-tiled GEMM over an
+                    // explicit Sᵀ adds the nonzero products in `t_matmul`'s
+                    // order, so it gives its bits on finite values, at a
+                    // fraction of its cost on these short rows.
+                    let st = cache.p_active.transpose();
+                    let mut dw = st.matmul(&gz);
+                    workspace::give(st);
                     if let Some(beta) = identity_map {
                         dw.scale_in_place(*beta);
                     }
                     accum(grads, *w, dw);
                 }
-                let needs_ds = self.rg(*x) || init_residual.is_some_and(|(h0, _)| self.rg(h0));
-                if needs_ds {
+                let h0_grad = init_residual.filter(|&(h0, _)| self.rg(h0));
+                let mut init = None;
+                let mut ax = None;
+                if self.rg(*x) || h0_grad.is_some() {
                     // dS: gradient wrt the GEMM left operand.
                     let mut ds = gz.matmul_t(self.val(w.0));
                     if let Some(beta) = identity_map {
@@ -767,48 +768,68 @@ impl Tape {
                         ds.scale_in_place(*beta);
                         ds.add_scaled(&gz, 1.0 - *beta);
                     }
-                    if let Some((h0, alpha)) = init_residual {
-                        if self.rg(*h0) {
-                            // s = (1-α)p + α·h0 on the active rows.
-                            let n0 = self.nodes[h0.0].value.shape().0;
-                            let mut dh0 = workspace::take(n0, ds.cols());
-                            for (local, &r) in cache.active.iter().enumerate() {
-                                let dst = dh0.row_mut(r as usize);
-                                for (dv, &v) in dst.iter_mut().zip(ds.row(local)) {
-                                    *dv = *alpha * v;
-                                }
-                            }
-                            accum(grads, *h0, dh0);
+                    if let Some((_, alpha)) = h0_grad {
+                        // s = (1-α)p + α·h0 on the active rows.
+                        let mut dh0 = workspace::take_scratch(ds.rows(), ds.cols());
+                        for (dv, &v) in dh0.as_mut_slice().iter_mut().zip(ds.as_slice()) {
+                            *dv = alpha * v;
                         }
+                        init = Some(dh0);
                     }
                     if self.rg(*x) {
                         if let Some((_, alpha)) = init_residual {
                             ds.scale_in_place(1.0 - *alpha);
                         }
-                        // dX = Ãᵀ · scatter(dS): the scatter never
-                        // materializes — the masked column kernel skips
-                        // columns mapped to COL_SKIP, whose contribution is
-                        // exactly 0.
+                        // Ãᵀ · scatter(dS) on N(active) only: every other
+                        // row of it is exactly +0.0.
+                        let mut buf = std::mem::take(&mut self.nbr_scratch);
+                        buf.clear();
+                        buf.resize(cache.nbr.len() * ds.cols(), 0.0);
+                        let mut dxc = Matrix::from_vec(cache.nbr.len(), ds.cols(), buf);
                         let back = self.adjs[*adj].backward_mat();
-                        let mut dx = workspace::take_scratch(back.rows(), ds.cols());
-                        back.spmm_cols_compact(&ds, &cache.col_map, &mut dx);
-                        accum(grads, *x, dx);
+                        back.spmm_cols_compact(&ds, &cache.col_map, &cache.nbr, &mut dxc);
+                        ax = Some(dxc);
                     }
                     workspace::give(ds);
                 }
+                // The routes into input slots, in the order they were
+                // accumulated as separate deltas before the dropout fold:
+                // the residual, the initial residual, the propagation
+                // (unmasked), the skip branch, and last the masked
+                // propagation, which the standalone `Mask` passed on in its
+                // own step after this one.
+                let mut routes = Vec::with_capacity(4);
+                if let Some(res) = residual.filter(|&res| self.rg(res)) {
+                    routes.push((res, Route::Residual));
+                }
+                if let Some((h0, _)) = h0_grad {
+                    routes.push((h0, Route::InitResidual));
+                }
+                let masked = !dropped.is_empty();
+                if self.rg(*x) && !masked {
+                    routes.push((*x, Route::Propagation));
+                }
                 if self.rg(*skip) {
-                    // Identity route: skipped rows pass the gradient straight
-                    // through to the skip input.
-                    let mut dsk = workspace::take(g.rows(), d_out);
-                    for (r, &m) in cache.col_map.iter().enumerate() {
-                        if m == COL_SKIP {
-                            dsk.row_mut(r).copy_from_slice(g.row(r));
-                        }
-                    }
-                    accum(grads, *skip, dsk);
+                    routes.push((*skip, Route::Skip));
+                }
+                if self.rg(*x) && masked {
+                    routes.push((*x, Route::Propagation));
+                }
+                let src = RouteSources {
+                    col_map: &cache.col_map,
+                    nbr: &cache.nbr,
+                    init: init.as_ref(),
+                    ax: ax.as_ref(),
+                    dropped: masked.then_some((cache.nbr_dropped.as_slice(), *rate)),
+                };
+                route_grads(&routes, g, &src, grads, |id| self.nodes[id.0].value.shape());
+                if let Some(init) = init {
+                    workspace::give(init);
+                }
+                if let Some(ax) = ax {
+                    self.nbr_scratch = ax.into_vec();
                 }
                 workspace::give(gz);
-                workspace::give(g);
             }
             Op::SparseInput { w, support, .. } => {
                 if self.rg(*w) {
@@ -996,16 +1017,10 @@ pub(crate) fn backward_value_reads(tape: &Tape, idx: usize, f: &mut dyn FnMut(us
         }
         // The ReLU mask is read back from the node's own output.
         Op::Relu(_) => f(idx),
+        // The ReLU mask and the GEMM operand live on the op record.
         Op::SkipConv {
-            x,
-            w,
-            init_residual,
-            residual,
-            ..
+            x, w, init_residual, ..
         } => {
-            if residual.is_none() {
-                f(idx);
-            }
             if rg(*x) || init_residual.is_some_and(|(h0, _)| rg(h0)) {
                 f(w.0);
             }
@@ -1026,6 +1041,226 @@ pub(crate) fn backward_value_reads(tape: &Tape, idx: usize, f: &mut dyn FnMut(us
         // a gradient; α and the LeakyReLU slopes live on the op record.
         Op::GatAggregate { h, .. } => f(h.0),
     }
+}
+
+/// A gradient route out of the fused SkipNode layer into one input's slot.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// The post-ReLU residual: `g` on active rows, `+0.0` elsewhere.
+    Residual,
+    /// The initial residual: `α·dS` on active rows, `+0.0` elsewhere.
+    InitResidual,
+    /// `[dropout]ᵀ(Ãᵀ·scatter(dS))`: the compact product on N(active),
+    /// `+0.0` elsewhere.
+    Propagation,
+    /// The skip branch: `g` on skipped rows, `+0.0` elsewhere.
+    Skip,
+}
+
+/// The compact values the [`Route`]s read besides the upstream gradient.
+struct RouteSources<'a> {
+    col_map: &'a [u32],
+    nbr: &'a [u32],
+    /// `α·dS` on the active rows.
+    init: Option<&'a Matrix>,
+    /// `Ãᵀ·scatter(dS)` on the rows of `nbr`.
+    ax: Option<&'a Matrix>,
+    /// The folded dropout's flags on the rows of `nbr`, and its rate.
+    dropped: Option<(&'a [bool], f64)>,
+}
+
+/// Accumulate the fused layer's routes into their input slots, each slot
+/// in one pass and bit-identical to accumulating one full-size delta per
+/// route in `routes` order, the way separate ops would.
+///
+/// Each slot's element is a left-to-right f32 sum: its prior contents (if
+/// any), then each route's value in order. A route that is `+0.0` on a row
+/// is not added there: `s + 0.0` only turns `-0.0` into `+0.0`, and doing
+/// that once after the last addition gives the same bits as anywhere
+/// earlier, so the row is canonicalized once at the end instead. A slot
+/// with no prior contents takes over `g`'s buffer in place when it can:
+/// `g`'s routes are then either its first nonzero term on a row or one of
+/// just two (the propagation route precedes the skip route only without a
+/// dropout, and both are nonzero only on skipped rows), where the order of
+/// one addition does not matter.
+fn route_grads(
+    routes: &[(NodeId, Route)],
+    g: Matrix,
+    src: &RouteSources<'_>,
+    grads: &mut [Option<Matrix>],
+    shape: impl Fn(NodeId) -> (usize, usize),
+) {
+    let mut targets: Vec<(NodeId, Vec<Route>)> = Vec::with_capacity(routes.len());
+    for &(id, route) in routes {
+        match targets.iter_mut().find(|(t, _)| *t == id) {
+            Some((_, rs)) => rs.push(route),
+            None => targets.push((id, vec![route])),
+        }
+    }
+    let reads_g = |rs: &[Route]| {
+        rs.iter()
+            .any(|r| matches!(r, Route::Residual | Route::Skip))
+    };
+    // The slot that takes over `g` goes last; every other one reads `g`
+    // before then.
+    let owner = targets
+        .iter()
+        .enumerate()
+        .filter(|(_, (id, _))| grads[id.0].is_none() && shape(*id) == g.shape())
+        .max_by_key(|(_, (_, rs))| reads_g(rs))
+        .map(|(k, _)| k);
+    if let Some(k) = owner {
+        let last = targets.len() - 1;
+        targets.swap(k, last);
+    }
+    let mut g = Some(g);
+    for (k, (id, rs)) in targets.iter().enumerate() {
+        if owner.is_some() && k == targets.len() - 1 {
+            let mut out = g.take().expect("the owner runs last");
+            route_rows(&mut out, false, None, rs, src);
+            grads[id.0] = Some(out);
+        } else {
+            let gv = g.as_ref().expect("g outlives its readers");
+            let (mut out, prior) = match grads[id.0].take() {
+                Some(p) => (p, true),
+                None => {
+                    let (rows, cols) = shape(*id);
+                    (workspace::take_scratch(rows, cols), false)
+                }
+            };
+            route_rows(&mut out, prior, Some(gv), rs, src);
+            grads[id.0] = Some(out);
+        }
+    }
+    if let Some(g) = g {
+        workspace::give(g);
+    }
+}
+
+/// A nonzero term of one slot row: `g`'s row, the initial-residual row,
+/// or the (masked) propagation row.
+#[derive(Clone, Copy)]
+enum Term {
+    G,
+    Init,
+    Prop,
+}
+
+/// What one slot adds on rows of one class (active or skipped, in
+/// N(active) or not): its nonzero terms in order, whether a `+0.0` route
+/// is among them, and whether the row already holds `g` (the slot is
+/// `g`'s buffer and `g` is a term there).
+#[derive(Clone, Copy, Default)]
+struct RowPlan {
+    terms: [Option<Term>; 3],
+    zero: bool,
+    holds_g: bool,
+}
+
+/// One slot of [`route_grads`]: `out` holds the prior contents when
+/// `prior`, or `g` itself when `g` is `None`.
+fn route_rows(
+    out: &mut Matrix,
+    prior: bool,
+    g: Option<&Matrix>,
+    routes: &[Route],
+    src: &RouteSources<'_>,
+) {
+    // Row class `active | in_nbr << 1`.
+    let mut plans = [RowPlan::default(); 4];
+    for (class, plan) in plans.iter_mut().enumerate() {
+        let (active, in_nbr) = (class & 1 == 1, class & 2 == 2);
+        let mut k = 0;
+        for &route in routes {
+            let term = match route {
+                Route::Residual if active => Term::G,
+                Route::Skip if !active => Term::G,
+                Route::InitResidual if active => Term::Init,
+                Route::Propagation if in_nbr => Term::Prop,
+                _ => {
+                    plan.zero = true;
+                    continue;
+                }
+            };
+            if matches!(term, Term::G) && g.is_none() {
+                plan.holds_g = true;
+            } else {
+                plan.terms[k] = Some(term);
+                k += 1;
+            }
+        }
+    }
+    let d = out.cols();
+    let masked = src
+        .dropped
+        .map(|(dropped, rate)| (dropped, (1.0 / (1.0 - rate)) as f32));
+    let mut next_nbr = 0;
+    for r in 0..out.rows() {
+        let local = src.col_map[r];
+        let active = local != COL_SKIP;
+        // `nbr` is ascending: walk it alongside the rows.
+        let in_nbr = src.nbr.get(next_nbr) == Some(&(r as u32));
+        let plan = &plans[usize::from(active) | usize::from(in_nbr) << 1];
+        let o = out.row_mut(r);
+        let mut empty = !prior && !plan.holds_g;
+        for term in plan.terms.iter().map_while(|t| *t) {
+            match term {
+                Term::G => add_row(o, &mut empty, g.expect("a `g` term reads `g`").row(r)),
+                Term::Init => {
+                    let init = src.init.expect("initial-residual term");
+                    add_row(o, &mut empty, init.row(local as usize));
+                }
+                Term::Prop => {
+                    let row = src.ax.expect("propagation term").row(next_nbr);
+                    match masked {
+                        Some((dropped, scale)) => {
+                            let flags = &dropped[next_nbr * d..(next_nbr + 1) * d];
+                            add_masked_row(o, &mut empty, row, flags, scale);
+                        }
+                        None => add_row(o, &mut empty, row),
+                    }
+                }
+            }
+        }
+        if empty {
+            o.fill(0.0);
+        } else if plan.zero {
+            for t in o.iter_mut() {
+                *t += 0.0;
+            }
+        }
+        next_nbr += usize::from(in_nbr);
+    }
+}
+
+/// `o = row` when `empty`, else `o += row`.
+#[inline]
+fn add_row(o: &mut [f32], empty: &mut bool, row: &[f32]) {
+    if *empty {
+        o.copy_from_slice(row);
+    } else {
+        for (t, &v) in o.iter_mut().zip(row) {
+            *t += v;
+        }
+    }
+    *empty = false;
+}
+
+/// [`add_row`] of `row` under inverted dropout, each element multiplied
+/// as [`apply_dropout`] does.
+#[inline]
+fn add_masked_row(o: &mut [f32], empty: &mut bool, row: &[f32], dropped: &[bool], scale: f32) {
+    let keep = |d: bool| if d { 0.0 } else { scale };
+    if *empty {
+        for ((t, &v), &d) in o.iter_mut().zip(row).zip(dropped) {
+            *t = v * keep(d);
+        }
+    } else {
+        for ((t, &v), &d) in o.iter_mut().zip(row).zip(dropped) {
+            *t += v * keep(d);
+        }
+    }
+    *empty = false;
 }
 
 /// Inverted dropout in place, forward and backward alike: `v[i]` is

@@ -375,7 +375,17 @@ impl TrainProgram {
                 Op::RowCombine { take_skip, .. } => {
                     sampler.skip_mask(rng, take_skip);
                 }
-                Op::SkipConv { cache, .. } => {
+                Op::SkipConv {
+                    cache,
+                    dropped,
+                    rate,
+                    ..
+                } => {
+                    // The folded dropout's flags first, where its own
+                    // `Mask` would have drawn them.
+                    if *rate > 0.0 {
+                        rng.fill_bernoulli(*rate, dropped);
+                    }
                     scratch.clear();
                     scratch.resize(cache.col_map.len(), false);
                     sampler.skip_mask(rng, &mut scratch);

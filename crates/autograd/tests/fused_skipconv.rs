@@ -194,8 +194,10 @@ fn run_variant(
                 init_residual: h0.map(|h0| (h0, init_alpha.unwrap())),
                 identity_map: beta,
                 residual: res,
+                dropout: 0.0,
             },
-            mask,
+            &mut rng,
+            |_| mask.to_vec(),
         )
     } else {
         let p = tape.spmm(adj, x);
@@ -350,6 +352,204 @@ fn skipped_rows_copy_skip_branch_exactly() {
     for (r, &take) in mask.iter().enumerate() {
         if take {
             assert_eq!(tape.value(out).row(r), sv.row(r), "row {r}");
+        }
+    }
+}
+
+/// The initial residual of a folded-dropout case.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Init {
+    None,
+    /// A separate `h0` (GCNII's later layers).
+    Separate,
+    /// `h0` is the carry itself (GCNII's first middle layer).
+    Carry,
+}
+
+/// How a folded-dropout case builds its layer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Build {
+    /// `skip_conv_step` with `FusedStep::dropout`.
+    Folded,
+    /// `dropout → skip_conv_step`.
+    Chain,
+    /// `dropout → skip_conv_step` with the skip branch read through an
+    /// exact copy of the carry (`h · 1.0`), so the skip route reaches the
+    /// carry's slot as its own later accumulation.
+    SkipCopy,
+}
+
+/// Value, input gradients (carry, W, b, separate h0) and the RNG's next
+/// draw after one run.
+struct FoldRun {
+    out: Matrix,
+    grads: Vec<Matrix>,
+    next_draw: u64,
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run_fold(
+    build: Build,
+    adj_mat: &Arc<skipnode_sparse::CsrMatrix>,
+    mask: &[bool],
+    rate: f64,
+    prior: bool,
+    residual: bool,
+    init: Init,
+    seed: &Matrix,
+) -> FoldRun {
+    let n = mask.len();
+    let d = seed.cols();
+    let mut init_rng = SplitRng::new(17);
+    let hv = random_matrix(n, d, &mut init_rng);
+    let wv = random_matrix(d, d, &mut init_rng);
+    let bv = random_matrix(1, d, &mut init_rng);
+    let h0v = random_matrix(n, d, &mut init_rng);
+
+    let mut tape = Tape::new();
+    let adj = tape.register_adj(Arc::clone(adj_mat));
+    let h = tape.param(hv);
+    let w = tape.param(wv);
+    let b = tape.param(bv);
+    let h0 = tape.param(h0v);
+    let init_residual = match init {
+        Init::None => None,
+        Init::Separate => Some((h0, 0.2)),
+        Init::Carry => Some((h, 0.2)),
+    };
+    let mut rng = SplitRng::new(5);
+    let folded = build == Build::Folded;
+    let x = if folded {
+        h
+    } else {
+        tape.dropout(h, rate, &mut rng)
+    };
+    let skip = match build {
+        Build::SkipCopy => tape.scale(h, 1.0),
+        _ => h,
+    };
+    let step = skipnode_autograd::FusedStep {
+        x,
+        skip,
+        w,
+        b: Some(b),
+        init_residual,
+        identity_map: (init != Init::None).then_some(0.4),
+        residual: residual.then_some(h),
+        dropout: if folded { rate } else { 0.0 },
+    };
+    let out = tape.skip_conv_step(adj, step, &mut rng, |_| mask.to_vec());
+    let mut seeds = vec![(out, seed.clone())];
+    if prior {
+        // A later reader of the carry: its gradient is already in the
+        // carry's slot when the fused layer's backward runs.
+        let later = tape.scale(h, -0.75);
+        seeds.push((later, Matrix::full(n, d, 1.0)));
+    }
+    let value = tape.value(out).clone();
+    let mut grads = tape.backward_multi(seeds);
+    let mut taken = vec![grads.take(h).expect("carry gradient")];
+    taken.push(grads.take(w).expect("dW"));
+    taken.push(grads.take(b).expect("db"));
+    if init == Init::Separate {
+        taken.push(grads.take(h0).expect("dh0"));
+    }
+    FoldRun {
+        out: value,
+        grads: taken,
+        next_draw: rng.next_u64(),
+    }
+}
+
+fn assert_bits(got: &Matrix, want: &Matrix, label: &str) {
+    assert_eq!(got.shape(), want.shape(), "{label}: shape");
+    for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{label}: element {i} differs: {a:?} vs {b:?}"
+        );
+    }
+}
+
+/// A dropout folded into the fused layer (`FusedStep::dropout`) must equal
+/// `dropout → skip_conv_step` bit for bit: the value, every input gradient
+/// (including the order of the f32 additions into the carry's slot) and
+/// the RNG stream. Routing the skip branch through an exact copy of the
+/// carry must not change a bit either: it turns the skip route into a
+/// separate accumulation, pinning where it falls among the others. The
+/// adjacency is asymmetric and has rows without a self loop, so N(active)
+/// is exercised through both `Ã` and its transpose and some skipped rows
+/// lie outside it; those rows carry an upstream `-0.0`, which the unfolded
+/// chain turns into `+0.0` by adding the masked propagation's zero row.
+#[test]
+fn folded_dropout_matches_dropout_then_fused_step_bitwise() {
+    let (n, d) = (48, 6);
+    let mut rng = SplitRng::new(23);
+    let mut b = CooBuilder::new(n, n);
+    for u in 0..n {
+        if u % 3 == 0 {
+            b.push(u, u, 0.5);
+        }
+        b.push(u, (u * 5 + 1) % n, 0.2 + rng.unit() as f32 * 0.3);
+        if u % 2 == 0 {
+            b.push(u, (u * 7 + 3) % n, 0.1 + rng.unit() as f32 * 0.3);
+        }
+    }
+    let adj_mat = Arc::new(b.build());
+    assert!(
+        !adj_mat.is_symmetric(1e-6),
+        "the adjacency must be asymmetric"
+    );
+
+    for ratio in [0.0, 0.5, 0.9, 1.0] {
+        let mask = mask_with_ratio(n, ratio);
+        // N(active): the columns the active rows read.
+        let mut in_nbr = vec![false; n];
+        for r in (0..n).filter(|&r| !mask[r]) {
+            for &c in adj_mat.row(r).0 {
+                in_nbr[c as usize] = true;
+            }
+        }
+        let mut seed = random_matrix(n, d, &mut rng);
+        let outside: Vec<usize> = (0..n).filter(|&r| mask[r] && !in_nbr[r]).collect();
+        for &r in &outside {
+            seed.set(r, 0, -0.0);
+        }
+        for rate in [0.0, 0.5] {
+            for prior in [false, true] {
+                for residual in [false, true] {
+                    for init in [Init::None, Init::Separate, Init::Carry] {
+                        let label = format!(
+                            "ratio {ratio} rate {rate} prior {prior} residual {residual} init {init:?}"
+                        );
+                        let run = |build| {
+                            run_fold(build, &adj_mat, &mask, rate, prior, residual, init, &seed)
+                        };
+                        let folded = run(Build::Folded);
+                        for build in [Build::Chain, Build::SkipCopy] {
+                            let other = run(build);
+                            let label = format!("{label} vs {build:?}");
+                            assert_bits(&folded.out, &other.out, &format!("{label}: value"));
+                            for (k, (got, want)) in
+                                folded.grads.iter().zip(&other.grads).enumerate()
+                            {
+                                assert_bits(got, want, &format!("{label}: gradient {k}"));
+                            }
+                            assert_eq!(folded.next_draw, other.next_draw, "{label}: RNG stream");
+                        }
+                        if !prior && !residual && init == Init::None {
+                            for &r in &outside {
+                                assert_eq!(
+                                    folded.grads[0].get(r, 0).to_bits(),
+                                    0,
+                                    "{label}: row {r} keeps an upstream -0.0"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

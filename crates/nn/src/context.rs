@@ -224,28 +224,26 @@ impl<'a> ForwardCtx<'a> {
 
     /// When the fused SkipNode kernel applies to a middle layer whose conv
     /// output has shape `conv_shape` and whose skip branch has shape
-    /// `prev_shape`, sample and return the skip mask; `None` means the
-    /// caller must use the unfused `conv → relu → post_conv` chain.
+    /// `prev_shape`, the draw of its skip mask, for [`Tape::skip_conv_step`]
+    /// to run on the forward RNG; `None` means the caller must use the
+    /// unfused `conv → relu → post_conv` chain.
     ///
-    /// The mask is drawn at exactly the point [`ForwardCtx::post_conv`]
-    /// would draw it (after the shape-compatibility check), so fused and
-    /// unfused forwards consume identical RNG streams.
-    pub fn fused_skip_mask(
-        &mut self,
+    /// The kernel draws the mask at exactly the point
+    /// [`ForwardCtx::post_conv`] would draw it (after the layer's dropout
+    /// flags), so fused and unfused forwards consume identical RNG streams.
+    pub fn fused_skip_sampler(
+        &self,
         conv_shape: (usize, usize),
         prev_shape: (usize, usize),
-    ) -> Option<Vec<bool>> {
+    ) -> Option<impl FnOnce(&mut SplitRng) -> Vec<bool> + 'a> {
         let cfg = self.fused_skip_config(conv_shape, prev_shape)?;
-        Some(sample_skip_mask_segmented(
-            cfg,
-            self.degrees,
-            self.node_order,
-            self.segments.map(Arc::as_ref),
-            self.rng,
-        ))
+        let (degrees, order, segments) = (self.degrees, self.node_order, self.segments);
+        Some(move |rng: &mut SplitRng| {
+            sample_skip_mask_segmented(cfg, degrees, order, segments.map(Arc::as_ref), rng)
+        })
     }
 
-    /// The SkipNode configuration [`ForwardCtx::fused_skip_mask`] would
+    /// The SkipNode configuration [`ForwardCtx::fused_skip_sampler`] would
     /// sample from for these shapes, decided without drawing anything;
     /// `None` when the layer takes the unfused chain.
     pub(crate) fn fused_skip_config(

@@ -15,7 +15,7 @@
 //!   step routes through [`ForwardCtx::post_conv`], so PairNorm and the
 //!   SkipNode row-combine apply uniformly.
 //! - **Fused-kernel selection** — [`PlanOp::ActivatedConv`] consults
-//!   [`ForwardCtx::fused_skip_mask`] and dispatches the whole step
+//!   [`ForwardCtx::fused_skip_sampler`] and dispatches the whole step
 //!   (initial residual, identity map, bias, post-activation residual and
 //!   all) to the masked kernel whenever SkipNode is active and shapes
 //!   allow, falling back to the canonical unfused op chain otherwise.
@@ -25,6 +25,10 @@
 //!   reads it into one [`Tape::sparse_input`] over the features' stored
 //!   entries, when [`Tape::sparse_features`] accepts them. Bit-identical
 //!   to the dense chain, same RNG draws.
+//! - **Dropout folding** — a dropout of a layer's carry that alone feeds
+//!   an `ActivatedConv` taking the fused kernel folds into that kernel,
+//!   which applies it only to the rows its gather reads. Bit-identical to
+//!   the standalone dropout, same RNG draws.
 //! - **Inference parity by construction** — eager and
 //!   [`Tape::inference`] forwards execute the *same* plan, so the no-grad
 //!   engine can never drift from training semantics.
@@ -404,34 +408,97 @@ impl PlanExecutor {
         regs.push(ctx.x);
         // The input's stored entries, built at most once per run.
         let mut features: Option<Option<Arc<CsrMatrix>>> = None;
-        let mut sparse = None;
+        let mut deferred = None;
         for (k, op) in plan.ops.iter().enumerate() {
+            // A deferred dropout's reader, the next op, draws its flags:
+            // nothing draws in between, so the stream is unchanged. Its
+            // register is never read (the one reader is fused) and aliases
+            // the source for shape queries.
             if let Some(rate) = sparse_input_rate(plan, k, &regs, tape, binding, ctx) {
                 if let Some(xs) = features.get_or_insert_with(|| tape.sparse_features(ctx.x)) {
-                    // The reader, the next op, draws this dropout's flags:
-                    // nothing draws in between, so the stream is unchanged.
-                    sparse = Some(SparseInput {
+                    deferred = Some(Deferred::SparseInput {
                         xs: Arc::clone(xs),
                         rate: if ctx.train { rate } else { 0.0 },
                     });
-                    // The register is never read: its one reader is fused.
                     regs.push(ctx.x);
                     continue;
                 }
             }
-            let node = exec_op(op, &regs, tape, binding, ctx, sparse.take());
+            if let Some((src, rate)) = folded_dropout(plan, k, &regs, tape, binding, ctx) {
+                deferred = Some(Deferred::Dropout(if ctx.train { rate } else { 0.0 }));
+                regs.push(regs[src.0]);
+                continue;
+            }
+            let node = exec_op(op, &regs, tape, binding, ctx, deferred.take());
             regs.push(node);
         }
         regs[plan.output.0]
     }
 }
 
-/// A dropout of the input features deferred to the op that reads it, which
-/// then runs as one [`Tape::sparse_input`] over the stored entries `xs`.
-struct SparseInput {
-    xs: Arc<CsrMatrix>,
-    /// `0` at evaluation: no flags are drawn.
-    rate: f64,
+/// A dropout deferred to the op that reads it (`rate` is `0` at
+/// evaluation: no flags are drawn).
+enum Deferred {
+    /// A dropout of the input features: the reader runs as one
+    /// [`Tape::sparse_input`] over the stored entries `xs`.
+    SparseInput { xs: Arc<CsrMatrix>, rate: f64 },
+    /// A dropout of a layer's carry, folded into its fused kernel
+    /// ([`FusedStep::dropout`]).
+    Dropout(f64),
+}
+
+/// Whether register `reg` has exactly one reader and is not the plan's
+/// output.
+fn sole_reader(plan: &LayerPlan, reg: Reg) -> bool {
+    let mut readers = 0;
+    for op in &plan.ops {
+        op.reads(&mut |r| readers += usize::from(r == reg));
+    }
+    readers == 1 && plan.output != reg
+}
+
+/// Whether `op`, an `ActivatedConv` reading `src`, takes the fused SkipNode
+/// kernel ([`ForwardCtx::fused_skip_config`]), decided without drawing.
+fn takes_fused_kernel(
+    op: &PlanOp,
+    src: NodeId,
+    regs: &[NodeId],
+    tape: &Tape,
+    binding: &Binding,
+    ctx: &ForwardCtx,
+) -> bool {
+    let PlanOp::ActivatedConv { carry, w, .. } = op else {
+        return false;
+    };
+    let conv_shape = (tape.shape(src).0, tape.shape(binding.node(*w)).1);
+    let carry_shape = tape.shape(regs[carry.0]);
+    ctx.fused_skip_config(conv_shape, carry_shape).is_some()
+}
+
+/// The source and rate of op `k` when it is a dropout of a layer's carry
+/// that the next op, an `ActivatedConv` taking the fused kernel, alone
+/// reads as its input: [`Tape::skip_conv_step`] then draws the flags (before
+/// the skip mask, where the standalone dropout drew them) and applies them
+/// only to the rows its gather reads.
+fn folded_dropout(
+    plan: &LayerPlan,
+    k: usize,
+    regs: &[NodeId],
+    tape: &Tape,
+    binding: &Binding,
+    ctx: &ForwardCtx,
+) -> Option<(Reg, f64)> {
+    let PlanOp::Dropout { src, rate } = plan.ops[k] else {
+        return None;
+    };
+    let reg = Reg(k + 1);
+    let next = plan.ops.get(k + 1)?;
+    let reads_carry = matches!(next, PlanOp::ActivatedConv { src: input, carry, .. }
+        if *input == reg && *carry == src);
+    (reads_carry
+        && sole_reader(plan, reg)
+        && takes_fused_kernel(next, regs[src.0], regs, tape, binding, ctx))
+    .then_some((src, rate))
 }
 
 /// The rate of op `k` when it is a dropout of the input features (`Reg(0)`)
@@ -454,41 +521,32 @@ fn sparse_input_rate(
         return None;
     };
     let reg = Reg(k + 1);
-    let mut readers = 0;
-    for op in &plan.ops {
-        op.reads(&mut |r| readers += usize::from(r == reg));
-    }
-    if readers != 1 || plan.output == reg {
+    if !sole_reader(plan, reg) {
         return None;
     }
     match plan.ops.get(k + 1)? {
         PlanOp::Conv { src, .. } | PlanOp::Dense { src, .. } if *src == reg => Some(rate),
-        PlanOp::ActivatedConv {
+        op @ PlanOp::ActivatedConv {
             src,
-            carry,
-            w,
             init_residual: None,
             identity_map: None,
             ..
         } if *src == reg => {
-            let conv_shape = (tape.shape(ctx.x).0, tape.shape(binding.node(*w)).1);
-            let carry_shape = tape.shape(regs[carry.0]);
-            let fuses = ctx.fused_skip_config(conv_shape, carry_shape).is_some();
-            (!fuses).then_some(rate)
+            (!takes_fused_kernel(op, ctx.x, regs, tape, binding, ctx)).then_some(rate)
         }
         _ => None,
     }
 }
 
-/// Execute one op; `sparse` is the deferred input dropout when `op` reads
-/// it (see [`sparse_input_rate`]).
+/// Execute one op; `deferred` is the dropout `op` reads, when it was
+/// deferred to it (see [`sparse_input_rate`] and [`folded_dropout`]).
 fn exec_op(
     op: &PlanOp,
     regs: &[NodeId],
     tape: &mut Tape,
     binding: &Binding,
     ctx: &mut ForwardCtx,
-    sparse: Option<SparseInput>,
+    deferred: Option<Deferred>,
 ) -> NodeId {
     let r = |reg: Reg| regs[reg.0];
     match op {
@@ -502,9 +560,11 @@ fn exec_op(
         }
         PlanOp::Conv { src, w, b } => {
             let wn = binding.node(*w);
-            let z = match sparse {
-                Some(s) => tape.sparse_input(s.xs, Some(ctx.adj), wn, s.rate, ctx.rng),
-                None => {
+            let z = match deferred {
+                Some(Deferred::SparseInput { xs, rate }) => {
+                    tape.sparse_input(xs, Some(ctx.adj), wn, rate, ctx.rng)
+                }
+                _ => {
                     let p = tape.spmm(ctx.adj, r(*src));
                     tape.matmul(p, wn)
                 }
@@ -530,13 +590,15 @@ fn exec_op(
             init_residual.map(|(h0, a)| (r(h0), a)),
             *identity_map,
             residual.map(&r),
-            sparse,
+            deferred,
         ),
         PlanOp::Dense { src, w, b } => {
             let wn = binding.node(*w);
-            let z = match sparse {
-                Some(s) => tape.sparse_input(s.xs, None, wn, s.rate, ctx.rng),
-                None => tape.matmul(r(*src), wn),
+            let z = match deferred {
+                Some(Deferred::SparseInput { xs, rate }) => {
+                    tape.sparse_input(xs, None, wn, rate, ctx.rng)
+                }
+                _ => tape.matmul(r(*src), wn),
             };
             tape.add_bias(z, binding.node(*b))
         }
@@ -590,8 +652,10 @@ fn exec_op(
 /// replays the same scalar operations in the same order on the active
 /// rows only, so the two paths are bit-identical and consume identical
 /// RNG streams (the skip mask is drawn at the position `post_conv` would
-/// draw it). With `sparse`, the `spmm → matmul` head runs as one
-/// [`Tape::sparse_input`] that also draws the deferred input dropout.
+/// draw it). A deferred [`Deferred::Dropout`] of the carry runs inside the
+/// fused kernel; with a deferred [`Deferred::SparseInput`], the unfused
+/// `spmm → matmul` head runs as one [`Tape::sparse_input`] that also draws
+/// the input dropout.
 #[allow(clippy::too_many_arguments)]
 fn exec_activated_conv(
     tape: &mut Tape,
@@ -604,7 +668,7 @@ fn exec_activated_conv(
     init_residual: Option<(NodeId, f32)>,
     identity_map: Option<f32>,
     residual: Option<NodeId>,
-    sparse: Option<SparseInput>,
+    deferred: Option<Deferred>,
 ) -> NodeId {
     let wn = binding.node(w);
     let bn = b.map(|b| binding.node(b));
@@ -614,11 +678,14 @@ fn exec_activated_conv(
     // already matches the conv output (ResGCN's first middle layer widens
     // in→hidden and goes without).
     let residual = residual.filter(|&res| tape.shape(res) == conv_shape);
-    if let Some(mask) = ctx.fused_skip_mask(conv_shape, carry_shape) {
-        debug_assert!(
-            sparse.is_none(),
-            "a fused layer never reads the sparse input"
-        );
+    if let Some(sample) = ctx.fused_skip_sampler(conv_shape, carry_shape) {
+        let dropout = match deferred {
+            None => 0.0,
+            Some(Deferred::Dropout(rate)) => rate,
+            Some(Deferred::SparseInput { .. }) => {
+                unreachable!("a fused layer never reads the sparse input")
+            }
+        };
         return tape.skip_conv_step(
             ctx.adj,
             FusedStep {
@@ -629,14 +696,18 @@ fn exec_activated_conv(
                 init_residual,
                 identity_map,
                 residual,
+                dropout,
             },
-            &mask,
+            ctx.rng,
+            sample,
         );
     }
-    let z = match sparse {
+    let z = match deferred {
         // Chosen only without an initial residual or identity map.
-        Some(s) => tape.sparse_input(s.xs, Some(ctx.adj), wn, s.rate, ctx.rng),
-        None => {
+        Some(Deferred::SparseInput { xs, rate }) => {
+            tape.sparse_input(xs, Some(ctx.adj), wn, rate, ctx.rng)
+        }
+        _ => {
             let p = tape.spmm(ctx.adj, src);
             let support = match init_residual {
                 Some((h0, alpha)) => tape.lin_comb(&[(p, 1.0 - alpha), (h0, alpha)]),

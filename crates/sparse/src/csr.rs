@@ -16,10 +16,10 @@
 //!
 //! Two masked kernels serve SkipNode's fused layer op:
 //! [`CsrMatrix::spmm_rows_subset`] computes only a caller-given set of
-//! output rows (compacted), and [`CsrMatrix::spmm_cols_compact`] multiplies
-//! against a row-compacted dense operand, skipping masked columns — together
-//! they make a skip ratio of `p` cut ~`p` of the propagation flops in both
-//! the forward and backward pass.
+//! output rows (compacted), and [`CsrMatrix::spmm_cols_compact`] computes
+//! the rows of the active set's neighborhood against a row-compacted dense
+//! operand, skipping masked columns — together they make a skip ratio of `p`
+//! cut ~`p` of the propagation flops in both the forward and backward pass.
 
 use crate::stats;
 use skipnode_tensor::simd;
@@ -407,54 +407,38 @@ impl CsrMatrix {
         }
     }
 
-    /// `self * X̂` where `X̂` is given row-compacted: `col_map[c]` is the row
-    /// of `x_compact` holding logical row `c` of `X̂`, or [`COL_SKIP`] if
-    /// that row is all-zero (masked). Masked columns are skipped instead of
-    /// multiplied by zero — the backward half of SkipNode's fused kernel,
-    /// where only non-skipped rows carry gradient. Skipping an exactly-zero
-    /// contribution leaves every finite accumulation unchanged, and the
-    /// surviving terms keep their fixed order, so results are deterministic
-    /// across thread counts.
+    /// `self * X̂` computed **only** for the output rows listed in `rows`
+    /// (sorted, duplicate-free), where `X̂` is given row-compacted:
+    /// `col_map[c]` is the row of `x_compact` holding logical row `c` of
+    /// `X̂`, or [`COL_SKIP`] if that row is all-zero (masked). Output row `k`
+    /// of `out` is logical row `rows[k]`. This is the backward half of
+    /// SkipNode's fused kernel: only the active rows carry gradient, and only
+    /// the rows of `Ãᵀ` that read an active column (the active set's
+    /// neighborhood) are computed. Masked columns are skipped instead of
+    /// multiplied by zero, which leaves every finite accumulation unchanged;
+    /// the surviving terms keep CSR order, so results match the full product
+    /// bit-for-bit on every thread count. The row loop is
+    /// [`CsrMatrix::spmm_rows_subset_mapped`]'s; the work is counted as
+    /// [`kstats::Kernel::SpmmCompact`].
     ///
     /// # Panics
-    /// Panics on shape mismatch or a stale (out-of-range) map entry.
-    pub fn spmm_cols_compact(&self, x_compact: &Matrix, col_map: &[u32], out: &mut Matrix) {
+    /// Panics on shape mismatch, a stale map entry or an out-of-range row.
+    pub fn spmm_cols_compact(
+        &self,
+        x_compact: &Matrix,
+        col_map: &[u32],
+        rows: &[u32],
+        out: &mut Matrix,
+    ) {
         assert_eq!(col_map.len(), self.cols, "spmm_cols_compact map length");
-        assert_eq!(
-            out.shape(),
-            (self.rows, x_compact.cols()),
-            "spmm_cols_compact out shape"
+        spmm_subset_mapped_impl(
+            self,
+            x_compact,
+            col_map,
+            rows,
+            out,
+            kstats::Kernel::SpmmCompact,
         );
-        let d = x_compact.cols();
-        if d == 0 {
-            return;
-        }
-        kstats::record(kstats::Kernel::SpmmCompact, self.rows);
-        let isa = simd::active();
-        let kernel = |out: &mut [f32], row_begin: usize, row_end: usize| {
-            stats::record_spmm_rows(row_end - row_begin);
-            for (local, r) in (row_begin..row_end).enumerate() {
-                let (cols, vals) = self.row(r);
-                let out_row = &mut out[local * d..(local + 1) * d];
-                out_row.fill(0.0);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    let m = col_map[c as usize];
-                    if m == COL_SKIP {
-                        continue;
-                    }
-                    simd::axpy(isa, v, x_compact.row(m as usize), out_row);
-                }
-            }
-        };
-        if self.nnz() * d < SPMM_PARALLEL_THRESHOLD || self.rows <= 1 {
-            kernel(out.as_mut_slice(), 0, self.rows);
-        } else {
-            let bounds = self.nnz_partition(pool::chunk_count(self.rows));
-            let elem_bounds: Vec<usize> = bounds.iter().map(|&r| r * d).collect();
-            pool::par_ranges_mut(out.as_mut_slice(), &elem_bounds, |idx, block| {
-                kernel(block, bounds[idx], bounds[idx + 1]);
-            });
-        }
     }
 
     /// `self * X̂` computed **only** for the output rows listed in `rows`
@@ -480,7 +464,14 @@ impl CsrMatrix {
         out: &mut Matrix,
     ) {
         assert_eq!(col_map.len(), self.cols, "spmm_rows_subset_mapped map len");
-        spmm_subset_mapped_impl(self, x_compact, col_map, rows, out);
+        spmm_subset_mapped_impl(
+            self,
+            x_compact,
+            col_map,
+            rows,
+            out,
+            kstats::Kernel::SpmmSubsetMapped,
+        );
     }
 
     /// Sparse × dense-vector product into a caller buffer (used by the
@@ -775,14 +766,15 @@ impl SubsetRowSource for CsrMatrix {
 }
 
 /// Shared driver for the subset × col-mapped product (see
-/// [`CsrMatrix::spmm_rows_subset_mapped`] for semantics). Pooled with
-/// nnz-balanced chunking over the subset.
+/// [`CsrMatrix::spmm_rows_subset_mapped`] for semantics), counted under
+/// `kernel`. Pooled with nnz-balanced chunking over the subset.
 pub(crate) fn spmm_subset_mapped_impl<S: SubsetRowSource + ?Sized>(
     src: &S,
     x_compact: &Matrix,
     col_map: &[u32],
     rows: &[u32],
     out: &mut Matrix,
+    kernel: kstats::Kernel,
 ) {
     assert_eq!(
         out.shape(),
@@ -793,7 +785,7 @@ pub(crate) fn spmm_subset_mapped_impl<S: SubsetRowSource + ?Sized>(
     if d == 0 || rows.is_empty() {
         return;
     }
-    kstats::record(kstats::Kernel::SpmmSubsetMapped, rows.len());
+    kstats::record(kernel, rows.len());
     let isa = simd::active();
     // Prefix nonzero counts over the subset drive the pooled balance.
     let mut cum = Vec::with_capacity(rows.len() + 1);

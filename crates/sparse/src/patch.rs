@@ -21,7 +21,7 @@
 //! cached intermediate (the serve engine's first-hop `Ã·X` row cache).
 
 use crate::csr::{spmm_subset_mapped_impl, CsrMatrix, SubsetRowSource};
-use skipnode_tensor::Matrix;
+use skipnode_tensor::{kstats, Matrix};
 
 /// One adjacency row stored CSR-style (parallel arrays, columns sorted).
 #[derive(Debug, Clone, Default)]
@@ -248,7 +248,14 @@ impl DynamicAdjacency {
         out: &mut Matrix,
     ) {
         assert_eq!(col_map.len(), self.n(), "spmm_rows_subset_mapped map len");
-        spmm_subset_mapped_impl(self, x_compact, col_map, rows, out);
+        spmm_subset_mapped_impl(
+            self,
+            x_compact,
+            col_map,
+            rows,
+            out,
+            kstats::Kernel::SpmmSubsetMapped,
+        );
     }
 }
 

@@ -179,7 +179,8 @@ fn compact_column_kernel_matches_scattered_reference() {
             .copy_from_slice(x_compact.row(pos));
     }
     let mut got = Matrix::zeros(n, 130);
-    a.spmm_cols_compact(&x_compact, &col_map, &mut got);
+    let all_rows: Vec<u32> = (0..n as u32).collect();
+    a.spmm_cols_compact(&x_compact, &col_map, &all_rows, &mut got);
     // The reference accumulates v * 0.0 for skipped columns, which leaves
     // finite accumulations bit-unchanged — so bytewise equality still holds.
     let want = reference_spmm(&a, &x_full);

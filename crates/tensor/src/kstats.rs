@@ -27,7 +27,8 @@ pub enum Kernel {
     Spmm,
     /// Masked/subset SpMM of the fused SkipNode path (work = active rows).
     SpmmSubset,
-    /// Column-compacted SpMM of the fused backward (work = output rows).
+    /// Column-compacted SpMM of the fused backward over the active set's
+    /// neighborhood (work = rows computed).
     SpmmCompact,
     /// Row-subset SpMM against a col-mapped compact operand — the serving
     /// frontier kernel (work = computed rows).
