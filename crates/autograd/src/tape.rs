@@ -792,12 +792,12 @@ impl Tape {
                     }
                     workspace::give(ds);
                 }
-                // The routes into input slots, in the order they were
-                // accumulated as separate deltas before the dropout fold:
-                // the residual, the initial residual, the propagation
-                // (unmasked), the skip branch, and last the masked
-                // propagation, which the standalone `Mask` passed on in its
-                // own step after this one.
+                // The routes into input slots, in the order the unfolded
+                // chain (`dropout → skip_conv_step`) accumulates them as
+                // separate deltas: the residual, the initial residual, the
+                // propagation (unmasked), the skip branch, and last the
+                // masked propagation, which a standalone `Mask` passes on
+                // in its own later step.
                 let mut routes = Vec::with_capacity(4);
                 if let Some(res) = residual.filter(|&res| self.rg(res)) {
                     routes.push((res, Route::Residual));
