@@ -23,9 +23,12 @@
 //!    produces bit-identical values.
 //!
 //! Node values the caller asked to `keep` are pinned and never freed; read
-//! them out with [`Tape::take_value`] afterwards.
+//! them out with [`Tape::take_value`] afterwards. While the kernel counters
+//! are on, [`Tape::run`] times each evaluation into [`crate::op_timers`]
+//! under [`Phase::Inference`].
 
 use crate::attention::gat_forward;
+use crate::op_timers::{self, Phase};
 use crate::tape::{apply_dropout, apply_row_dropout, NodeId, Op, Tape, Value};
 use skipnode_sparse::CsrMatrix;
 use skipnode_tensor::quant::{qgemm, QuantizedMatrix};
@@ -224,7 +227,9 @@ impl Tape {
         let mut inputs: Vec<usize> = Vec::new();
         for (idx, _) in needed.iter().enumerate().filter(|(_, &nd)| nd) {
             if matches!(self.nodes[idx].value, Value::Pending { .. }) {
+                let (kind, t) = (op_timers::kind(&self.nodes[idx].op), op_timers::start());
                 self.eval_node(idx, &last_use, &pinned, false);
+                op_timers::stop(t, Phase::Inference, kind);
             }
             inputs.clear();
             op_inputs(&self.nodes[idx].op, &mut |p| inputs.push(p));

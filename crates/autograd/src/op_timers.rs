@@ -1,8 +1,9 @@
-//! Per-op wall-time totals of compiled training replay.
+//! Per-op wall-time totals of compiled training replay and of inference.
 //!
 //! [`crate::TrainProgram`] times each forward evaluation and each backward
-//! step it runs, keyed by (phase, op kind), into process-global relaxed
-//! atomics. Collection rides on the kernel counters' switch
+//! step it runs, and [`crate::Tape::run`] each evaluation of an inference
+//! tape, keyed by (phase, op kind), into process-global relaxed atomics.
+//! Collection rides on the kernel counters' switch
 //! ([`skipnode_tensor::kstats::enabled`], `SKIPNODE_KERNEL_STATS=1`): when
 //! it is off, each timed call costs one relaxed load and no clock read.
 //! Forward recomputes of a checkpointed backward count as forward time.
@@ -12,14 +13,18 @@ use skipnode_tensor::kstats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Which half of a training step an op ran in.
+/// Which executor phase an op ran in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// [`crate::TrainProgram::replay_forward`] (and checkpoint recomputes).
     Forward,
     /// [`crate::TrainProgram::backward`].
     Backward,
+    /// [`crate::Tape::run`], the no-grad executor behind evaluation.
+    Inference,
 }
+
+const PHASES: [Phase; 3] = [Phase::Forward, Phase::Backward, Phase::Inference];
 
 /// Op kinds, in [`Op`] declaration order (stable, lowercase).
 const NAMES: [&str; 21] = [
@@ -47,8 +52,10 @@ const NAMES: [&str; 21] = [
 ];
 const KINDS: usize = NAMES.len();
 
-static CALLS: [[AtomicU64; KINDS]; 2] = [const { [const { AtomicU64::new(0) }; KINDS] }; 2];
-static NANOS: [[AtomicU64; KINDS]; 2] = [const { [const { AtomicU64::new(0) }; KINDS] }; 2];
+static CALLS: [[AtomicU64; KINDS]; PHASES.len()] =
+    [const { [const { AtomicU64::new(0) }; KINDS] }; PHASES.len()];
+static NANOS: [[AtomicU64; KINDS]; PHASES.len()] =
+    [const { [const { AtomicU64::new(0) }; KINDS] }; PHASES.len()];
 
 /// The op kind index of `op` into the timer tables.
 pub(crate) fn kind(op: &Op) -> usize {
@@ -96,7 +103,7 @@ pub(crate) fn stop(started: Option<Instant>, phase: Phase, kind: usize) {
 /// One (phase, op kind) total.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpTime {
-    /// Forward or backward.
+    /// Forward, backward or inference.
     pub phase: Phase,
     /// Op kind name (stable, lowercase), e.g. `"skip_conv"`.
     pub op: &'static str,
@@ -107,10 +114,10 @@ pub struct OpTime {
 }
 
 /// The totals of every (phase, op kind) that ran at least once since the
-/// last [`reset`], forward entries first.
+/// last [`reset`], in [`Phase`] order.
 pub fn snapshot() -> Vec<OpTime> {
     let mut out = Vec::new();
-    for (p, phase) in [Phase::Forward, Phase::Backward].into_iter().enumerate() {
+    for (p, phase) in PHASES.into_iter().enumerate() {
         for (k, &op) in NAMES.iter().enumerate() {
             let calls = CALLS[p][k].load(Ordering::Relaxed);
             if calls > 0 {

@@ -1,7 +1,8 @@
-//! The per-op timers of compiled replay must account for the step: on a
-//! depth-16 SkipNode GCN the (phase, op kind) totals cover at least 95% of
-//! the wall time of `replay_forward` and of `backward`. Kept alone in this
-//! file: the totals and the collection switch are process-global.
+//! The per-op timers must account for the executors: on a depth-16
+//! SkipNode GCN the (phase, op kind) totals cover at least 95% of the wall
+//! time of `replay_forward`, of `backward`, and of `Tape::run` on the same
+//! model as evaluation runs it. Kept alone in this file: the totals and the
+//! collection switch are process-global.
 
 use skipnode_autograd::op_timers::{self, Phase};
 use skipnode_autograd::{EpochSampler, NodeId, Tape, TrainProgram};
@@ -70,6 +71,27 @@ fn record(adj_mat: &Arc<CsrMatrix>, init: &mut SplitRng, fwd: &mut SplitRng) -> 
     (tape, out)
 }
 
+/// The same layers as evaluation runs them, with no dropout and no
+/// skipping, on an inference tape.
+fn record_eval(adj_mat: &Arc<CsrMatrix>, init: &mut SplitRng) -> (Tape, NodeId) {
+    let mut tape = Tape::inference();
+    let adj = tape.register_adj(Arc::clone(adj_mat));
+    let mut h = tape.constant(init.uniform_matrix(N, F, -1.0, 1.0));
+    for l in 0..DEPTH {
+        let fi = if l == 0 { F } else { D };
+        let fo = if l == DEPTH - 1 { CLASSES } else { D };
+        let w = tape.param(init.uniform_matrix(fi, fo, -0.2, 0.2));
+        let b = tape.param(init.uniform_matrix(1, fo, -0.1, 0.1));
+        let p = tape.spmm(adj, h);
+        let z = tape.matmul(p, w);
+        h = tape.add_bias(z, b);
+        if l < DEPTH - 1 {
+            h = tape.relu(h);
+        }
+    }
+    (tape, h)
+}
+
 fn timed_sum(phase: Phase) -> Duration {
     let nanos = op_timers::snapshot()
         .iter()
@@ -86,6 +108,7 @@ fn per_op_totals_cover_replay_forward_and_backward() {
     let (tape, out) = record(&adj_mat, &mut init, &mut SplitRng::new(1));
     let mut prog = TrainProgram::compile(tape, vec![out]);
     let seed = init.uniform_matrix(N, CLASSES, -1.0, 1.0);
+    let mut evals: Vec<_> = (0..4).map(|_| record_eval(&adj_mat, &mut init)).collect();
 
     kstats::set_enabled(true);
     op_timers::reset();
@@ -103,11 +126,25 @@ fn per_op_totals_cover_replay_forward_and_backward() {
             "every parameter gets a gradient"
         );
     }
+    let mut inference = Duration::ZERO;
+    for (tape, out) in &mut evals {
+        let t = Instant::now();
+        tape.run(&[*out]);
+        inference += t.elapsed();
+    }
     kstats::set_enabled(false);
 
     let times = op_timers::snapshot();
-    for kind in ["skip_conv", "mask", "spmm", "matmul"] {
-        for phase in [Phase::Forward, Phase::Backward] {
+    for (kind, phases) in [
+        ("skip_conv", &[Phase::Forward, Phase::Backward][..]),
+        ("mask", &[Phase::Forward, Phase::Backward]),
+        ("spmm", &[Phase::Forward, Phase::Backward, Phase::Inference]),
+        (
+            "matmul",
+            &[Phase::Forward, Phase::Backward, Phase::Inference],
+        ),
+    ] {
+        for &phase in phases {
             assert!(
                 times
                     .iter()
@@ -116,7 +153,11 @@ fn per_op_totals_cover_replay_forward_and_backward() {
             );
         }
     }
-    for (phase, wall) in [(Phase::Forward, forward), (Phase::Backward, backward)] {
+    for (phase, wall) in [
+        (Phase::Forward, forward),
+        (Phase::Backward, backward),
+        (Phase::Inference, inference),
+    ] {
         let covered = timed_sum(phase);
         assert!(
             covered <= wall,
@@ -132,5 +173,7 @@ fn per_op_totals_cover_replay_forward_and_backward() {
     op_timers::reset();
     prog.begin_epoch(&mut Uniform, &mut SplitRng::new(7));
     prog.replay_forward();
+    let (mut tape, out) = record_eval(&adj_mat, &mut init);
+    tape.run(&[out]);
     assert!(op_timers::snapshot().is_empty(), "timers collect while off");
 }

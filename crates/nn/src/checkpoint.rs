@@ -159,7 +159,44 @@ impl ModelCheckpoint {
     /// initialization with the saved parameters. Names and shapes must
     /// match the rebuilt store exactly — a mismatch means the checkpoint
     /// does not belong to this spec and is rejected as corrupt.
+    ///
+    /// The spec is checked against the saved parameters before anything is
+    /// built, so a corrupt header cannot make the rebuild allocate more
+    /// than the parameters the checkpoint holds: the depth may not exceed
+    /// the number of saved values (a propagation-only backbone's depth
+    /// sizes only its plan), and the shapes the spec builds must be exactly
+    /// the saved shapes.
     pub fn restore(&self) -> io::Result<Box<dyn Model>> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        let saved: Vec<(usize, usize)> = self
+            .params
+            .ids()
+            .into_iter()
+            .map(|id| self.params.value(id).shape())
+            .collect();
+        let values: usize = saved.iter().map(|&(r, c)| r * c).sum();
+        if self.spec.depth > values {
+            return Err(invalid(format!(
+                "checkpoint header depth {} exceeds its {values} parameter values",
+                self.spec.depth
+            )));
+        }
+        let want = self
+            .spec
+            .param_shapes()
+            .map_err(|e| invalid(e.to_string()))?;
+        if want != saved {
+            return Err(invalid(format!(
+                "checkpoint header ({:?}, in {}, hidden {}, out {}, depth {}) does not \
+                 match the shapes of its {} parameters",
+                self.spec.name,
+                self.spec.in_dim,
+                self.spec.hidden,
+                self.spec.out_dim,
+                self.spec.depth,
+                saved.len()
+            )));
+        }
         // Initialization draws are discarded (every value is overwritten),
         // so the rebuild seed is immaterial.
         let mut rng = SplitRng::new(0);
@@ -384,6 +421,53 @@ mod tests {
                 got.as_slice(),
                 "{name}: restored eval differs"
             );
+        }
+    }
+
+    #[test]
+    fn param_shapes_list_what_build_registers() {
+        for name in crate::models::BACKBONE_NAMES {
+            for depth in [0, 1, 2, 3, 5, 8] {
+                let spec = BackboneSpec::new(name, 7, 5, 3, depth, 0.0);
+                let model = spec.build(&mut SplitRng::new(1)).unwrap();
+                let store = model.store();
+                let built: Vec<_> = store
+                    .ids()
+                    .into_iter()
+                    .map(|id| store.value(id).shape())
+                    .collect();
+                assert_eq!(spec.param_shapes().unwrap(), built, "{name} depth {depth}");
+            }
+        }
+    }
+
+    /// Each spec field of a v2 header, corrupted, is rejected as invalid
+    /// data before the model is rebuilt. The corrupt values stay small, so
+    /// even a rebuild from them would allocate little.
+    #[test]
+    fn corrupt_header_fields_are_rejected_before_building() {
+        let spec = BackboneSpec::new("gcn", 6, 8, 3, 3, 0.1);
+        let model = spec.build(&mut SplitRng::new(2)).unwrap();
+        let mut buf = Vec::new();
+        ModelCheckpoint::capture(&spec, model.as_ref())
+            .write(&mut buf)
+            .unwrap();
+        // magic, version, name length, "gcn", then in/hidden/out/depth.
+        let field_at = 4 + 4 + 4 + 3;
+        for (k, field) in ["in_dim", "hidden", "out_dim", "depth"].iter().enumerate() {
+            for value in [1u32, 9, 1_000] {
+                let mut bad = buf.clone();
+                let at = field_at + 4 * k;
+                bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+                let ckpt = ModelCheckpoint::read(bad.as_slice()).unwrap();
+                let err = ckpt.restore().err().expect("corrupt header restored");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{field} = {value}");
+                let msg = err.to_string();
+                assert!(
+                    msg.contains("checkpoint header"),
+                    "{field} = {value} was not caught by the header check: {msg}"
+                );
+            }
         }
     }
 

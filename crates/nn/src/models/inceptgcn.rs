@@ -13,6 +13,14 @@ use skipnode_tensor::SplitRng;
 
 const MAX_BRANCHES: usize = 4;
 
+/// The depth of each tower of an `layers`-deep InceptGCN.
+pub(crate) fn branch_depths(layers: usize) -> Vec<usize> {
+    let b = MAX_BRANCHES.min(layers);
+    (1..=b)
+        .map(|i| ((layers * i) as f64 / b as f64).round().max(1.0) as usize)
+        .collect()
+}
+
 struct Branch {
     weights: Vec<ParamId>,
     biases: Vec<ParamId>,
@@ -39,10 +47,8 @@ impl InceptGcn {
     ) -> Self {
         assert!(layers >= 1, "InceptGCN needs at least 1 layer");
         let mut store = ParamStore::new();
-        let b = MAX_BRANCHES.min(layers);
-        let depths: Vec<usize> = (1..=b)
-            .map(|i| ((layers * i) as f64 / b as f64).round().max(1.0) as usize)
-            .collect();
+        let depths = branch_depths(layers);
+        let b = depths.len();
         let mut branches = Vec::with_capacity(b);
         let mut init = LayerInit::new(&mut store, rng);
         for (bi, &depth) in depths.iter().enumerate() {

@@ -267,6 +267,66 @@ impl BackboneSpec {
             other => return Err(BuildError::UnknownBackbone(other.to_string())),
         })
     }
+
+    /// The `(rows, cols)` of every parameter [`BackboneSpec::build`]
+    /// registers, in registration order, without allocating them: what a
+    /// checkpoint's parameters must be for this spec.
+    pub(crate) fn param_shapes(&self) -> Result<Vec<(usize, usize)>, BuildError> {
+        let &Self {
+            in_dim: i,
+            hidden: h,
+            out_dim: o,
+            depth,
+            ..
+        } = self;
+        // A Glorot weight plus its `1 × fo` bias, as `LayerInit::linear`.
+        fn linear(shapes: &mut Vec<(usize, usize)>, fi: usize, fo: usize) {
+            shapes.extend([(fi, fo), (1, fo)]);
+        }
+        let mut s = Vec::new();
+        match self.name.as_str() {
+            "gcn" | "resgcn" => {
+                let layers = depth.max(2);
+                for l in 0..layers {
+                    let fi = if l == 0 { i } else { h };
+                    linear(&mut s, fi, if l == layers - 1 { o } else { h });
+                }
+            }
+            "jknet" => {
+                let layers = depth.max(1);
+                for l in 0..layers {
+                    linear(&mut s, if l == 0 { i } else { h }, h);
+                }
+                linear(&mut s, h.saturating_mul(layers), o);
+            }
+            "inceptgcn" => {
+                let depths = inceptgcn::branch_depths(depth.max(1));
+                for &d in &depths {
+                    for l in 0..d {
+                        linear(&mut s, if l == 0 { i } else { h }, h);
+                    }
+                }
+                linear(&mut s, h.saturating_mul(depths.len()), o);
+            }
+            "gcnii" => {
+                linear(&mut s, i, h);
+                s.extend((0..depth.max(1)).map(|_| (h, h)));
+                linear(&mut s, h, o);
+            }
+            "appnp" | "grand" => {
+                linear(&mut s, i, h);
+                linear(&mut s, h, o);
+            }
+            "gprgnn" => {
+                linear(&mut s, i, h);
+                linear(&mut s, h, o);
+                s.push((1, depth.max(1).saturating_add(1)));
+            }
+            "sgc" => linear(&mut s, i, o),
+            other => return Err(BuildError::UnknownBackbone(other.to_string())),
+        }
+        Ok(s)
+    }
 }
 
 /// Build any backbone by its table name — shorthand for

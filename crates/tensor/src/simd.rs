@@ -3,11 +3,14 @@
 //! Every hot loop in the stack funnels through a handful of primitives in
 //! this module: the GEMM register microkernel, the feature-dimension axpy
 //! used by SpMM and `Aᵀ·B`, the dot chains of `A·Bᵀ`, the elementwise
-//! update kernels, the f64-accumulated square-sum, and the fused Adam
-//! element step. Each primitive takes an explicit [`Isa`] so callers hoist
-//! the dispatch out of their loops; the active ISA is detected once per
-//! process (AVX2+FMA on x86_64, NEON on aarch64) and can be forced off via
-//! `SKIPNODE_SIMD=off` or [`force`] for A/B comparisons.
+//! update kernels, the f64-accumulated square-sum, the fused Adam
+//! element step, and the eight-lane xoshiro256++ Bernoulli draw behind
+//! long dropout fills (`bernoulli_lanes`, integer-only and so bitwise on
+//! every ISA; only AVX2 has a vector kernel for it). Each primitive takes
+//! an explicit [`Isa`] so callers hoist the dispatch out of their loops;
+//! the active ISA is detected once per process (AVX2+FMA on x86_64, NEON
+//! on aarch64) and can be forced off via `SKIPNODE_SIMD=off` or [`force`]
+//! for A/B comparisons.
 //!
 //! # Accumulation-order policy
 //!
@@ -84,7 +87,7 @@ fn code(isa: Isa) -> u8 {
 }
 
 /// The ISA the current host supports for `isa` (used to clamp [`force`]).
-fn supported(isa: Isa) -> bool {
+pub(crate) fn supported(isa: Isa) -> bool {
     match isa {
         Isa::Scalar => true,
         Isa::Avx2 => {
@@ -424,6 +427,62 @@ fn adam_step_scalar(
     }
 }
 
+/// Draw `words` flag words on each of eight xoshiro256++ generators,
+/// advancing all of them `words · 64 / FLAG_BITS` steps. A draw `d` gives
+/// the flag `(d >> 11) < threshold`, as in `SplitRng::bernoulli`. Lane `k`
+/// stores its `w`-th word little-endian at byte `k · stride + 8 · w` of
+/// `out`; the word holds its `64 / FLAG_BITS` flags in draw order, one per
+/// byte as 0 or 1 when `FLAG_BITS` is 8, one per bit when it is 1.
+///
+/// Integer arithmetic only, so every ISA gives the same bits. AVX2 runs the
+/// eight lanes as two registers of four; every other ISA runs the portable
+/// loop.
+///
+/// # Panics
+/// Panics when `FLAG_BITS` is not 1 or 8, or when `words > 0` and a lane's
+/// words overlap the next lane's or run past `out`.
+pub(crate) fn bernoulli_lanes<const FLAG_BITS: i32>(
+    isa: Isa,
+    lanes: &mut [[u64; 4]; 8],
+    threshold: u64,
+    out: &mut [u8],
+    stride: usize,
+    words: usize,
+) {
+    assert!(
+        FLAG_BITS == 1 || FLAG_BITS == 8,
+        "one bit or one byte per flag"
+    );
+    if words == 0 {
+        return;
+    }
+    assert!(
+        8 * words <= stride && 7 * stride + 8 * words <= out.len(),
+        "lane words overrun `out`"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if isa == Isa::Avx2 {
+        // SAFETY: see `axpy` for the ISA; the assert above keeps every
+        // store of the kernel inside `out`.
+        unsafe {
+            bernoulli_lanes_avx2::<FLAG_BITS>(lanes, threshold, out.as_mut_ptr(), stride, words)
+        };
+        return;
+    }
+    let _ = isa;
+    for (k, s) in lanes.iter_mut().enumerate() {
+        for w in 0..words {
+            let mut word = 0u64;
+            for _ in 0..64 / FLAG_BITS {
+                let flag = (crate::rng::xoshiro_next(s) >> 11) < threshold;
+                word = word >> FLAG_BITS | u64::from(flag) << (64 - FLAG_BITS);
+            }
+            let at = k * stride + 8 * w;
+            out[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // AVX2 implementations
 // ---------------------------------------------------------------------------
@@ -722,12 +781,92 @@ mod avx2 {
             );
         }
     }
+
+    /// One xoshiro256++ step on four generators, state word `j` of all four
+    /// in `s[j]`: the draws, with `s` advanced. AVX2 has no 64-bit rotate,
+    /// so each rotate is two shifts and an or.
+    ///
+    /// # Safety
+    /// The host must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn xoshiro_next_x4(s: &mut [__m256i; 4]) -> __m256i {
+        let sum = _mm256_add_epi64(s[0], s[3]);
+        let rot = _mm256_or_si256(_mm256_slli_epi64::<23>(sum), _mm256_srli_epi64::<41>(sum));
+        let result = _mm256_add_epi64(rot, s[0]);
+        let t = _mm256_slli_epi64::<17>(s[1]);
+        s[2] = _mm256_xor_si256(s[2], s[0]);
+        s[3] = _mm256_xor_si256(s[3], s[1]);
+        s[1] = _mm256_xor_si256(s[1], s[2]);
+        s[0] = _mm256_xor_si256(s[0], s[3]);
+        s[2] = _mm256_xor_si256(s[2], t);
+        s[3] = _mm256_or_si256(_mm256_slli_epi64::<45>(s[3]), _mm256_srli_epi64::<19>(s[3]));
+        result
+    }
+
+    /// [`super::bernoulli_lanes`] on two registers of four lanes.
+    ///
+    /// # Safety
+    /// The host must support AVX2, and `out` must be valid for writes of 8
+    /// bytes at `k · stride + 8 · w` for every lane `k < 8` and `w < words`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn bernoulli_lanes_avx2<const FLAG_BITS: i32>(
+        lanes: &mut [[u64; 4]; 8],
+        threshold: u64,
+        out: *mut u8,
+        stride: usize,
+        words: usize,
+    ) {
+        let mut st = [[_mm256_setzero_si256(); 4]; 2];
+        for (h, regs) in st.iter_mut().enumerate() {
+            for (j, reg) in regs.iter_mut().enumerate() {
+                let l = &lanes[4 * h..4 * h + 4];
+                *reg = _mm256_set_epi64x(
+                    l[3][j] as i64,
+                    l[2][j] as i64,
+                    l[1][j] as i64,
+                    l[0][j] as i64,
+                );
+            }
+        }
+        // A shifted draw is below 2^53, so capping the threshold there
+        // keeps the signed compare equal to the unsigned one.
+        let thr = _mm256_set1_epi64x(threshold.min(1 << 53) as i64);
+        let top = _mm256_set1_epi64x((1u64 << (64 - FLAG_BITS)) as i64);
+        let mut word = [0u64; 8];
+        for w in 0..words {
+            let mut acc = [_mm256_setzero_si256(); 2];
+            for _ in 0..64 / FLAG_BITS {
+                for (regs, acc) in st.iter_mut().zip(&mut acc) {
+                    let draw = _mm256_srli_epi64::<11>(xoshiro_next_x4(regs));
+                    let flag = _mm256_and_si256(_mm256_cmpgt_epi64(thr, draw), top);
+                    *acc = _mm256_or_si256(_mm256_srli_epi64::<FLAG_BITS>(*acc), flag);
+                }
+            }
+            _mm256_storeu_si256(word.as_mut_ptr().cast(), acc[0]);
+            _mm256_storeu_si256(word.as_mut_ptr().add(4).cast(), acc[1]);
+            for (k, &v) in word.iter().enumerate() {
+                out.add(k * stride + 8 * w)
+                    .cast::<u64>()
+                    .write_unaligned(v.to_le());
+            }
+        }
+        for (h, regs) in st.iter().enumerate() {
+            for (j, reg) in regs.iter().enumerate() {
+                let mut v = [0u64; 4];
+                _mm256_storeu_si256(v.as_mut_ptr().cast(), *reg);
+                for (lane, &x) in lanes[4 * h..4 * h + 4].iter_mut().zip(&v) {
+                    lane[j] = x;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 use avx2::{
-    adam_step_avx2, add_scaled_avx2, axpy_avx2, axpy_scatter_avx2, dot4_avx2, dot_avx2,
-    gemm_rows_avx2, relu_avx2, sum_sq_f64_avx2,
+    adam_step_avx2, add_scaled_avx2, axpy_avx2, axpy_scatter_avx2, bernoulli_lanes_avx2, dot4_avx2,
+    dot_avx2, gemm_rows_avx2, relu_avx2, sum_sq_f64_avx2,
 };
 
 // ---------------------------------------------------------------------------
