@@ -121,8 +121,13 @@ fn read_str<R: Read>(r: &mut R) -> io::Result<String> {
     if len > 1 << 20 {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "name too long"));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    // Like the parameter data, a name grows only as its bytes arrive: a
+    // corrupt length field costs no more than the bytes the file holds.
+    let mut buf = Vec::new();
+    r.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() != len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     String::from_utf8(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
@@ -183,7 +188,7 @@ impl ModelCheckpoint {
         }
         let want = self
             .spec
-            .param_shapes()
+            .param_shapes(saved.len())
             .map_err(|e| invalid(e.to_string()))?;
         if want != saved {
             return Err(invalid(format!(
@@ -436,7 +441,11 @@ mod tests {
                     .into_iter()
                     .map(|id| store.value(id).shape())
                     .collect();
-                assert_eq!(spec.param_shapes().unwrap(), built, "{name} depth {depth}");
+                assert_eq!(
+                    spec.param_shapes(usize::MAX).unwrap(),
+                    built,
+                    "{name} depth {depth}"
+                );
             }
         }
     }

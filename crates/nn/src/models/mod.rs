@@ -271,7 +271,12 @@ impl BackboneSpec {
     /// The `(rows, cols)` of every parameter [`BackboneSpec::build`]
     /// registers, in registration order, without allocating them: what a
     /// checkpoint's parameters must be for this spec.
-    pub(crate) fn param_shapes(&self) -> Result<Vec<(usize, usize)>, BuildError> {
+    ///
+    /// Every layer loop stops after `limit + 1` layers, so a header that
+    /// claims a huge depth yields a list longer than `limit` (and so one
+    /// that cannot match `limit` saved parameters) without the list being
+    /// built for the claim.
+    pub(crate) fn param_shapes(&self, limit: usize) -> Result<Vec<(usize, usize)>, BuildError> {
         let &Self {
             in_dim: i,
             hidden: h,
@@ -283,18 +288,19 @@ impl BackboneSpec {
         fn linear(shapes: &mut Vec<(usize, usize)>, fi: usize, fo: usize) {
             shapes.extend([(fi, fo), (1, fo)]);
         }
+        let cap = limit.saturating_add(1);
         let mut s = Vec::new();
         match self.name.as_str() {
             "gcn" | "resgcn" => {
                 let layers = depth.max(2);
-                for l in 0..layers {
+                for l in 0..layers.min(cap) {
                     let fi = if l == 0 { i } else { h };
                     linear(&mut s, fi, if l == layers - 1 { o } else { h });
                 }
             }
             "jknet" => {
                 let layers = depth.max(1);
-                for l in 0..layers {
+                for l in 0..layers.min(cap) {
                     linear(&mut s, if l == 0 { i } else { h }, h);
                 }
                 linear(&mut s, h.saturating_mul(layers), o);
@@ -302,7 +308,7 @@ impl BackboneSpec {
             "inceptgcn" => {
                 let depths = inceptgcn::branch_depths(depth.max(1));
                 for &d in &depths {
-                    for l in 0..d {
+                    for l in 0..d.min(cap) {
                         linear(&mut s, if l == 0 { i } else { h }, h);
                     }
                 }
@@ -310,7 +316,7 @@ impl BackboneSpec {
             }
             "gcnii" => {
                 linear(&mut s, i, h);
-                s.extend((0..depth.max(1)).map(|_| (h, h)));
+                s.extend((0..depth.max(1).min(cap)).map(|_| (h, h)));
                 linear(&mut s, h, o);
             }
             "appnp" | "grand" => {
