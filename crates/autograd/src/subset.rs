@@ -8,7 +8,7 @@
 //! gate — batched answers identical to the full-graph forward — only
 //! holds if every elementwise op applies the exact same scalar
 //! operations in the same order as the tape executors. These helpers
-//! are those operations, shared by [`crate::infer`]'s deferred executor
+//! are those operations, shared by the `infer` module's deferred executor
 //! and the subset interpreter so the two can never drift.
 //!
 //! Everything here is row-local (each output row depends only on the

@@ -516,7 +516,7 @@ impl Tape {
     /// Backward pass from several roots at once (used by GRAND, whose loss
     /// seeds gradients into every augmented prediction head).
     ///
-    /// Runs [`Tape::backward_step`] over the nodes in reverse order with
+    /// Runs `Tape::backward_step` over the nodes in reverse order with
     /// every forward value kept alive; only leaf gradients are returned.
     pub fn backward_multi(&mut self, seeds: Vec<(NodeId, Matrix)>) -> Grads {
         assert!(

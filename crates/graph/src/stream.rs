@@ -53,7 +53,7 @@ fn powerlaw_rank(len: usize, power: f64, rng: &mut SplitRng) -> usize {
 /// skipped and duplicates removed structurally, so the realized count is
 /// slightly under `m` (the in-memory generator retries instead). Class
 /// `c`'s members are `{c, c + classes, …}`, picked by
-/// [`powerlaw_rank`]-distributed within-class rank.
+/// `powerlaw_rank`-distributed within-class rank.
 pub struct PlantedPartitionStream {
     cfg: PartitionConfig,
     seed: u64,

@@ -37,7 +37,7 @@
 //!   sums in a fixed order, so they are deterministic per ISA but
 //!   tolerance-class versus scalar.
 //!
-//! The scalar kernels in [`crate::gemm`] and friends are untouched and
+//! The scalar kernels in the `gemm` module and friends are untouched and
 //! remain the bitwise reference; `SKIPNODE_SIMD=off` reproduces pre-SIMD
 //! results byte-for-byte.
 

@@ -13,8 +13,8 @@
 //!   element can use [`take_full`] / [`take_copy`] and skip the memset).
 //! - A buffer handed to [`give`] must no longer be referenced; it may be
 //!   returned by any later `take*` call of the same element count.
-//! - The free-list is bounded ([`MAX_BUFFERS_PER_SHAPE`] per element count,
-//!   [`MAX_POOL_BYTES`] overall); beyond that, `give` simply drops the
+//! - The free-list is bounded (`MAX_BUFFERS_PER_SHAPE` per element count,
+//!   `MAX_POOL_BYTES` overall); beyond that, `give` simply drops the
 //!   buffer, so the pool can never hold more memory than a few epochs'
 //!   working set.
 
