@@ -2,6 +2,7 @@
 
 use skipnode_sparse::{dedup_undirected_edges, gcn_adjacency, CsrMatrix};
 use skipnode_tensor::Matrix;
+use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
 
 /// An undirected attributed graph with node labels.
@@ -19,7 +20,6 @@ pub struct Graph {
     labels: Vec<usize>,
     num_classes: usize,
     gcn_adj: OnceLock<Arc<CsrMatrix>>,
-    node_order: Option<Arc<crate::preprocess::Reordering>>,
 }
 
 impl Graph {
@@ -51,25 +51,15 @@ impl Graph {
             labels,
             num_classes,
             gcn_adj: OnceLock::new(),
-            node_order: None,
         }
     }
 
-    /// Attach the [`crate::preprocess::Reordering`] this graph was
-    /// renumbered by (set by [`crate::preprocess::reorder_graph`]), so
-    /// per-node samplers can draw in logical order.
-    ///
-    /// # Panics
-    /// Panics if the reordering's size disagrees with the node count.
-    pub fn with_node_order(mut self, order: crate::preprocess::Reordering) -> Self {
-        assert_eq!(order.len(), self.n, "reordering size != node count");
-        self.node_order = Some(Arc::new(order));
-        self
-    }
-
-    /// The reordering this graph was renumbered by, if any.
-    pub fn node_order(&self) -> Option<&crate::preprocess::Reordering> {
-        self.node_order.as_deref()
+    /// Always `None`: graphs carry no node renumbering. Kept only so the
+    /// benchmark in `perf/`, which passes it to
+    /// `StrategySampler::with_order`, compiles unchanged; the pointee type
+    /// is uninhabited, so no value can ever be returned.
+    pub fn node_order(&self) -> Option<&Infallible> {
+        None
     }
 
     /// Number of nodes.

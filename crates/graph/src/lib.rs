@@ -36,7 +36,7 @@ pub use generators::{
 pub use graph::Graph;
 pub use large::LargeGraph;
 pub use partition::{partition_nodes, ShardSet, SubgraphShard};
-pub use preprocess::{reorder_graph, row_normalize, standardize, GraphReorder, Reordering};
+pub use preprocess::{row_normalize, standardize};
 pub use splits::{full_supervised_split, link_split, semi_supervised_split, LinkSplit, Split};
 pub use stream::{
     assemble_large_graph, streamed_ba_graph, streamed_partition_graph, streamed_ring_graph,

@@ -13,11 +13,8 @@
 //! [`ShardSet`] then extracts one [`SubgraphShard`] per part: the induced
 //! core [`Graph`] (its normalized adjacency lazily cached once by
 //! [`Graph::gcn_adjacency`]), halo node ids (out-of-shard neighbors — the
-//! rows Cluster-GCN drops and neighbor sampling re-imports), remapped
-//! features/labels/split indices, and — when the parent graph carries a
-//! cache-locality [`Reordering`] — a shard-local reordering mapping local
-//! ids to original-id rank, so SkipNode mask sampling keeps drawing in
-//! logical order (RNG-stream parity with the unreordered run).
+//! rows Cluster-GCN drops and neighbor sampling re-imports), and remapped
+//! features/labels/split indices.
 //!
 //! Shard node lists are **ascending** and split indices keep the parent
 //! split's iteration order, so `shards = 1` reproduces the full-batch
@@ -25,7 +22,6 @@
 
 use crate::graph::Graph;
 use crate::large::LargeGraph;
-use crate::preprocess::Reordering;
 use crate::splits::Split;
 use skipnode_tensor::Matrix;
 use std::collections::VecDeque;
@@ -121,9 +117,7 @@ pub struct SubgraphShard {
     /// Parent edges lost because exactly one endpoint is in this shard.
     pub cut_edges: usize,
     /// The induced core subgraph in local ids (canonical edges, copied
-    /// features/labels, normalized adjacency lazily cached once). When
-    /// the parent carries a node order, this graph carries the shard-local
-    /// restriction of it.
+    /// features/labels, normalized adjacency lazily cached once).
     pub graph: Graph,
     /// Cached `graph.degrees()` (the trainer needs them every epoch).
     pub degrees: Vec<usize>,
@@ -170,7 +164,6 @@ impl ShardSet {
             g.num_classes(),
             g.edges().iter().copied(),
             g.num_edges(),
-            g.node_order(),
         )
     }
 
@@ -203,7 +196,6 @@ impl ShardSet {
             g.num_classes(),
             edges,
             g.num_edges(),
-            None,
         )
     }
 
@@ -238,7 +230,6 @@ fn build_shards(
     num_classes: usize,
     edges: impl Iterator<Item = (usize, usize)>,
     total_edges: usize,
-    parent_order: Option<&Reordering>,
 ) -> ShardSet {
     let n = assignment.len();
     // Ascending node lists + global→local index in one scan.
@@ -297,27 +288,13 @@ fn build_shards(
         halo.dedup();
         let shard_features = features.select_rows(&shard_nodes);
         let labels: Vec<usize> = shard_nodes.iter().map(|&g| label_of(g)).collect();
-        let mut graph = Graph::new(
+        let graph = Graph::new(
             shard_nodes.len(),
             std::mem::take(&mut local_edges[s]),
             shard_features,
             labels,
             num_classes,
         );
-        if let Some(ord) = parent_order {
-            // Local physical id ↔ rank of the node's *original* id within
-            // the shard: SkipNode masks then draw in original-id order,
-            // shard layout notwithstanding (the RNG-parity rule of
-            // DESIGN.md §12).
-            let orig: Vec<usize> = shard_nodes.iter().map(|&p| ord.perm[p]).collect();
-            let mut by_orig: Vec<usize> = (0..orig.len()).collect();
-            by_orig.sort_by_key(|&j| orig[j]);
-            let mut rank = vec![0usize; orig.len()];
-            for (r, &j) in by_orig.iter().enumerate() {
-                rank[j] = r;
-            }
-            graph = graph.with_node_order(Reordering::from_perm(rank));
-        }
         let degrees = graph.degrees();
         out.push(SubgraphShard {
             index: s,
@@ -344,7 +321,6 @@ mod tests {
         barabasi_albert_with_classes, class_feature_matrix, partition_graph, FeatureStyle,
         PartitionConfig,
     };
-    use crate::preprocess::{reorder_graph, GraphReorder};
     use crate::splits::full_supervised_split;
     use skipnode_tensor::SplitRng;
 
@@ -508,30 +484,5 @@ mod tests {
             assert_eq!(x.graph.edges(), y.graph.edges());
             assert_eq!(x.local_split, y.local_split);
         }
-    }
-
-    #[test]
-    fn reordered_parent_gives_shards_a_logical_order() {
-        let g = ba_graph(600);
-        let (rg, _) = reorder_graph(&g, GraphReorder::DegreeSort);
-        let mut rng = SplitRng::new(9);
-        let split = full_supervised_split(&rg, &mut rng);
-        let set = ShardSet::from_graph(&rg, &split, 3);
-        for sh in &set.shards {
-            let ord = sh.graph.node_order().expect("shard keeps logical order");
-            // perm[local] = rank of the node's original id: ascending
-            // original ids within the shard enumerate ranks 0..len.
-            let parent_ord = rg.node_order().unwrap();
-            let orig: Vec<usize> = sh.nodes.iter().map(|&p| parent_ord.perm[p]).collect();
-            let mut sorted = orig.clone();
-            sorted.sort_unstable();
-            for (local, &o) in orig.iter().enumerate() {
-                let rank = sorted.binary_search(&o).unwrap();
-                assert_eq!(ord.perm[local], rank);
-            }
-        }
-        // Unordered parents attach no shard order.
-        let plain = ShardSet::from_graph(&g, &split, 3);
-        assert!(plain.shards.iter().all(|s| s.graph.node_order().is_none()));
     }
 }

@@ -1,25 +1,5 @@
-//! Feature preprocessing, mirroring the Planetoid pipeline conventions,
-//! plus the cache-locality node-reordering pass.
-//!
-//! # Cache-locality reordering
-//!
-//! SpMM row accumulation gathers `x.row(c)` for every neighbor `c`; when
-//! neighbor ids are scattered, each gather is a cache miss. Renumbering
-//! nodes so neighbors sit close together (reverse Cuthill–McKee) or so
-//! hot hub rows share cache lines (degree sort) makes the same product
-//! walk memory mostly forward. [`reorder_graph`] applies a permutation to
-//! the whole dataset — edges, features, labels — and returns the
-//! [`Reordering`] needed to map splits in and un-permute outputs.
-//!
-//! The permuted graph remembers its [`Reordering`] (see
-//! [`Graph::node_order`]), which strategy samplers use to draw per-node
-//! masks in *logical* (original-id) order: a reordered training run then
-//! consumes the identical RNG stream and makes the identical per-node
-//! decisions as the unreordered run, so loss curves match up to the float
-//! reassociation of the permuted accumulations.
+//! Feature preprocessing, mirroring the Planetoid pipeline conventions.
 
-use crate::graph::Graph;
-use crate::splits::Split;
 use skipnode_tensor::Matrix;
 
 /// Row-normalize features to unit L1 norm (the standard Planetoid
@@ -71,181 +51,6 @@ pub fn standardize(features: &Matrix) -> Matrix {
     out
 }
 
-/// Which cache-locality reordering [`reorder_graph`] applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GraphReorder {
-    /// Keep the original node numbering (identity permutation).
-    #[default]
-    None,
-    /// Renumber by descending degree (stable): hub rows — touched by most
-    /// products — become contiguous at the top of every operand.
-    DegreeSort,
-    /// Reverse Cuthill–McKee: per-component BFS from a minimum-degree
-    /// seed, neighbors visited in ascending-degree order, whole order
-    /// reversed. Minimizes adjacency bandwidth, so a row's neighbor
-    /// gathers land near each other.
-    Rcm,
-}
-
-impl GraphReorder {
-    /// Stable label for configs and bench metadata.
-    pub fn name(&self) -> &'static str {
-        match self {
-            GraphReorder::None => "none",
-            GraphReorder::DegreeSort => "degree_sort",
-            GraphReorder::Rcm => "rcm",
-        }
-    }
-}
-
-/// A node renumbering: `perm[new] = old` and `inv[old] = new`.
-///
-/// Produced by [`reorder_graph`] and carried by the permuted
-/// [`Graph`] so samplers can stay order-covariant; also the handle for
-/// mapping splits into the permuted id space and un-permuting row-indexed
-/// outputs back out of it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Reordering {
-    /// `perm[new] = old`: the original id living at each new position.
-    pub perm: Vec<usize>,
-    /// `inv[old] = new`: where each original id went.
-    pub inv: Vec<usize>,
-}
-
-impl Reordering {
-    /// The identity reordering on `n` nodes.
-    pub fn identity(n: usize) -> Self {
-        let perm: Vec<usize> = (0..n).collect();
-        Self {
-            inv: perm.clone(),
-            perm,
-        }
-    }
-
-    /// Build from a `perm[new] = old` permutation.
-    ///
-    /// # Panics
-    /// Panics if `perm` is not a permutation of `0..perm.len()`.
-    pub fn from_perm(perm: Vec<usize>) -> Self {
-        let n = perm.len();
-        let mut inv = vec![usize::MAX; n];
-        for (new, &old) in perm.iter().enumerate() {
-            assert!(old < n && inv[old] == usize::MAX, "not a permutation");
-            inv[old] = new;
-        }
-        Self { perm, inv }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.perm.len()
-    }
-
-    /// True when the reordering is empty.
-    pub fn is_empty(&self) -> bool {
-        self.perm.is_empty()
-    }
-
-    /// Map original node ids into the permuted space (order preserved, so
-    /// anything iterating the result visits the same logical nodes in the
-    /// same sequence as before).
-    pub fn map_nodes(&self, nodes: &[usize]) -> Vec<usize> {
-        nodes.iter().map(|&o| self.inv[o]).collect()
-    }
-
-    /// Map a train/val/test split into the permuted space.
-    pub fn map_split(&self, split: &Split) -> Split {
-        Split {
-            train: self.map_nodes(&split.train),
-            val: self.map_nodes(&split.val),
-            test: self.map_nodes(&split.test),
-        }
-    }
-
-    /// Un-permute a row-per-node matrix (logits, embeddings) back to the
-    /// original node order: row `j` of the permuted output becomes row
-    /// `perm[j]` of the result.
-    pub fn restore_rows(&self, permuted: &Matrix) -> Matrix {
-        assert_eq!(permuted.rows(), self.perm.len(), "row count != node count");
-        let mut out = Matrix::zeros(permuted.rows(), permuted.cols());
-        for (j, &old) in self.perm.iter().enumerate() {
-            out.row_mut(old).copy_from_slice(permuted.row(j));
-        }
-        out
-    }
-}
-
-fn degree_sort_perm(g: &Graph) -> Vec<usize> {
-    let deg = g.degrees();
-    let mut order: Vec<usize> = (0..g.num_nodes()).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(deg[v]));
-    order
-}
-
-fn rcm_perm(g: &Graph) -> Vec<usize> {
-    let n = g.num_nodes();
-    let deg = g.degrees();
-    let mut adj = g.adjacency_list();
-    for nbrs in &mut adj {
-        nbrs.sort_by_key(|&v| (deg[v], v));
-    }
-    // Component seeds: minimum degree first (classic CM heuristic).
-    let mut seeds: Vec<usize> = (0..n).collect();
-    seeds.sort_by_key(|&v| (deg[v], v));
-    let mut visited = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    for seed in seeds {
-        if visited[seed] {
-            continue;
-        }
-        visited[seed] = true;
-        let mut queue = std::collections::VecDeque::from([seed]);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            for &v in &adj[u] {
-                if !visited[v] {
-                    visited[v] = true;
-                    queue.push_back(v);
-                }
-            }
-        }
-    }
-    order.reverse();
-    order
-}
-
-/// Renumber `g`'s nodes for cache locality: permute the edge list,
-/// feature rows, and labels, and remember the [`Reordering`] on the
-/// returned graph so masks stay order-covariant (see the module docs).
-///
-/// Splits must be mapped with [`Reordering::map_split`]; row-indexed
-/// outputs come back to the original order via
-/// [`Reordering::restore_rows`]. [`GraphReorder::None`] returns an
-/// unpermuted copy with an identity reordering (and no `node_order`
-/// attached — sampling then takes the plain path).
-pub fn reorder_graph(g: &Graph, mode: GraphReorder) -> (Graph, Reordering) {
-    let n = g.num_nodes();
-    if mode == GraphReorder::None {
-        return (g.clone(), Reordering::identity(n));
-    }
-    let perm = match mode {
-        GraphReorder::None => unreachable!(),
-        GraphReorder::DegreeSort => degree_sort_perm(g),
-        GraphReorder::Rcm => rcm_perm(g),
-    };
-    let ord = Reordering::from_perm(perm);
-    let edges: Vec<(usize, usize)> = g
-        .edges()
-        .iter()
-        .map(|&(u, v)| (ord.inv[u], ord.inv[v]))
-        .collect();
-    let features = g.features().select_rows(&ord.perm);
-    let labels: Vec<usize> = ord.perm.iter().map(|&o| g.labels()[o]).collect();
-    let graph =
-        Graph::new(n, edges, features, labels, g.num_classes()).with_node_order(ord.clone());
-    (graph, ord)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,120 +83,6 @@ mod tests {
         let twice = standardize(&once);
         for (a, b) in once.as_slice().iter().zip(twice.as_slice()) {
             assert!((a - b).abs() < 1e-5);
-        }
-    }
-
-    /// Path + a pendant: degrees [1, 2, 2, 2, 1, 1] give RCM and degree
-    /// sort something to chew on.
-    fn sample_graph() -> Graph {
-        let features = Matrix::from_rows(&[
-            &[0.0, 10.0],
-            &[1.0, 11.0],
-            &[2.0, 12.0],
-            &[3.0, 13.0],
-            &[4.0, 14.0],
-            &[5.0, 15.0],
-        ]);
-        Graph::new(
-            6,
-            vec![(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)],
-            features,
-            vec![0, 1, 0, 1, 0, 1],
-            2,
-        )
-    }
-
-    fn check_isomorphic(g: &Graph, rg: &Graph, ord: &Reordering) {
-        assert_eq!(rg.num_nodes(), g.num_nodes());
-        assert_eq!(rg.num_edges(), g.num_edges());
-        // Edge sets correspond under the permutation.
-        let mut mapped: Vec<(usize, usize)> = g
-            .edges()
-            .iter()
-            .map(|&(u, v)| {
-                let (a, b) = (ord.inv[u], ord.inv[v]);
-                (a.min(b), a.max(b))
-            })
-            .collect();
-        mapped.sort_unstable();
-        let mut got: Vec<(usize, usize)> = rg.edges().to_vec();
-        got.sort_unstable();
-        assert_eq!(mapped, got);
-        // Features and labels moved with their nodes.
-        for new in 0..rg.num_nodes() {
-            let old = ord.perm[new];
-            assert_eq!(rg.features().row(new), g.features().row(old));
-            assert_eq!(rg.labels()[new], g.labels()[old]);
-        }
-    }
-
-    #[test]
-    fn reorderings_are_isomorphic_relabelings() {
-        let g = sample_graph();
-        for mode in [GraphReorder::DegreeSort, GraphReorder::Rcm] {
-            let (rg, ord) = reorder_graph(&g, mode);
-            check_isomorphic(&g, &rg, &ord);
-            assert_eq!(
-                rg.node_order().expect("reordered graph keeps its order"),
-                &ord
-            );
-        }
-    }
-
-    #[test]
-    fn none_mode_is_identity_without_node_order() {
-        let g = sample_graph();
-        let (rg, ord) = reorder_graph(&g, GraphReorder::None);
-        assert_eq!(ord, Reordering::identity(6));
-        assert_eq!(rg.edges(), g.edges());
-        assert!(rg.node_order().is_none());
-    }
-
-    #[test]
-    fn degree_sort_is_monotone_in_degree() {
-        let g = sample_graph();
-        let (rg, _) = reorder_graph(&g, GraphReorder::DegreeSort);
-        let deg = rg.degrees();
-        assert!(deg.windows(2).all(|w| w[0] >= w[1]), "{deg:?}");
-    }
-
-    #[test]
-    fn rcm_shrinks_bandwidth_on_a_shuffled_path() {
-        // A path graph numbered adversarially: bandwidth n-1 before,
-        // should be ~1 after RCM.
-        let n = 64;
-        let shuffled: Vec<usize> = (0..n).map(|i| (i * 37) % n).collect();
-        let edges: Vec<(usize, usize)> =
-            (0..n - 1).map(|i| (shuffled[i], shuffled[i + 1])).collect();
-        let g = Graph::new(n, edges, Matrix::zeros(n, 1), vec![0; n], 1);
-        let bandwidth = |g: &Graph| g.edges().iter().map(|&(u, v)| u.abs_diff(v)).max().unwrap();
-        let before = bandwidth(&g);
-        let (rg, _) = reorder_graph(&g, GraphReorder::Rcm);
-        let after = bandwidth(&rg);
-        assert!(after < before / 4, "bandwidth {before} -> {after}");
-        assert_eq!(after, 1, "a path renumbers to its natural order");
-    }
-
-    #[test]
-    fn split_mapping_and_row_restoration_round_trip() {
-        let g = sample_graph();
-        let (rg, ord) = reorder_graph(&g, GraphReorder::Rcm);
-        let split = Split {
-            train: vec![0, 2, 4],
-            val: vec![1],
-            test: vec![3, 5],
-        };
-        let mapped = ord.map_split(&split);
-        for (orig, new) in split.train.iter().zip(&mapped.train) {
-            assert_eq!(ord.perm[*new], *orig);
-            // Same logical node: labels agree across the two id spaces.
-            assert_eq!(rg.labels()[*new], g.labels()[*orig]);
-        }
-        // Outputs computed in permuted space restore to original order.
-        let permuted_out = rg.features().clone();
-        let restored = ord.restore_rows(&permuted_out);
-        for r in 0..g.num_nodes() {
-            assert_eq!(restored.row(r), g.features().row(r));
         }
     }
 }

@@ -2,37 +2,13 @@
 
 use skipnode_autograd::{AdjId, NodeId, Tape};
 use skipnode_core::SkipNodeConfig;
-use skipnode_graph::{Graph, Reordering};
+use skipnode_graph::Graph;
 use skipnode_sparse::{gcn_adjacency_filtered, gcn_adjacency_with_node_mask, CsrMatrix};
 use skipnode_tensor::{SegmentTable, SplitRng};
 use std::sync::Arc;
 
-/// Draw a per-node skip mask, covariant with a cache-locality reordering.
-///
-/// Without an order this is a plain [`SkipNodeConfig::sample_mask`]. With
-/// one, the draw happens in *logical* (original-id) order against logical
-/// degrees, then permutes into physical order — so a reordered training
-/// run consumes the identical RNG stream and skips the identical logical
-/// nodes as the unreordered run (the reorder round-trip tests pin this).
-pub(crate) fn sample_skip_mask(
-    cfg: &SkipNodeConfig,
-    degrees: &[usize],
-    order: Option<&Reordering>,
-    rng: &mut SplitRng,
-) -> Vec<bool> {
-    match order {
-        None => cfg.sample_mask(degrees, rng),
-        Some(ord) => {
-            let n = degrees.len();
-            let logical_deg: Vec<usize> = (0..n).map(|o| degrees[ord.inv[o]]).collect();
-            let logical = cfg.sample_mask(&logical_deg, rng);
-            (0..n).map(|j| logical[ord.perm[j]]).collect()
-        }
-    }
-}
-
 /// Segment-aware skip-mask draw for packed multi-graph batches: one
-/// independent draw per graph, in segment (= logical row) order, so the
+/// independent draw per graph, in segment (= row) order, so the
 /// skip rate and degree-biased weighting are computed *within* each graph
 /// rather than across the union.
 ///
@@ -43,17 +19,12 @@ pub(crate) fn sample_skip_mask(
 pub(crate) fn sample_skip_mask_segmented(
     cfg: &SkipNodeConfig,
     degrees: &[usize],
-    order: Option<&Reordering>,
     segments: Option<&SegmentTable>,
     rng: &mut SplitRng,
 ) -> Vec<bool> {
     match segments {
-        None => sample_skip_mask(cfg, degrees, order, rng),
+        None => cfg.sample_mask(degrees, rng),
         Some(seg) => {
-            assert!(
-                order.is_none(),
-                "cache-locality reordering does not compose with packed batches"
-            );
             assert_eq!(seg.total_rows(), degrees.len(), "segment table mismatch");
             let mut mask = Vec::with_capacity(degrees.len());
             for s in 0..seg.num_segments() {
@@ -187,14 +158,11 @@ pub struct ForwardCtx<'a> {
     /// flip it off to A/B against the unfused op chain. Both paths produce
     /// bit-identical outputs and draw identically from `rng`.
     pub fuse: bool,
-    /// Cache-locality reordering of the graph this forward runs on (from
-    /// [`Graph::node_order`]). Skip masks are then sampled in logical
-    /// order so reordered runs stay RNG-identical to unreordered ones.
-    pub node_order: Option<&'a Reordering>,
     /// Per-graph row ranges when this forward runs over a packed
     /// multi-graph batch ([`skipnode_graph::GraphBatch`]). Skip masks are
-    /// then drawn per segment (see [`sample_skip_mask_segmented`]); `None`
-    /// means single-graph semantics.
+    /// then drawn independently per segment, one
+    /// [`SkipNodeConfig::sample_mask`] call per graph; `None` means
+    /// single-graph semantics.
     pub segments: Option<&'a Arc<SegmentTable>>,
 }
 
@@ -217,7 +185,6 @@ impl<'a> ForwardCtx<'a> {
             rng,
             penultimate: None,
             fuse: true,
-            node_order: None,
             segments: None,
         }
     }
@@ -237,9 +204,9 @@ impl<'a> ForwardCtx<'a> {
         prev_shape: (usize, usize),
     ) -> Option<impl FnOnce(&mut SplitRng) -> Vec<bool> + 'a> {
         let cfg = self.fused_skip_config(conv_shape, prev_shape)?;
-        let (degrees, order, segments) = (self.degrees, self.node_order, self.segments);
+        let (degrees, segments) = (self.degrees, self.segments);
         Some(move |rng: &mut SplitRng| {
-            sample_skip_mask_segmented(cfg, degrees, order, segments.map(Arc::as_ref), rng)
+            sample_skip_mask_segmented(cfg, degrees, segments.map(Arc::as_ref), rng)
         })
     }
 
@@ -275,7 +242,6 @@ impl<'a> ForwardCtx<'a> {
                 let mask = sample_skip_mask_segmented(
                     cfg,
                     self.degrees,
-                    self.node_order,
                     self.segments.map(Arc::as_ref),
                     self.rng,
                 );
@@ -288,7 +254,6 @@ impl<'a> ForwardCtx<'a> {
                 let mask = sample_skip_mask_segmented(
                     cfg,
                     self.degrees,
-                    self.node_order,
                     self.segments.map(Arc::as_ref),
                     self.rng,
                 );

@@ -11,9 +11,10 @@ use crate::context::{sample_skip_mask_segmented, ForwardCtx, Strategy};
 use crate::models::Model;
 use skipnode_autograd::{EpochSampler, Tape, TrainProgram};
 use skipnode_core::SkipNodeConfig;
-use skipnode_graph::{Graph, GraphBatch, Reordering};
+use skipnode_graph::{Graph, GraphBatch};
 use skipnode_sparse::CsrMatrix;
 use skipnode_tensor::{Matrix, SegmentTable, SplitRng};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Why a model could not be compiled for epoch replay.
@@ -39,7 +40,6 @@ impl std::error::Error for EngineError {}
 pub struct StrategySampler<'a> {
     cfg: Option<&'a SkipNodeConfig>,
     degrees: &'a [usize],
-    order: Option<&'a Reordering>,
     segments: Option<&'a SegmentTable>,
 }
 
@@ -53,22 +53,19 @@ impl<'a> StrategySampler<'a> {
         Self {
             cfg,
             degrees,
-            order: None,
             segments: None,
         }
     }
 
-    /// Sample in logical order through a cache-locality reordering
-    /// (typically [`Graph::node_order`]), matching the eager forward's
-    /// order-covariant draws.
-    pub fn with_order(mut self, order: Option<&'a Reordering>) -> Self {
-        self.order = order;
+    /// Returns the sampler unchanged: `order` is always `None` (the
+    /// pointee type is uninhabited). Kept only so the benchmark in `perf/`,
+    /// which passes [`Graph::node_order`] here, compiles unchanged.
+    pub fn with_order(self, _order: Option<&Infallible>) -> Self {
         self
     }
 
     /// Draw one independent mask per graph of a packed batch, matching the
-    /// segment-aware eager forward (see
-    /// [`crate::context::sample_skip_mask_segmented`]).
+    /// segment-aware eager forward (see [`ForwardCtx::segments`]).
     pub fn with_segments(mut self, segments: Option<&'a SegmentTable>) -> Self {
         self.segments = segments;
         self
@@ -83,7 +80,6 @@ impl EpochSampler for StrategySampler<'_> {
         out.copy_from_slice(&sample_skip_mask_segmented(
             cfg,
             self.degrees,
-            self.order,
             self.segments,
             rng,
         ));
@@ -113,7 +109,6 @@ pub fn compile_train_program(
         full_adj,
         strategy,
         fuse,
-        graph.node_order(),
         None,
     ))
 }
@@ -136,12 +131,10 @@ pub fn compile_train_program_packed(
         full_adj,
         strategy,
         fuse,
-        None,
         Some(batch.segments()),
     ))
 }
 
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn compile_probe(
     model: &dyn Model,
     features: Arc<Matrix>,
@@ -149,7 +142,6 @@ pub(crate) fn compile_probe(
     full_adj: &Arc<CsrMatrix>,
     strategy: &Strategy,
     fuse: bool,
-    node_order: Option<&Reordering>,
     segments: Option<&Arc<SegmentTable>>,
 ) -> TrainProgram {
     let mut tape = Tape::new();
@@ -159,7 +151,6 @@ pub(crate) fn compile_probe(
     let mut probe_rng = SplitRng::new(0x5eed);
     let mut ctx = ForwardCtx::new(adj_id, x, degrees, strategy, true, &mut probe_rng);
     ctx.fuse = fuse;
-    ctx.node_order = node_order;
     ctx.segments = segments;
     let heads = model.forward_heads(&mut tape, &binding, &mut ctx);
     TrainProgram::compile(tape, heads)

@@ -4,11 +4,11 @@
 //! Two batch schemes, following the two classic scalable-GCN recipes:
 //!
 //! - [`BatchScheme::ClusterShards`] (Cluster-GCN): partition the graph
-//!   once into degree-balanced [`SubgraphShard`]s (see
+//!   once into degree-balanced [`skipnode_graph::SubgraphShard`]s (see
 //!   `skipnode_graph::ShardSet`), cache each shard's induced normalized
-//!   adjacency, and compile **one [`TrainProgram`] per shard** that every
-//!   epoch replays with the liveness engine, fused SkipNode kernels
-//!   included. Cut edges are dropped; that is the documented Cluster-GCN
+//!   adjacency, and compile **one [`skipnode_autograd::TrainProgram`] per
+//!   shard** that every epoch replays with the liveness engine, fused
+//!   SkipNode kernels included. Cut edges are dropped; that is the documented Cluster-GCN
 //!   trade-off, quantified by `ShardSet::cut_edges`.
 //! - [`BatchScheme::NeighborSampling`] (GraphSAGE): per batch of seed
 //!   training nodes, sample a bounded-fanout neighborhood (halo nodes
@@ -20,20 +20,23 @@
 //! derived from `(shuffle_seed, epoch)` — never from the main RNG — so
 //! the main stream sees exactly one `epoch_adjacency` + one `split()` per
 //! trained shard, in visit order, plus the evaluation `split()`s. With a
-//! single shard this is precisely [`train_node_classifier`]'s stream, and
-//! `tests/shard_identity.rs` pins the two trainers bit-identical.
+//! single shard this is precisely [`crate::train_node_classifier`]'s
+//! stream, and `tests/shard_identity.rs` pins the two trainers
+//! bit-identical. Both schemes take each step through the full-batch
+//! trainer's own step and update, over a `TrainData` view of the shard or
+//! sampled subgraph.
 
 use crate::context::Strategy;
 use crate::diagnostics::{DiagnosticsRecorder, EpochDiagnostics};
-use crate::engine::{compile_train_program, StrategySampler};
 use crate::metrics::accuracy;
 use crate::models::Model;
 use crate::optim::Adam;
-use crate::schedule::clip_global_norm;
-use crate::trainer::{build_seeds, evaluate, TrainConfig, TrainEngine, TrainResult};
-use skipnode_autograd::{Tape, TrainProgram};
-use skipnode_graph::{Graph, LargeGraph, ShardSet, Split, SubgraphShard};
-use skipnode_tensor::{workspace, Matrix, SplitRng};
+use crate::trainer::{
+    apply_update, compile_for, evaluate, split_accuracy, train_step, Selection, TrainConfig,
+    TrainData, TrainResult,
+};
+use skipnode_graph::{Graph, LargeGraph, ShardSet, Split};
+use skipnode_tensor::SplitRng;
 
 /// How training nodes are batched per epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -195,17 +198,14 @@ fn train_over_shards(
 
     // One compiled program per shard shape, compiled once and replayed
     // every epoch.
-    let mut programs: Vec<Option<TrainProgram>> = set
+    let data: Vec<TrainData<'_>> = set
         .shards
         .iter()
-        .map(|sh| match cfg.engine {
-            TrainEngine::Eager => None,
-            TrainEngine::Compiled => {
-                let adj = sh.graph.gcn_adjacency();
-                let program = compile_train_program(model, &sh.graph, &adj, strategy, cfg.fuse);
-                Some(program.unwrap_or_else(|e| match e {}))
-            }
-        })
+        .map(|sh| TrainData::from_graph(&sh.graph))
+        .collect();
+    let mut programs: Vec<_> = data
+        .iter()
+        .map(|d| compile_for(model, d, strategy, cfg))
         .collect();
 
     let full_adj = match eval_mode {
@@ -213,10 +213,7 @@ fn train_over_shards(
         FullEval::PerShard => None,
     };
 
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_test = 0.0f64;
-    let mut best_epoch = 0usize;
-    let mut since_best = 0usize;
+    let mut selection = Selection::new();
     let mut epochs_run = 0usize;
 
     for epoch in 0..cfg.epochs {
@@ -230,18 +227,18 @@ fn train_over_shards(
             if sh.local_split.train.is_empty() {
                 continue;
             }
-            let (loss, head_norm, mut param_grads) =
-                shard_step(model, sh, programs[s].as_mut(), strategy, cfg, rng);
+            let (loss, head_norm, param_grads) = train_step(
+                model,
+                &data[s],
+                &sh.local_split,
+                programs[s].as_mut(),
+                strategy,
+                cfg.fuse,
+                rng,
+            );
             epoch_loss += loss * sh.local_split.train.len() as f64 / train_total as f64;
             grad_norm_sq += head_norm * head_norm;
-            if let Some(max_norm) = cfg.clip_norm {
-                clip_global_norm(&mut param_grads, max_norm);
-            }
-            opt.set_lr(cfg.adam.lr * cfg.lr_schedule.factor(epoch));
-            opt.step(model.store_mut(), &param_grads);
-            for g in param_grads.drain(..).flatten() {
-                workspace::give(g);
-            }
+            apply_update(model, &mut opt, cfg, epoch, param_grads);
         }
 
         let train_seconds = epoch_t0.elapsed().as_secs_f64();
@@ -253,17 +250,7 @@ fn train_over_shards(
                 FullEval::Exact { graph, split } => {
                     let full_adj = full_adj.as_ref().expect("exact eval has an adjacency");
                     let (logits, _) = evaluate(model, graph, full_adj, strategy, &mut eval_rng);
-                    let val_acc = if split.val.is_empty() {
-                        accuracy(&logits, graph.labels(), &split.train)
-                    } else {
-                        accuracy(&logits, graph.labels(), &split.val)
-                    };
-                    let test_acc = if split.test.is_empty() {
-                        val_acc
-                    } else {
-                        accuracy(&logits, graph.labels(), &split.test)
-                    };
-                    (val_acc, test_acc)
+                    split_accuracy(&logits, graph.labels(), split)
                 }
                 FullEval::PerShard => eval_per_shard(model, set, strategy, &mut eval_rng),
             };
@@ -278,94 +265,13 @@ fn train_over_shards(
                     train_seconds,
                 });
             }
-            if should_eval {
-                let improved = val_acc > best_val;
-                if val_acc >= best_val {
-                    best_val = val_acc;
-                    best_test = test_acc;
-                    best_epoch = epoch;
-                }
-                if improved {
-                    since_best = 0;
-                } else {
-                    since_best += cfg.eval_every;
-                    if cfg.patience > 0 && since_best >= cfg.patience {
-                        break;
-                    }
-                }
+            if should_eval && selection.observe(epoch, val_acc, test_acc, cfg) {
+                break;
             }
         }
     }
 
-    TrainResult {
-        test_accuracy: best_test,
-        val_accuracy: best_val.max(0.0),
-        best_epoch,
-        epochs_run,
-        diagnostics: recorder.into_entries(),
-        final_mad: None,
-    }
-}
-
-/// One shard's training step: replay its compiled program (or record an
-/// eager tape) and return `(mean_loss, first_head_grad_norm, grads)`.
-///
-/// RNG contract (must mirror `train_node_classifier` exactly for the
-/// 1-shard identity): `strategy.epoch_adjacency(...)` first, then one
-/// `rng.split()` for the forward.
-fn shard_step(
-    model: &mut dyn Model,
-    sh: &SubgraphShard,
-    program: Option<&mut TrainProgram>,
-    strategy: &Strategy,
-    cfg: &TrainConfig,
-    rng: &mut SplitRng,
-) -> (f64, f64, Vec<Option<Matrix>>) {
-    let shard_adj = sh.graph.gcn_adjacency();
-    let adj = strategy.epoch_adjacency(&sh.graph, &shard_adj, true, rng);
-    if let Some(program) = program {
-        program.set_adjacency(adj);
-        program.load_params(model.store().values());
-        let mut fwd_rng = rng.split();
-        let mut sampler =
-            StrategySampler::new(strategy, &sh.degrees).with_order(sh.graph.node_order());
-        program.begin_epoch(&mut sampler, &mut fwd_rng);
-        program.replay_forward();
-        let heads = program.heads().to_vec();
-        let logits: Vec<&Matrix> = heads.iter().map(|&h| program.value(h)).collect();
-        let (mean_loss, first_grad_norm, seeds) = build_seeds(
-            &logits,
-            sh.graph.labels(),
-            &sh.local_split,
-            model.consistency(),
-        );
-        let param_grads = program.backward(heads.iter().zip(seeds).map(|(&h, s)| (h, s)).collect());
-        (mean_loss, first_grad_norm, param_grads)
-    } else {
-        let mut tape = Tape::new();
-        let binding = model.store().bind(&mut tape);
-        let adj_id = tape.register_adj(adj);
-        let x = tape.constant_shared(sh.graph.features_arc());
-        let mut fwd_rng = rng.split();
-        let mut ctx =
-            crate::context::ForwardCtx::new(adj_id, x, &sh.degrees, strategy, true, &mut fwd_rng);
-        ctx.fuse = cfg.fuse;
-        ctx.node_order = sh.graph.node_order();
-        let heads = model.forward_heads(&mut tape, &binding, &mut ctx);
-        let logits: Vec<&Matrix> = heads.iter().map(|&h| tape.value(h)).collect();
-        let (mean_loss, first_grad_norm, seeds) = build_seeds(
-            &logits,
-            sh.graph.labels(),
-            &sh.local_split,
-            model.consistency(),
-        );
-        let grads = tape.backward_multi(heads.iter().zip(seeds).map(|(&h, s)| (h, s)).collect());
-        let param_grads: Vec<Option<Matrix>> = {
-            let mut grads = grads;
-            binding.nodes().iter().map(|&n| grads.take(n)).collect()
-        };
-        (mean_loss, first_grad_norm, param_grads)
-    }
+    selection.result(epochs_run, recorder.into_entries(), None)
 }
 
 /// Shard-aggregated evaluation: inference on every shard's cached
@@ -428,10 +334,7 @@ fn train_neighbor_sampled(
     let adj_list = graph.adjacency_list();
     let mut opt = Adam::new(model.store(), cfg.adam);
 
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_test = 0.0f64;
-    let mut best_epoch = 0usize;
-    let mut since_best = 0usize;
+    let mut selection = Selection::new();
     let mut epochs_run = 0usize;
     let mut in_batch = vec![false; n];
 
@@ -479,81 +382,28 @@ fn train_neighbor_sampled(
             for &u in &nodes {
                 in_batch[u] = false;
             }
-            let local_train: Vec<usize> = (0..batch.len()).collect();
-            let sub_adj = sub.gcn_adjacency();
-            let adj = strategy.epoch_adjacency(&sub, &sub_adj, true, rng);
-            let degrees = sub.degrees();
-            let mut tape = Tape::new();
-            let binding = model.store().bind(&mut tape);
-            let adj_id = tape.register_adj(adj);
-            let x = tape.constant_shared(sub.features_arc());
-            let mut fwd_rng = rng.split();
-            let mut ctx =
-                crate::context::ForwardCtx::new(adj_id, x, &degrees, strategy, true, &mut fwd_rng);
-            ctx.fuse = cfg.fuse;
-            let heads = model.forward_heads(&mut tape, &binding, &mut ctx);
-            let logits: Vec<&Matrix> = heads.iter().map(|&h| tape.value(h)).collect();
             let local_split = Split {
-                train: local_train,
+                train: (0..batch.len()).collect(),
                 val: Vec::new(),
                 test: Vec::new(),
             };
-            let (_, _, seeds_g) =
-                build_seeds(&logits, sub.labels(), &local_split, model.consistency());
-            let grads =
-                tape.backward_multi(heads.iter().zip(seeds_g).map(|(&h, s)| (h, s)).collect());
-            let mut param_grads: Vec<Option<Matrix>> = {
-                let mut grads = grads;
-                binding.nodes().iter().map(|&nid| grads.take(nid)).collect()
-            };
-            if let Some(max_norm) = cfg.clip_norm {
-                clip_global_norm(&mut param_grads, max_norm);
-            }
-            opt.set_lr(cfg.adam.lr * cfg.lr_schedule.factor(epoch));
-            opt.step(model.store_mut(), &param_grads);
-            for g in param_grads.drain(..).flatten() {
-                workspace::give(g);
-            }
+            let data = TrainData::from_graph(&sub);
+            let (_, _, param_grads) =
+                train_step(model, &data, &local_split, None, strategy, cfg.fuse, rng);
+            apply_update(model, &mut opt, cfg, epoch, param_grads);
         }
 
         if epoch % cfg.eval_every == 0 || epoch + 1 == cfg.epochs {
             let mut eval_rng = rng.split();
             let (logits, _) = evaluate(model, graph, &full_adj, strategy, &mut eval_rng);
-            let val_acc = if split.val.is_empty() {
-                accuracy(&logits, graph.labels(), &split.train)
-            } else {
-                accuracy(&logits, graph.labels(), &split.val)
-            };
-            let test_acc = if split.test.is_empty() {
-                val_acc
-            } else {
-                accuracy(&logits, graph.labels(), &split.test)
-            };
-            let improved = val_acc > best_val;
-            if val_acc >= best_val {
-                best_val = val_acc;
-                best_test = test_acc;
-                best_epoch = epoch;
-            }
-            if improved {
-                since_best = 0;
-            } else {
-                since_best += cfg.eval_every;
-                if cfg.patience > 0 && since_best >= cfg.patience {
-                    break;
-                }
+            let (val_acc, test_acc) = split_accuracy(&logits, graph.labels(), split);
+            if selection.observe(epoch, val_acc, test_acc, cfg) {
+                break;
             }
         }
     }
 
-    TrainResult {
-        test_accuracy: best_test,
-        val_accuracy: best_val.max(0.0),
-        best_epoch,
-        epochs_run,
-        diagnostics: Vec::new(),
-        final_mad: None,
-    }
+    selection.result(epochs_run, Vec::new(), None)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use crate::models::{Consistency, Model};
 use crate::optim::{Adam, AdamConfig};
 use crate::schedule::{clip_global_norm, LrSchedule};
 use skipnode_autograd::{softmax_cross_entropy, Tape, TrainProgram};
-use skipnode_graph::{Graph, GraphBatch, Reordering, Split};
+use skipnode_graph::{Graph, GraphBatch, Split};
 use skipnode_sparse::CsrMatrix;
 use skipnode_tensor::{workspace, Matrix, SegmentTable, SplitRng};
 use std::sync::Arc;
@@ -89,12 +89,11 @@ pub(crate) struct TrainData<'a> {
     pub full_adj: Arc<CsrMatrix>,
     pub edges: &'a [(usize, usize)],
     pub n: usize,
-    pub node_order: Option<&'a Reordering>,
     pub segments: Option<&'a Arc<SegmentTable>>,
 }
 
 impl<'a> TrainData<'a> {
-    fn from_graph(graph: &'a Graph) -> Self {
+    pub(crate) fn from_graph(graph: &'a Graph) -> Self {
         Self {
             features: graph.features_arc(),
             degrees: graph.degrees(),
@@ -102,7 +101,6 @@ impl<'a> TrainData<'a> {
             full_adj: graph.gcn_adjacency(),
             edges: graph.edges(),
             n: graph.num_nodes(),
-            node_order: graph.node_order(),
             segments: None,
         }
     }
@@ -115,7 +113,6 @@ impl<'a> TrainData<'a> {
             full_adj: batch.gcn_adjacency(),
             edges: batch.edges(),
             n: batch.num_nodes(),
-            node_order: None,
             segments: Some(batch.segments()),
         }
     }
@@ -198,7 +195,6 @@ fn evaluate_data(
     let adj = tape.register_adj(Arc::clone(&data.full_adj));
     let x = tape.constant_shared(Arc::clone(&data.features));
     let mut ctx = ForwardCtx::new(adj, x, &data.degrees, strategy, false, rng);
-    ctx.node_order = data.node_order;
     ctx.segments = data.segments;
     let out = model.forward(&mut tape, &binding, &mut ctx);
     let mut keep = vec![out];
@@ -278,96 +274,30 @@ fn train_classifier_core(
     rng: &mut SplitRng,
     diag_graph: Option<&Graph>,
 ) -> TrainResult {
-    let full_adj = Arc::clone(&data.full_adj);
-    let degrees = &data.degrees;
     let adj_list = (cfg.record_mad || cfg.diagnostics_every > 0)
         .then(|| diag_graph.map(|g| g.adjacency_list()))
         .flatten();
     let mut opt = Adam::new(model.store(), cfg.adam);
     let mut recorder = DiagnosticsRecorder::new(cfg.diagnostics_every);
+    let mut program = compile_for(model, data, strategy, cfg);
 
-    // The compiled program is the epoch-resident schedule every training
-    // step replays; it is recorded once per run.
-    let mut program: Option<TrainProgram> = match cfg.engine {
-        TrainEngine::Eager => None,
-        TrainEngine::Compiled => Some(compile_probe(
-            model,
-            Arc::clone(&data.features),
-            degrees,
-            &full_adj,
-            strategy,
-            cfg.fuse,
-            data.node_order,
-            data.segments,
-        )),
-    };
-    if let Some(p) = program.as_mut() {
-        p.enable_checkpointing(cfg.checkpoint_segments);
-    }
-
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_test = 0.0f64;
-    let mut best_epoch = 0usize;
-    let mut since_best = 0usize;
+    let mut selection = Selection::new();
     let mut epochs_run = 0usize;
     let mut last_mad = None;
 
     for epoch in 0..cfg.epochs {
         epochs_run = epoch + 1;
         let epoch_t0 = std::time::Instant::now();
-        // ---- training step ----
-        // Both branches consume `rng` identically (epoch adjacency, then
-        // one split for the forward) and produce identical losses, seeds,
-        // and parameter gradients — the engine-identity tests pin it.
-        let adj = strategy.epoch_adjacency_edges(data.n, data.edges, &full_adj, true, rng);
-        let (mean_loss, first_grad_norm, mut param_grads) = if let Some(program) = program.as_mut()
-        {
-            program.set_adjacency(adj);
-            program.load_params(model.store().values());
-            let mut fwd_rng = rng.split();
-            let mut sampler = StrategySampler::new(strategy, degrees)
-                .with_order(data.node_order)
-                .with_segments(data.segments.map(Arc::as_ref));
-            program.begin_epoch(&mut sampler, &mut fwd_rng);
-            program.replay_forward();
-            let heads = program.heads().to_vec();
-            let logits: Vec<&Matrix> = heads.iter().map(|&h| program.value(h)).collect();
-            let (mean_loss, first_grad_norm, seeds) =
-                build_seeds(&logits, data.labels, split, model.consistency());
-            let param_grads =
-                program.backward(heads.iter().zip(seeds).map(|(&h, s)| (h, s)).collect());
-            (mean_loss, first_grad_norm, param_grads)
-        } else {
-            let mut tape = Tape::new();
-            let binding = model.store().bind(&mut tape);
-            let adj_id = tape.register_adj(adj);
-            let x = tape.constant_shared(Arc::clone(&data.features));
-            let mut fwd_rng = rng.split();
-            let mut ctx = ForwardCtx::new(adj_id, x, degrees, strategy, true, &mut fwd_rng);
-            ctx.fuse = cfg.fuse;
-            ctx.node_order = data.node_order;
-            ctx.segments = data.segments;
-            let heads = model.forward_heads(&mut tape, &binding, &mut ctx);
-            let logits: Vec<&Matrix> = heads.iter().map(|&h| tape.value(h)).collect();
-            let (mean_loss, first_grad_norm, seeds) =
-                build_seeds(&logits, data.labels, split, model.consistency());
-            let grads =
-                tape.backward_multi(heads.iter().zip(seeds).map(|(&h, s)| (h, s)).collect());
-            let param_grads: Vec<Option<Matrix>> = {
-                let mut grads = grads;
-                binding.nodes().iter().map(|&n| grads.take(n)).collect()
-            };
-            (mean_loss, first_grad_norm, param_grads)
-        };
-        if let Some(max_norm) = cfg.clip_norm {
-            clip_global_norm(&mut param_grads, max_norm);
-        }
-        opt.set_lr(cfg.adam.lr * cfg.lr_schedule.factor(epoch));
-        opt.step(model.store_mut(), &param_grads);
-        // Recycle the gradient buffers for the next epoch's backward pass.
-        for g in param_grads.drain(..).flatten() {
-            workspace::give(g);
-        }
+        let (mean_loss, first_grad_norm, param_grads) = train_step(
+            model,
+            data,
+            split,
+            program.as_mut(),
+            strategy,
+            cfg.fuse,
+            rng,
+        );
+        apply_update(model, &mut opt, cfg, epoch, param_grads);
         let train_seconds = epoch_t0.elapsed().as_secs_f64();
 
         // ---- evaluation ----
@@ -377,16 +307,7 @@ fn train_classifier_core(
             let mut eval_rng = rng.split();
             let (logits, penultimate) =
                 evaluate_data(Tape::inference(), model, data, strategy, &mut eval_rng);
-            let val_acc = if split.val.is_empty() {
-                accuracy(&logits, data.labels, &split.train)
-            } else {
-                accuracy(&logits, data.labels, &split.val)
-            };
-            let test_acc = if split.test.is_empty() {
-                val_acc
-            } else {
-                accuracy(&logits, data.labels, &split.test)
-            };
+            let (val_acc, test_acc) = split_accuracy(&logits, data.labels, split);
             let mad = match (&adj_list, &penultimate) {
                 (Some(al), Some(p)) if cfg.record_mad || wants_diag => {
                     Some(mean_average_distance(p, al))
@@ -407,35 +328,188 @@ fn train_classifier_core(
                     train_seconds,
                 });
             }
-            if should_eval {
-                // `>=` deliberately: on validation plateaus (tiny val sets
-                // plateau hard) prefer the later, better-trained epoch.
-                // Patience, however, only resets on strict improvement.
-                let improved = val_acc > best_val;
-                if val_acc >= best_val {
-                    best_val = val_acc;
-                    best_test = test_acc;
-                    best_epoch = epoch;
-                }
-                if improved {
-                    since_best = 0;
-                } else {
-                    since_best += cfg.eval_every;
-                    if cfg.patience > 0 && since_best >= cfg.patience {
-                        break;
-                    }
-                }
+            if should_eval && selection.observe(epoch, val_acc, test_acc, cfg) {
+                break;
             }
         }
     }
 
-    TrainResult {
-        test_accuracy: best_test,
-        val_accuracy: best_val.max(0.0),
-        best_epoch,
-        epochs_run,
-        diagnostics: recorder.into_entries(),
-        final_mad: last_mad,
+    selection.result(epochs_run, recorder.into_entries(), last_mad)
+}
+
+/// Validation and test accuracy of `logits` over `split`. With no
+/// validation rows, validation falls back to the train rows; with no test
+/// rows, test falls back to validation.
+pub(crate) fn split_accuracy(logits: &Matrix, labels: &[usize], split: &Split) -> (f64, f64) {
+    let val_acc = if split.val.is_empty() {
+        accuracy(logits, labels, &split.train)
+    } else {
+        accuracy(logits, labels, &split.val)
+    };
+    let test_acc = if split.test.is_empty() {
+        val_acc
+    } else {
+        accuracy(logits, labels, &split.test)
+    };
+    (val_acc, test_acc)
+}
+
+/// Best-validation model selection with early stopping, shared by every
+/// trainer: the reported test accuracy is the one at the best validation
+/// epoch.
+pub(crate) struct Selection {
+    best_val: f64,
+    best_test: f64,
+    best_epoch: usize,
+    since_best: usize,
+}
+
+impl Selection {
+    pub(crate) fn new() -> Self {
+        Self {
+            best_val: f64::NEG_INFINITY,
+            best_test: 0.0,
+            best_epoch: 0,
+            since_best: 0,
+        }
+    }
+
+    /// Record one evaluation; `true` once patience has run out.
+    pub(crate) fn observe(
+        &mut self,
+        epoch: usize,
+        val_acc: f64,
+        test_acc: f64,
+        cfg: &TrainConfig,
+    ) -> bool {
+        // `>=` deliberately: on validation plateaus (tiny val sets plateau
+        // hard) prefer the later, better-trained epoch. Patience, however,
+        // only resets on strict improvement.
+        let improved = val_acc > self.best_val;
+        if val_acc >= self.best_val {
+            self.best_val = val_acc;
+            self.best_test = test_acc;
+            self.best_epoch = epoch;
+        }
+        if improved {
+            self.since_best = 0;
+            return false;
+        }
+        self.since_best += cfg.eval_every;
+        cfg.patience > 0 && self.since_best >= cfg.patience
+    }
+
+    pub(crate) fn result(
+        self,
+        epochs_run: usize,
+        diagnostics: Vec<EpochDiagnostics>,
+        final_mad: Option<f64>,
+    ) -> TrainResult {
+        TrainResult {
+            test_accuracy: self.best_test,
+            val_accuracy: self.best_val.max(0.0),
+            best_epoch: self.best_epoch,
+            epochs_run,
+            diagnostics,
+            final_mad,
+        }
+    }
+}
+
+/// The compiled program a run over `data` replays every epoch, recorded
+/// once; `None` under [`TrainEngine::Eager`].
+pub(crate) fn compile_for(
+    model: &dyn Model,
+    data: &TrainData<'_>,
+    strategy: &Strategy,
+    cfg: &TrainConfig,
+) -> Option<TrainProgram> {
+    let mut program = match cfg.engine {
+        TrainEngine::Eager => return None,
+        TrainEngine::Compiled => compile_probe(
+            model,
+            Arc::clone(&data.features),
+            &data.degrees,
+            &data.full_adj,
+            strategy,
+            cfg.fuse,
+            data.segments,
+        ),
+    };
+    program.enable_checkpointing(cfg.checkpoint_segments);
+    Some(program)
+}
+
+/// One training step over `data`: replay `program` when there is one,
+/// otherwise record a fresh eager tape. Returns the mean loss over the
+/// heads, the first head's output-gradient norm and the parameter
+/// gradients in store order.
+///
+/// Both executors consume `rng` identically — the epoch adjacency, then one
+/// split for the forward — and produce identical losses, seeds and
+/// parameter gradients; the engine-identity tests pin it. The full-batch,
+/// sharded and neighbor-sampled trainers all step through here.
+pub(crate) fn train_step(
+    model: &dyn Model,
+    data: &TrainData<'_>,
+    split: &Split,
+    program: Option<&mut TrainProgram>,
+    strategy: &Strategy,
+    fuse: bool,
+    rng: &mut SplitRng,
+) -> (f64, f64, Vec<Option<Matrix>>) {
+    let adj = strategy.epoch_adjacency_edges(data.n, data.edges, &data.full_adj, true, rng);
+    if let Some(program) = program {
+        program.set_adjacency(adj);
+        program.load_params(model.store().values());
+        let mut fwd_rng = rng.split();
+        let mut sampler = StrategySampler::new(strategy, &data.degrees)
+            .with_segments(data.segments.map(Arc::as_ref));
+        program.begin_epoch(&mut sampler, &mut fwd_rng);
+        program.replay_forward();
+        let heads = program.heads().to_vec();
+        let logits: Vec<&Matrix> = heads.iter().map(|&h| program.value(h)).collect();
+        let (mean_loss, first_grad_norm, seeds) =
+            build_seeds(&logits, data.labels, split, model.consistency());
+        let param_grads = program.backward(heads.iter().zip(seeds).map(|(&h, s)| (h, s)).collect());
+        (mean_loss, first_grad_norm, param_grads)
+    } else {
+        let mut tape = Tape::new();
+        let binding = model.store().bind(&mut tape);
+        let adj_id = tape.register_adj(adj);
+        let x = tape.constant_shared(Arc::clone(&data.features));
+        let mut fwd_rng = rng.split();
+        let mut ctx = ForwardCtx::new(adj_id, x, &data.degrees, strategy, true, &mut fwd_rng);
+        ctx.fuse = fuse;
+        ctx.segments = data.segments;
+        let heads = model.forward_heads(&mut tape, &binding, &mut ctx);
+        let logits: Vec<&Matrix> = heads.iter().map(|&h| tape.value(h)).collect();
+        let (mean_loss, first_grad_norm, seeds) =
+            build_seeds(&logits, data.labels, split, model.consistency());
+        let mut grads =
+            tape.backward_multi(heads.iter().zip(seeds).map(|(&h, s)| (h, s)).collect());
+        let param_grads = binding.nodes().iter().map(|&n| grads.take(n)).collect();
+        (mean_loss, first_grad_norm, param_grads)
+    }
+}
+
+/// Apply one step's gradients: optional global-norm clipping, the
+/// scheduled learning rate for `epoch`, one Adam step, then the gradient
+/// buffers go back to the workspace for the next backward pass.
+pub(crate) fn apply_update(
+    model: &mut dyn Model,
+    opt: &mut Adam,
+    cfg: &TrainConfig,
+    epoch: usize,
+    mut param_grads: Vec<Option<Matrix>>,
+) {
+    if let Some(max_norm) = cfg.clip_norm {
+        clip_global_norm(&mut param_grads, max_norm);
+    }
+    opt.set_lr(cfg.adam.lr * cfg.lr_schedule.factor(epoch));
+    opt.step(model.store_mut(), &param_grads);
+    for g in param_grads.into_iter().flatten() {
+        workspace::give(g);
     }
 }
 

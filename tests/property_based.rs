@@ -205,7 +205,7 @@ fn pairnorm_normalizes() {
 }
 
 /// Deterministic regression: the same seed generates byte-identical CSR
-/// matrices (guards the dataset pipeline against accidental RNG reordering).
+/// matrices (guards the dataset pipeline against an accidental change of RNG draw order).
 #[test]
 fn adjacency_generation_is_reproducible() {
     let build = || -> std::sync::Arc<CsrMatrix> {
