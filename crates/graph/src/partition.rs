@@ -119,7 +119,7 @@ pub struct SubgraphShard {
     /// The induced core subgraph in local ids (canonical edges, copied
     /// features/labels, normalized adjacency lazily cached once).
     pub graph: Graph,
-    /// Cached `graph.degrees()` (the trainer needs them every epoch).
+    /// Cached `graph.degrees()` (the balance report reads them).
     pub degrees: Vec<usize>,
     /// Parent split indices that fall in this shard, remapped to local
     /// ids, preserving the parent split's order.

@@ -8,8 +8,8 @@
 //!   `skipnode_graph::ShardSet`), cache each shard's induced normalized
 //!   adjacency, and compile **one [`skipnode_autograd::TrainProgram`] per
 //!   shard** that every epoch replays with the liveness engine, fused
-//!   SkipNode kernels included. Cut edges are dropped; that is the documented Cluster-GCN
-//!   trade-off, quantified by `ShardSet::cut_edges`.
+//!   SkipNode kernels included. Cut edges are dropped; that is the
+//!   documented Cluster-GCN trade-off, quantified by `ShardSet::cut_edges`.
 //! - [`BatchScheme::NeighborSampling`] (GraphSAGE): per batch of seed
 //!   training nodes, sample a bounded-fanout neighborhood (halo nodes
 //!   re-imported, unlike the cluster scheme) and run an eager forward on
@@ -196,8 +196,8 @@ fn train_over_shards(
     let mut opt = Adam::new(model.store(), cfg.adam);
     let mut recorder = DiagnosticsRecorder::new(cfg.diagnostics_every);
 
-    // One compiled program per shard shape, compiled once and replayed
-    // every epoch.
+    // Each shard's training view and its compiled program, compiled once
+    // and replayed every epoch.
     let data: Vec<TrainData<'_>> = set
         .shards
         .iter()

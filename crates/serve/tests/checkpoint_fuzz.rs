@@ -42,6 +42,9 @@ fn grew(by: usize) {
     PEAK.fetch_max(live, Relaxed);
 }
 
+// SAFETY: every method forwards its arguments unchanged to `System`, so the
+// caller's `GlobalAlloc` obligations pass straight through and `System`
+// upholds the allocator's; the counters only add and subtract sizes.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
