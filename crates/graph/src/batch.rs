@@ -9,21 +9,16 @@
 //! SpMM over the packed matrix computes every graph's convolution at once
 //! without ever mixing rows across graphs.
 //!
-//! The packed adjacency is built through the PR 7 streamed constructor
-//! ([`stream_adjacency`]), feeding offset-shifted edge chunks graph by
-//! graph; a 1-graph pack therefore produces a byte-identical `CsrMatrix`
-//! to [`Graph::gcn_adjacency`] (the streamed and COO paths are pinned
-//! bitwise against each other in the sparse crate).
+//! The packed adjacency is built by [`gcn_adjacency`] over the
+//! offset-shifted edge list, the same builder [`Graph::gcn_adjacency`]
+//! uses, so a 1-graph pack produces a byte-identical `CsrMatrix`.
 
 use crate::generators::erdos_renyi;
 use crate::graph::Graph;
 use crate::splits::Split;
-use skipnode_sparse::{gcn_adjacency_from_structure, stream_adjacency, CsrMatrix, EdgeChunkSource};
+use skipnode_sparse::{gcn_adjacency, CsrMatrix};
 use skipnode_tensor::{Matrix, SegmentTable, SplitRng};
 use std::sync::{Arc, OnceLock};
-
-/// Undirected edges per chunk fed to the streamed adjacency builder.
-const PACK_CHUNK_EDGES: usize = 1 << 14;
 
 /// Block-diagonal union of several graphs plus per-graph labels.
 pub struct GraphBatch {
@@ -37,43 +32,6 @@ pub struct GraphBatch {
     graph_classes: usize,
     degrees: Vec<usize>,
     gcn_adj: OnceLock<Arc<CsrMatrix>>,
-}
-
-/// Feeds a packed batch's shifted edge list to [`stream_adjacency`] in
-/// bounded chunks.
-struct PackedEdgeSource<'a> {
-    n: usize,
-    edges: &'a [(usize, usize)],
-    pos: usize,
-}
-
-impl EdgeChunkSource for PackedEdgeSource<'_> {
-    fn nodes(&self) -> usize {
-        self.n
-    }
-
-    fn reset(&mut self) {
-        self.pos = 0;
-    }
-
-    fn next_chunk(&mut self, out: &mut Vec<(u32, u32)>) -> bool {
-        out.clear();
-        if self.pos >= self.edges.len() {
-            return false;
-        }
-        let hi = (self.pos + PACK_CHUNK_EDGES).min(self.edges.len());
-        out.extend(
-            self.edges[self.pos..hi]
-                .iter()
-                .map(|&(u, v)| (u as u32, v as u32)),
-        );
-        self.pos = hi;
-        true
-    }
-
-    fn state_bytes(&self) -> usize {
-        0
-    }
 }
 
 impl GraphBatch {
@@ -182,20 +140,14 @@ impl GraphBatch {
         &self.degrees
     }
 
-    /// Symmetric GCN-normalized adjacency of the union, built lazily via
-    /// the streamed constructor and cached. Block-diagonal by
-    /// construction; for a 1-graph batch it is byte-identical to
-    /// [`Graph::gcn_adjacency`].
+    /// Symmetric GCN-normalized adjacency of the union, built lazily and
+    /// cached. Block-diagonal by construction; for a 1-graph batch it is
+    /// byte-identical to [`Graph::gcn_adjacency`].
     pub fn gcn_adjacency(&self) -> Arc<CsrMatrix> {
-        Arc::clone(self.gcn_adj.get_or_init(|| {
-            let mut src = PackedEdgeSource {
-                n: self.num_nodes(),
-                edges: &self.edges,
-                pos: 0,
-            };
-            let (structure, _stats) = stream_adjacency(&mut src, PACK_CHUNK_EDGES);
-            Arc::new(gcn_adjacency_from_structure(&structure))
-        }))
+        Arc::clone(
+            self.gcn_adj
+                .get_or_init(|| Arc::new(gcn_adjacency(self.num_nodes(), &self.edges))),
+        )
     }
 }
 

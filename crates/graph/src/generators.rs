@@ -313,28 +313,7 @@ pub fn class_feature_matrix(
     style: FeatureStyle,
     rng: &mut SplitRng,
 ) -> Matrix {
-    class_feature_matrix_from(
-        labels.iter().copied(),
-        labels.len(),
-        num_classes,
-        dim,
-        style,
-        rng,
-    )
-}
-
-/// [`class_feature_matrix`] over a label *iterator* of known length, so
-/// streamed million-node builders can synthesize features from formulaic
-/// labels (`i % classes`) without materializing a `Vec<usize>`. Draws the
-/// identical RNG stream as the slice version.
-pub fn class_feature_matrix_from(
-    labels: impl Iterator<Item = usize>,
-    n: usize,
-    num_classes: usize,
-    dim: usize,
-    style: FeatureStyle,
-    rng: &mut SplitRng,
-) -> Matrix {
+    let n = labels.len();
     let mut x = Matrix::zeros(n, dim);
     match style {
         FeatureStyle::BinaryBagOfWords {
@@ -347,7 +326,7 @@ pub fn class_feature_matrix_from(
             // per class, and capping the block keeps small training sets
             // able to generalize across it.
             let block = (dim / num_classes).clamp(1, 64);
-            for (i, c) in labels.enumerate() {
+            for (i, &c) in labels.iter().enumerate() {
                 let topic = if num_classes > 1 && rng.unit() < confusion {
                     // Confused node: features mimic a different class.
                     let mut o = rng.below(num_classes - 1);
@@ -378,7 +357,7 @@ pub fn class_feature_matrix_from(
                 let m: Vec<f32> = (0..dim).map(|_| rng.normal() * separation).collect();
                 means.push(m);
             }
-            for (i, c) in labels.enumerate() {
+            for (i, &c) in labels.iter().enumerate() {
                 let row = x.row_mut(i);
                 for (j, r) in row.iter_mut().enumerate() {
                     *r = (means[c][j] + rng.normal() * 0.5).max(0.0);

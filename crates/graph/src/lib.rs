@@ -17,11 +17,9 @@ mod centrality;
 mod dataset;
 mod generators;
 mod graph;
-mod large;
 mod partition;
 mod preprocess;
 mod splits;
-mod stream;
 mod update;
 
 pub use batch::{
@@ -30,16 +28,11 @@ pub use batch::{
 pub use centrality::pagerank;
 pub use dataset::{load, DatasetName, DatasetSpec, Scale, ALL_DATASETS};
 pub use generators::{
-    barabasi_albert_with_classes, class_feature_matrix, class_feature_matrix_from, erdos_renyi,
-    partition_graph, planted_partition, ring_of_blocks, FeatureStyle, PartitionConfig, RingConfig,
+    barabasi_albert_with_classes, class_feature_matrix, erdos_renyi, partition_graph,
+    planted_partition, ring_of_blocks, FeatureStyle, PartitionConfig, RingConfig,
 };
 pub use graph::Graph;
-pub use large::LargeGraph;
 pub use partition::{partition_nodes, ShardSet, SubgraphShard};
 pub use preprocess::{row_normalize, standardize};
 pub use splits::{full_supervised_split, link_split, semi_supervised_split, LinkSplit, Split};
-pub use stream::{
-    assemble_large_graph, streamed_ba_graph, streamed_partition_graph, streamed_ring_graph,
-    BaStream, PlantedPartitionStream, RingOfBlocksStream, StreamedGraphStats,
-};
 pub use update::{GraphUpdate, UpdateStream};

@@ -21,24 +21,20 @@
 //! trainer bit for bit (pinned in `tests/shard_identity.rs`).
 
 use crate::graph::Graph;
-use crate::large::LargeGraph;
 use crate::splits::Split;
-use skipnode_tensor::Matrix;
 use std::collections::VecDeque;
 
 /// Assign each node to one of `shards` parts, balancing degree volume.
 ///
-/// `neighbors(u, visit)` calls `visit(v)` for every neighbor of `u`;
-/// adapters exist for both [`Graph`] and [`LargeGraph`]. Every part is
+/// `adj[u]` lists the neighbors of `u` (as [`Graph::adjacency_list`]
+/// returns them), so `adj[u].len()` is its degree. Every part is
 /// guaranteed non-empty; `shards = 1` assigns everything to part 0.
 ///
 /// # Panics
 /// Panics unless `1 <= shards <= n`.
-pub fn partition_nodes<F>(n: usize, degrees: &[usize], mut neighbors: F, shards: usize) -> Vec<u32>
-where
-    F: FnMut(usize, &mut dyn FnMut(usize)),
-{
-    assert_eq!(degrees.len(), n, "degree count != node count");
+pub fn partition_nodes(adj: &[Vec<usize>], shards: usize) -> Vec<u32> {
+    let n = adj.len();
+    let degrees: Vec<usize> = adj.iter().map(Vec::len).collect();
     assert!(shards >= 1, "need at least one shard");
     assert!(shards <= n, "more shards than nodes");
     if shards == 1 {
@@ -88,11 +84,11 @@ where
             assignment[u] = s as u32;
             nodes_here += 1;
             vol_here += degrees[u] + 1;
-            neighbors(u, &mut |v| {
+            for &v in &adj[u] {
                 if assignment[v] == u32::MAX {
                     queue.push_back(v);
                 }
-            });
+            }
         }
         assigned += nodes_here;
         vol_assigned += vol_here;
@@ -140,63 +136,90 @@ pub struct ShardSet {
 }
 
 impl ShardSet {
-    /// Partition an in-memory [`Graph`] into `shards` cached subgraphs.
+    /// Partition a [`Graph`] into `shards` cached subgraphs.
     pub fn from_graph(g: &Graph, split: &Split, shards: usize) -> ShardSet {
-        let n = g.num_nodes();
-        let degrees = g.degrees();
-        let adj = g.adjacency_list();
-        let assignment = partition_nodes(
-            n,
-            &degrees,
-            |u, visit| {
-                for &v in &adj[u] {
-                    visit(v);
-                }
-            },
-            shards,
-        );
-        build_shards(
-            &assignment,
-            shards,
-            split,
-            g.features(),
-            |u| g.labels()[u],
-            g.num_classes(),
-            g.edges().iter().copied(),
-            g.num_edges(),
-        )
-    }
+        let assignment = partition_nodes(&g.adjacency_list(), shards);
+        let n = assignment.len();
+        // Ascending node lists + global→local index in one scan.
+        let mut nodes: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        let mut local_index = vec![0u32; n];
+        for (gid, &s) in assignment.iter().enumerate() {
+            let s = s as usize;
+            local_index[gid] = nodes[s].len() as u32;
+            nodes[s].push(gid);
+        }
+        // Local edge lists, halo candidates, cut counts.
+        let mut local_edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); shards];
+        let mut halos: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        let mut cuts = vec![0usize; shards];
+        let mut cut_total = 0usize;
+        for &(u, v) in g.edges() {
+            let (su, sv) = (assignment[u] as usize, assignment[v] as usize);
+            if su == sv {
+                local_edges[su].push((local_index[u] as usize, local_index[v] as usize));
+            } else {
+                cut_total += 1;
+                cuts[su] += 1;
+                cuts[sv] += 1;
+                halos[su].push(v);
+                halos[sv].push(u);
+            }
+        }
+        // Split indices in parent order, remapped per shard.
+        let mut local_splits: Vec<Split> = (0..shards)
+            .map(|_| Split {
+                train: Vec::new(),
+                val: Vec::new(),
+                test: Vec::new(),
+            })
+            .collect();
+        for &gid in &split.train {
+            local_splits[assignment[gid] as usize]
+                .train
+                .push(local_index[gid] as usize);
+        }
+        for &gid in &split.val {
+            local_splits[assignment[gid] as usize]
+                .val
+                .push(local_index[gid] as usize);
+        }
+        for &gid in &split.test {
+            local_splits[assignment[gid] as usize]
+                .test
+                .push(local_index[gid] as usize);
+        }
 
-    /// Partition a streamed [`LargeGraph`] into `shards` cached subgraphs.
-    pub fn from_large(g: &LargeGraph, split: &Split, shards: usize) -> ShardSet {
-        let n = g.num_nodes();
-        let degrees = g.degrees();
-        let assignment = partition_nodes(
-            n,
-            &degrees,
-            |u, visit| {
-                for &v in g.neighbors(u) {
-                    visit(v as usize);
-                }
-            },
-            shards,
-        );
-        let edges = (0..n).flat_map(|u| {
-            g.neighbors(u)
-                .iter()
-                .map(move |&v| (u, v as usize))
-                .filter(|&(u, v)| u < v)
-        });
-        build_shards(
-            &assignment,
-            shards,
-            split,
-            g.features(),
-            |u| g.label(u),
-            g.num_classes(),
-            edges,
-            g.num_edges(),
-        )
+        let mut out = Vec::with_capacity(shards);
+        for (s, shard_nodes) in nodes.into_iter().enumerate() {
+            let mut halo = std::mem::take(&mut halos[s]);
+            halo.sort_unstable();
+            halo.dedup();
+            let shard_features = g.features().select_rows(&shard_nodes);
+            let labels: Vec<usize> = shard_nodes.iter().map(|&u| g.labels()[u]).collect();
+            let graph = Graph::new(
+                shard_nodes.len(),
+                std::mem::take(&mut local_edges[s]),
+                shard_features,
+                labels,
+                g.num_classes(),
+            );
+            let degrees = graph.degrees();
+            out.push(SubgraphShard {
+                index: s,
+                nodes: shard_nodes,
+                halo,
+                cut_edges: cuts[s],
+                graph,
+                degrees,
+                local_split: std::mem::take(&mut local_splits[s]),
+            });
+        }
+        ShardSet {
+            assignment,
+            shards: out,
+            total_edges: g.num_edges(),
+            cut_edges: cut_total,
+        }
     }
 
     /// `(node_factor, volume_factor)`: the largest shard's node count and
@@ -218,102 +241,6 @@ impl ShardSet {
     }
 }
 
-/// Shared shard extraction over any edge iterator (each undirected parent
-/// edge exactly once).
-#[allow(clippy::too_many_arguments)]
-fn build_shards(
-    assignment: &[u32],
-    shards: usize,
-    split: &Split,
-    features: &Matrix,
-    label_of: impl Fn(usize) -> usize,
-    num_classes: usize,
-    edges: impl Iterator<Item = (usize, usize)>,
-    total_edges: usize,
-) -> ShardSet {
-    let n = assignment.len();
-    // Ascending node lists + global→local index in one scan.
-    let mut nodes: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    let mut local_index = vec![0u32; n];
-    for (g, &s) in assignment.iter().enumerate() {
-        let s = s as usize;
-        local_index[g] = nodes[s].len() as u32;
-        nodes[s].push(g);
-    }
-    // Local edge lists, halo candidates, cut counts.
-    let mut local_edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); shards];
-    let mut halos: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    let mut cuts = vec![0usize; shards];
-    let mut cut_total = 0usize;
-    for (u, v) in edges {
-        let (su, sv) = (assignment[u] as usize, assignment[v] as usize);
-        if su == sv {
-            local_edges[su].push((local_index[u] as usize, local_index[v] as usize));
-        } else {
-            cut_total += 1;
-            cuts[su] += 1;
-            cuts[sv] += 1;
-            halos[su].push(v);
-            halos[sv].push(u);
-        }
-    }
-    // Split indices in parent order, remapped per shard.
-    let mut local_splits: Vec<Split> = (0..shards)
-        .map(|_| Split {
-            train: Vec::new(),
-            val: Vec::new(),
-            test: Vec::new(),
-        })
-        .collect();
-    for &g in &split.train {
-        local_splits[assignment[g] as usize]
-            .train
-            .push(local_index[g] as usize);
-    }
-    for &g in &split.val {
-        local_splits[assignment[g] as usize]
-            .val
-            .push(local_index[g] as usize);
-    }
-    for &g in &split.test {
-        local_splits[assignment[g] as usize]
-            .test
-            .push(local_index[g] as usize);
-    }
-
-    let mut out = Vec::with_capacity(shards);
-    for (s, shard_nodes) in nodes.into_iter().enumerate() {
-        let mut halo = std::mem::take(&mut halos[s]);
-        halo.sort_unstable();
-        halo.dedup();
-        let shard_features = features.select_rows(&shard_nodes);
-        let labels: Vec<usize> = shard_nodes.iter().map(|&g| label_of(g)).collect();
-        let graph = Graph::new(
-            shard_nodes.len(),
-            std::mem::take(&mut local_edges[s]),
-            shard_features,
-            labels,
-            num_classes,
-        );
-        let degrees = graph.degrees();
-        out.push(SubgraphShard {
-            index: s,
-            nodes: shard_nodes,
-            halo,
-            cut_edges: cuts[s],
-            graph,
-            degrees,
-            local_split: std::mem::take(&mut local_splits[s]),
-        });
-    }
-    ShardSet {
-        assignment: assignment.to_vec(),
-        shards: out,
-        total_edges,
-        cut_edges: cut_total,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,7 +249,7 @@ mod tests {
         PartitionConfig,
     };
     use crate::splits::full_supervised_split;
-    use skipnode_tensor::SplitRng;
+    use skipnode_tensor::{Matrix, SplitRng};
 
     fn ba_graph(n: usize) -> Graph {
         let mut rng = SplitRng::new(17);
@@ -451,38 +378,5 @@ mod tests {
         assert!(s2.halo.iter().all(|&h| of(h) != s2.index));
         assert_eq!(s1.cut_edges, 1);
         assert_eq!(s2.cut_edges, 1);
-    }
-
-    #[test]
-    fn from_large_matches_from_graph() {
-        // The same topology via both substrates produces identical shard
-        // structure (LargeGraph path feeds edges u<v from CSR rows).
-        let g = ba_graph(800);
-        let mut indptr = vec![0usize];
-        let mut indices: Vec<u32> = Vec::new();
-        let adj = g.adjacency_list();
-        for row in &adj {
-            let mut r: Vec<u32> = row.iter().map(|&v| v as u32).collect();
-            r.sort_unstable();
-            indices.extend_from_slice(&r);
-            indptr.push(indices.len());
-        }
-        let lg = LargeGraph::from_parts(
-            skipnode_sparse::CsrStructure { indptr, indices },
-            g.features().clone(),
-            g.labels().iter().map(|&l| l as u32).collect(),
-            g.num_classes(),
-        );
-        let mut rng = SplitRng::new(7);
-        let split = full_supervised_split(&g, &mut rng);
-        let a = ShardSet::from_graph(&g, &split, 4);
-        let b = ShardSet::from_large(&lg, &split, 4);
-        assert_eq!(a.assignment, b.assignment);
-        for (x, y) in a.shards.iter().zip(&b.shards) {
-            assert_eq!(x.nodes, y.nodes);
-            assert_eq!(x.halo, y.halo);
-            assert_eq!(x.graph.edges(), y.graph.edges());
-            assert_eq!(x.local_split, y.local_split);
-        }
     }
 }

@@ -3,22 +3,27 @@
 //! survive process restarts (and experiment binaries can hand models to
 //! each other).
 //!
-//! Two versions share the magic and the parameter block:
+//! Two versions share the magic, the parameter block and the trailing
+//! checksum:
 //!
 //! ```text
-//! v1 (params only):
-//! magic "SKPN" | version=1 u32 | param_count u32 |
-//!   per param: name_len u32 | name utf8 | rows u32 | cols u32 | f32 * rows*cols
+//! v3 (params only):
+//! magic "SKPN" | version=3 u32 | param_count u32 |
+//!   per param: name_len u32 | name utf8 | rows u32 | cols u32 | f32 * rows*cols |
+//!   fnv1a64 u64
 //!
-//! v2 (model checkpoint = backbone spec + params):
-//! magic "SKPN" | version=2 u32 |
+//! v4 (model checkpoint = backbone spec + params):
+//! magic "SKPN" | version=4 u32 |
 //!   spec: name_len u32 | name utf8 | in_dim u32 | hidden u32 | out_dim u32
 //!       | depth u32 | dropout f64 |
-//!   param block as in v1
+//!   param block as in v3 | fnv1a64 u64
 //! ```
 //!
-//! All integers and floats are little-endian. [`ModelCheckpoint`] is the
-//! v2 surface: it captures a trained model together with the
+//! All integers and floats are little-endian. The trailing `fnv1a64` is
+//! FNV-1a (64-bit) over every byte before it; a reader rejects a mismatch
+//! as [`io::ErrorKind::InvalidData`], so a corrupt file never reaches
+//! [`ModelCheckpoint::restore`]. Versions 1 and 2 were the same layouts
+//! without the checksum. [`ModelCheckpoint`] is the v4 surface: it captures a trained model together with the
 //! [`BackboneSpec`] needed to rebuild it, and [`ModelCheckpoint::restore`]
 //! rebuilds the architecture and overwrites every freshly initialized
 //! parameter with the saved bytes — evaluation after a round trip is
@@ -31,20 +36,90 @@ use std::io::{self, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"SKPN";
-const VERSION: u32 = 1;
-const MODEL_VERSION: u32 = 2;
+const VERSION: u32 = 3;
+const MODEL_VERSION: u32 = 4;
 
 /// Serialize the store to any writer.
-pub fn write_checkpoint<W: Write>(store: &ParamStore, mut w: W) -> io::Result<()> {
+pub fn write_checkpoint<W: Write>(store: &ParamStore, w: W) -> io::Result<()> {
+    let mut w = Hashed::new(w);
     w.write_all(MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
-    write_params(store, &mut w)
+    write_params(store, &mut w)?;
+    w.finish_write()
 }
 
 /// Deserialize a store from any reader.
-pub fn read_checkpoint<R: Read>(mut r: R) -> io::Result<ParamStore> {
+pub fn read_checkpoint<R: Read>(r: R) -> io::Result<ParamStore> {
+    let mut r = Hashed::new(r);
     expect_version(&mut r, VERSION)?;
-    read_params(&mut r)
+    let store = read_params(&mut r)?;
+    r.verify()?;
+    Ok(store)
+}
+
+/// A reader or writer that runs FNV-1a (64-bit) over the bytes passing
+/// through it, for the checksum that ends both formats.
+struct Hashed<T> {
+    inner: T,
+    hash: u64,
+}
+
+impl<T> Hashed<T> {
+    fn new(inner: T) -> Self {
+        Self {
+            inner,
+            hash: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl<W: Write> Hashed<W> {
+    /// Append the checksum of everything written so far.
+    fn finish_write(mut self) -> io::Result<()> {
+        self.inner.write_all(&self.hash.to_le_bytes())?;
+        self.inner.flush()
+    }
+}
+
+impl<R: Read> Hashed<R> {
+    /// Read the trailing checksum and compare it with the bytes read.
+    fn verify(mut self) -> io::Result<()> {
+        let mut buf = [0u8; 8];
+        self.inner.read_exact(&mut buf)?;
+        if u64::from_le_bytes(buf) != self.hash {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "checkpoint checksum mismatch",
+            ));
+        }
+        Ok(())
+    }
+}
+
+impl<W: Write> Write for Hashed<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.update(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl<R: Read> Read for Hashed<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.update(&buf[..n]);
+        Ok(n)
+    }
 }
 
 /// The parameter block shared by both format versions.
@@ -241,8 +316,9 @@ impl ModelCheckpoint {
         Ok(model)
     }
 
-    /// Serialize (format v2) to any writer.
-    pub fn write<W: Write>(&self, mut w: W) -> io::Result<()> {
+    /// Serialize (format v4) to any writer.
+    pub fn write<W: Write>(&self, w: W) -> io::Result<()> {
+        let mut w = Hashed::new(w);
         w.write_all(MAGIC)?;
         w.write_all(&MODEL_VERSION.to_le_bytes())?;
         write_str(&mut w, &self.spec.name)?;
@@ -255,11 +331,14 @@ impl ModelCheckpoint {
             w.write_all(&(dim as u32).to_le_bytes())?;
         }
         w.write_all(&self.spec.dropout.to_le_bytes())?;
-        write_params(&self.params, &mut w)
+        write_params(&self.params, &mut w)?;
+        w.finish_write()
     }
 
-    /// Deserialize (format v2) from any reader.
-    pub fn read<R: Read>(mut r: R) -> io::Result<Self> {
+    /// Deserialize (format v4) from any reader. A checksum mismatch is
+    /// rejected as invalid data.
+    pub fn read<R: Read>(r: R) -> io::Result<Self> {
+        let mut r = Hashed::new(r);
         expect_version(&mut r, MODEL_VERSION)?;
         let name = read_str(&mut r)?;
         let in_dim = read_u32(&mut r)? as usize;
@@ -271,6 +350,7 @@ impl ModelCheckpoint {
         let dropout = f64::from_le_bytes(buf);
         let spec = BackboneSpec::new(&name, in_dim, hidden, out_dim, depth, dropout);
         let params = read_params(&mut r)?;
+        r.verify()?;
         Ok(Self { spec, params })
     }
 
@@ -450,9 +530,52 @@ mod tests {
         }
     }
 
-    /// Each spec field of a v2 header, corrupted, is rejected as invalid
-    /// data before the model is rebuilt. The corrupt values stay small, so
-    /// even a rebuild from them would allocate little.
+    /// Recompute the trailing checksum of an edited file, so a test can
+    /// reach the checks behind it.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - 8;
+        let mut h = Hashed::new(io::sink());
+        h.update(&bytes[..body]);
+        bytes[body..].copy_from_slice(&h.hash.to_le_bytes());
+    }
+
+    #[test]
+    fn checksum_mismatch_is_rejected_as_invalid_data() {
+        let store = sample_store();
+        let mut v3 = Vec::new();
+        write_checkpoint(&store, &mut v3).unwrap();
+        let spec = BackboneSpec::new("gcn", 6, 8, 3, 3, 0.1);
+        let model = spec.build(&mut SplitRng::new(2)).unwrap();
+        let mut v4 = Vec::new();
+        ModelCheckpoint::capture(&spec, model.as_ref())
+            .write(&mut v4)
+            .unwrap();
+        // Each flip lands in a parameter value or in the checksum itself:
+        // a file that parses, but is not the one that was written.
+        for at in [v3.len() - 20, v3.len() - 1] {
+            let mut bad = v3.clone();
+            bad[at] ^= 0x10;
+            let err = read_checkpoint(bad.as_slice())
+                .err()
+                .expect("v3 flip loaded");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "v3 byte {at}");
+        }
+        for at in [v4.len() - 20, v4.len() - 1] {
+            let mut bad = v4.clone();
+            bad[at] ^= 0x10;
+            let err = ModelCheckpoint::read(bad.as_slice())
+                .err()
+                .expect("v4 flip loaded");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "v4 byte {at}");
+            reseal(&mut bad);
+            assert!(ModelCheckpoint::read(bad.as_slice()).is_ok(), "resealed");
+        }
+    }
+
+    /// Each spec field of a v4 header, corrupted (and resealed, so the
+    /// checksum passes), is rejected as invalid data before the model is
+    /// rebuilt. The corrupt values stay small, so even a rebuild from them
+    /// would allocate little.
     #[test]
     fn corrupt_header_fields_are_rejected_before_building() {
         let spec = BackboneSpec::new("gcn", 6, 8, 3, 3, 0.1);
@@ -468,6 +591,7 @@ mod tests {
                 let mut bad = buf.clone();
                 let at = field_at + 4 * k;
                 bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+                reseal(&mut bad);
                 let ckpt = ModelCheckpoint::read(bad.as_slice()).unwrap();
                 let err = ckpt.restore().err().expect("corrupt header restored");
                 assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{field} = {value}");
@@ -499,12 +623,12 @@ mod tests {
         };
         assert!(lying.restore().is_err());
 
-        // v1 readers must reject v2 streams and vice versa.
+        // v3 readers must reject v4 streams and vice versa.
         let mut buf = Vec::new();
         ckpt.write(&mut buf).unwrap();
         assert!(read_checkpoint(buf.as_slice()).is_err());
-        let mut v1 = Vec::new();
-        write_checkpoint(&ckpt.params, &mut v1).unwrap();
-        assert!(ModelCheckpoint::read(v1.as_slice()).is_err());
+        let mut v3 = Vec::new();
+        write_checkpoint(&ckpt.params, &mut v3).unwrap();
+        assert!(ModelCheckpoint::read(v3.as_slice()).is_err());
     }
 }

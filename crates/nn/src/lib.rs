@@ -51,10 +51,7 @@ pub use engine::{
 };
 pub use linkpred::{train_link_predictor, LinkPredConfig, LinkPredResult};
 pub use metrics::{accuracy, hits_at_k, mean_average_distance};
-pub use minibatch::{
-    train_node_classifier_minibatch, train_node_classifier_sharded_large, BatchScheme,
-    MiniBatchConfig,
-};
+pub use minibatch::{train_node_classifier_minibatch, BatchScheme, MiniBatchConfig};
 pub use models::{BackboneSpec, BuildError, Model};
 pub use optim::{Adam, AdamConfig};
 pub use param::{Binding, LayerInit, ParamId, ParamStore};

@@ -28,14 +28,13 @@
 
 use crate::context::Strategy;
 use crate::diagnostics::{DiagnosticsRecorder, EpochDiagnostics};
-use crate::metrics::accuracy;
 use crate::models::Model;
 use crate::optim::Adam;
 use crate::trainer::{
     apply_update, compile_for, evaluate, split_accuracy, train_step, Selection, TrainConfig,
     TrainData, TrainResult,
 };
-use skipnode_graph::{Graph, LargeGraph, ShardSet, Split};
+use skipnode_graph::{Graph, ShardSet, Split};
 use skipnode_tensor::SplitRng;
 
 /// How training nodes are batched per epoch.
@@ -121,18 +120,8 @@ pub fn train_node_classifier_minibatch(
 ) -> TrainResult {
     split.validate(graph.num_nodes());
     match mb.scheme {
-        BatchScheme::ClusterShards { shards } => {
-            assert!(shards >= 1, "need at least one shard");
-            let set = ShardSet::from_graph(graph, split, shards);
-            train_over_shards(
-                model,
-                &set,
-                FullEval::Exact { graph, split },
-                strategy,
-                cfg,
-                mb.shuffle_seed,
-                rng,
-            )
+        BatchScheme::ClusterShards { .. } => {
+            train_over_shards(model, graph, split, strategy, cfg, mb, rng)
         }
         BatchScheme::NeighborSampling { .. } => {
             train_neighbor_sampled(model, graph, split, strategy, cfg, mb, rng)
@@ -140,55 +129,21 @@ pub fn train_node_classifier_minibatch(
     }
 }
 
-/// Train on a streamed [`LargeGraph`] via cached cluster shards. The
-/// graph never sees a full-batch forward: evaluation aggregates per-shard
-/// inference passes (cut edges are ignored at eval too — the same
-/// approximation Cluster-GCN reports).
-pub fn train_node_classifier_sharded_large(
+/// Cluster-GCN shard-replay training; evaluation runs on the full graph.
+fn train_over_shards(
     model: &mut dyn Model,
-    graph: &LargeGraph,
+    graph: &Graph,
     split: &Split,
     strategy: &Strategy,
     cfg: &TrainConfig,
     mb: &MiniBatchConfig,
     rng: &mut SplitRng,
 ) -> TrainResult {
-    let shards = match mb.scheme {
-        BatchScheme::ClusterShards { shards } => shards.max(1),
-        BatchScheme::NeighborSampling { .. } => {
-            panic!("neighbor sampling on LargeGraph is not supported; use cluster shards")
-        }
+    let BatchScheme::ClusterShards { shards } = mb.scheme else {
+        unreachable!("caller matched the scheme")
     };
-    let set = ShardSet::from_large(graph, split, shards);
-    train_over_shards(
-        model,
-        &set,
-        FullEval::PerShard,
-        strategy,
-        cfg,
-        mb.shuffle_seed,
-        rng,
-    )
-}
-
-/// How evaluation epochs run.
-enum FullEval<'a> {
-    /// Exact full-graph inference (in-memory graphs).
-    Exact { graph: &'a Graph, split: &'a Split },
-    /// Shard-local inference aggregated over shards (large graphs).
-    PerShard,
-}
-
-/// The shared shard-replay training loop.
-fn train_over_shards(
-    model: &mut dyn Model,
-    set: &ShardSet,
-    eval_mode: FullEval<'_>,
-    strategy: &Strategy,
-    cfg: &TrainConfig,
-    shuffle_seed: u64,
-    rng: &mut SplitRng,
-) -> TrainResult {
+    assert!(shards >= 1, "need at least one shard");
+    let set = ShardSet::from_graph(graph, split, shards);
     let k = set.shards.len();
     let train_total: usize = set.shards.iter().map(|s| s.local_split.train.len()).sum();
     assert!(train_total > 0, "no training nodes in any shard");
@@ -208,10 +163,7 @@ fn train_over_shards(
         .map(|d| compile_for(model, d, strategy, cfg))
         .collect();
 
-    let full_adj = match eval_mode {
-        FullEval::Exact { graph, .. } => Some(graph.gcn_adjacency()),
-        FullEval::PerShard => None,
-    };
+    let full_adj = graph.gcn_adjacency();
 
     let mut selection = Selection::new();
     let mut epochs_run = 0usize;
@@ -219,7 +171,7 @@ fn train_over_shards(
     for epoch in 0..cfg.epochs {
         epochs_run = epoch + 1;
         let epoch_t0 = std::time::Instant::now();
-        let order = epoch_shard_order(k, shuffle_seed, epoch);
+        let order = epoch_shard_order(k, mb.shuffle_seed, epoch);
         let mut epoch_loss = 0.0f64;
         let mut grad_norm_sq = 0.0f64;
         for &s in &order {
@@ -246,14 +198,8 @@ fn train_over_shards(
         let wants_diag = recorder.wants(epoch);
         if should_eval || wants_diag {
             let mut eval_rng = rng.split();
-            let (val_acc, test_acc) = match eval_mode {
-                FullEval::Exact { graph, split } => {
-                    let full_adj = full_adj.as_ref().expect("exact eval has an adjacency");
-                    let (logits, _) = evaluate(model, graph, full_adj, strategy, &mut eval_rng);
-                    split_accuracy(&logits, graph.labels(), split)
-                }
-                FullEval::PerShard => eval_per_shard(model, set, strategy, &mut eval_rng),
-            };
+            let (logits, _) = evaluate(model, graph, &full_adj, strategy, &mut eval_rng);
+            let (val_acc, test_acc) = split_accuracy(&logits, graph.labels(), split);
             if wants_diag {
                 recorder.push(EpochDiagnostics {
                     epoch,
@@ -272,40 +218,6 @@ fn train_over_shards(
     }
 
     selection.result(epochs_run, recorder.into_entries(), None)
-}
-
-/// Shard-aggregated evaluation: inference on every shard's cached
-/// subgraph, accuracy counted over local val/test indices. Falls back to
-/// train accuracy when no shard holds validation nodes.
-fn eval_per_shard(
-    model: &dyn Model,
-    set: &ShardSet,
-    strategy: &Strategy,
-    eval_rng: &mut SplitRng,
-) -> (f64, f64) {
-    let mut val = (0usize, 0usize); // (correct, total)
-    let mut test = (0usize, 0usize);
-    let mut train = (0usize, 0usize);
-    for sh in &set.shards {
-        let adj = sh.graph.gcn_adjacency();
-        let (logits, _) = evaluate(model, &sh.graph, &adj, strategy, eval_rng);
-        let labels = sh.graph.labels();
-        let tally = |idx: &[usize], acc: &mut (usize, usize)| {
-            if idx.is_empty() {
-                return;
-            }
-            let frac = accuracy(&logits, labels, idx);
-            acc.0 += (frac * idx.len() as f64).round() as usize;
-            acc.1 += idx.len();
-        };
-        tally(&sh.local_split.val, &mut val);
-        tally(&sh.local_split.test, &mut test);
-        tally(&sh.local_split.train, &mut train);
-    }
-    let frac = |(c, t): (usize, usize)| c as f64 / t as f64;
-    let val_acc = if val.1 > 0 { frac(val) } else { frac(train) };
-    let test_acc = if test.1 > 0 { frac(test) } else { val_acc };
-    (val_acc, test_acc)
 }
 
 /// GraphSAGE-style neighbor-sampled training (eager per batch — subgraph
@@ -410,10 +322,7 @@ fn train_neighbor_sampled(
 mod tests {
     use super::*;
     use crate::models::Gcn;
-    use skipnode_graph::{
-        full_supervised_split, partition_graph, streamed_partition_graph, FeatureStyle,
-        PartitionConfig,
-    };
+    use skipnode_graph::{full_supervised_split, partition_graph, FeatureStyle, PartitionConfig};
 
     fn graph() -> Graph {
         partition_graph(
@@ -561,57 +470,5 @@ mod tests {
             &mut rng,
         );
         assert!(r.test_accuracy > 0.5, "accuracy {}", r.test_accuracy);
-    }
-
-    #[test]
-    fn large_graph_sharded_training_learns_and_reproduces() {
-        let cfg = PartitionConfig {
-            n: 4000,
-            m: 16000,
-            classes: 4,
-            homophily: 0.85,
-            power: 0.0,
-        };
-        let (lg, _) = streamed_partition_graph(
-            &cfg,
-            32,
-            FeatureStyle::BinaryBagOfWords {
-                active: 6,
-                fidelity: 0.9,
-                confusion: 0.1,
-            },
-            1 << 12,
-            99,
-        );
-        let run = || {
-            let mut rng = SplitRng::new(11);
-            let mut order: Vec<usize> = (0..lg.num_nodes()).collect();
-            rng.shuffle(&mut order);
-            let split = Split {
-                train: order[..2400].to_vec(),
-                val: order[2400..3200].to_vec(),
-                test: order[3200..].to_vec(),
-            };
-            let mut model = Gcn::new(lg.feature_dim(), 16, lg.num_classes(), 2, 0.2, &mut rng);
-            let r = train_node_classifier_sharded_large(
-                &mut model,
-                &lg,
-                &split,
-                &Strategy::None,
-                &quick_cfg(20),
-                &MiniBatchConfig::cluster(4),
-                &mut rng,
-            );
-            let params: Vec<f32> = model
-                .store()
-                .values()
-                .flat_map(|m| m.as_slice().to_vec())
-                .collect();
-            (r, params)
-        };
-        let (r1, p1) = run();
-        let (_, p2) = run();
-        assert!(r1.test_accuracy > 0.55, "accuracy {}", r1.test_accuracy);
-        assert_eq!(p1, p2, "large-graph run not reproducible");
     }
 }

@@ -23,16 +23,9 @@ mod normalize;
 mod patch;
 mod spectral;
 pub mod stats;
-mod stream;
 
 pub use build::{dedup_undirected_edges, CooBuilder};
 pub use csr::{CsrMatrix, COL_SKIP, SPARSE_INPUT_DENSITY_DIVISOR, SPMM_PARALLEL_THRESHOLD};
-pub use normalize::{
-    gcn_adjacency, gcn_adjacency_filtered, gcn_adjacency_with_node_mask, row_normalized_adjacency,
-};
+pub use normalize::{gcn_adjacency, gcn_adjacency_filtered, gcn_adjacency_with_node_mask};
 pub use patch::DynamicAdjacency;
 pub use spectral::{connected_components, second_largest_eigen_magnitude, SmoothingSubspace};
-pub use stream::{
-    gcn_adjacency_from_structure, peak_budget_bytes, stream_adjacency, CsrStructure,
-    EdgeChunkSource, StreamStats,
-};

@@ -1,117 +1,231 @@
 //! GCN adjacency normalization, including the masked variants that
-//! DropEdge and DropNode re-run every epoch.
+//! DropEdge and DropNode re-run every epoch. All of them go through one
+//! counting builder (`symmetric_gcn`), as do packed batches and the
+//! serving adjacency.
 
-use crate::build::CooBuilder;
 use crate::csr::CsrMatrix;
 
 /// Symmetrically normalized GCN propagation matrix with the
 /// re-normalization trick of Kipf & Welling:
 /// `Ã = (D+I)^{-1/2} (A+I) (D+I)^{-1/2}`.
 ///
-/// `edges` are canonical undirected pairs (`u != v`; duplicates tolerated —
-/// they are deduplicated). Self-loops are always added for all `n` nodes.
+/// `edges` are undirected pairs in either orientation; self-loops and
+/// duplicates are tolerated (both are dropped). Self-loops are always
+/// added for all `n` nodes.
+///
+/// # Panics
+/// Panics if an endpoint is `>= n`.
 pub fn gcn_adjacency(n: usize, edges: &[(usize, usize)]) -> CsrMatrix {
-    gcn_adjacency_filtered(n, edges.iter().copied())
+    symmetric_gcn(n, edges.iter().copied(), |_| true)
 }
 
 /// Same as [`gcn_adjacency`] but consuming an arbitrary edge iterator —
-/// this is the entry point DropEdge uses after subsampling edges.
+/// this is the entry point DropEdge uses after subsampling edges. The
+/// iterator is drained exactly once.
 pub fn gcn_adjacency_filtered(
     n: usize,
     edges: impl IntoIterator<Item = (usize, usize)>,
 ) -> CsrMatrix {
-    let mut adj = CooBuilder::new(n, n);
-    let mut deg = vec![0usize; n];
-    let mut seen: Vec<(usize, usize)> = edges
-        .into_iter()
-        .filter(|(u, v)| u != v)
-        .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
-        .collect();
-    seen.sort_unstable();
-    seen.dedup();
-    for &(u, v) in &seen {
-        deg[u] += 1;
-        deg[v] += 1;
-    }
-    // inv_sqrt[i] = 1 / sqrt(deg_i + 1)  (the +1 is the self-loop)
-    let inv_sqrt: Vec<f32> = deg.iter().map(|&d| 1.0 / ((d + 1) as f32).sqrt()).collect();
-    adj.reserve(seen.len() * 2 + n);
-    for &(u, v) in &seen {
-        let w = inv_sqrt[u] * inv_sqrt[v];
-        adj.push_symmetric(u, v, w);
-    }
-    for (i, inv) in inv_sqrt.iter().enumerate() {
-        adj.push(i, i, inv * inv);
-    }
-    adj.build()
+    let kept: Vec<(usize, usize)> = edges.into_iter().collect();
+    symmetric_gcn(n, kept.iter().copied(), |_| true)
 }
 
 /// DropNode-style normalization: nodes with `keep[i] == false` are removed
 /// from the propagation graph entirely — they keep no self-loop and no
-/// incident edges, so a GCN convolution zeroes their output rows. Kept
-/// nodes are renormalized over the induced subgraph.
+/// incident edges (an empty row), so a GCN convolution zeroes their output
+/// rows. Kept nodes are renormalized over the induced subgraph.
 pub fn gcn_adjacency_with_node_mask(
     n: usize,
     edges: &[(usize, usize)],
     keep: &[bool],
 ) -> CsrMatrix {
     assert_eq!(keep.len(), n, "mask length");
-    let filtered = edges.iter().copied().filter(|&(u, v)| keep[u] && keep[v]);
-    // Build over kept-node degrees, then blank the dropped self-loops.
-    let mut adj = CooBuilder::new(n, n);
-    let mut deg = vec![0usize; n];
-    let mut seen: Vec<(usize, usize)> = filtered
-        .filter(|(u, v)| u != v)
-        .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
-        .collect();
-    seen.sort_unstable();
-    seen.dedup();
-    for &(u, v) in &seen {
-        deg[u] += 1;
-        deg[v] += 1;
-    }
-    let inv_sqrt: Vec<f32> = deg.iter().map(|&d| 1.0 / ((d + 1) as f32).sqrt()).collect();
-    for &(u, v) in &seen {
-        adj.push_symmetric(u, v, inv_sqrt[u] * inv_sqrt[v]);
-    }
-    for i in 0..n {
-        if keep[i] {
-            adj.push(i, i, inv_sqrt[i] * inv_sqrt[i]);
-        }
-    }
-    adj.build()
+    let kept = edges.iter().copied().filter(|&(u, v)| keep[u] && keep[v]);
+    symmetric_gcn(n, kept, |i| keep[i])
 }
 
-/// Row-normalized propagation `D^{-1}(A+I)` (random-walk matrix; used by
-/// GRAND's random propagation).
-pub fn row_normalized_adjacency(n: usize, edges: &[(usize, usize)]) -> CsrMatrix {
-    let mut seen: Vec<(usize, usize)> = edges
-        .iter()
-        .copied()
-        .filter(|(u, v)| u != v)
-        .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
+/// The one symmetric-adjacency builder: `Ã` over the undirected `edges`,
+/// with a diagonal entry on every node `i` for which `self_loop(i)` holds.
+///
+/// Two passes over `edges` count each row's candidate entries and scatter
+/// both orientations of every non-loop edge into its row, after each row's
+/// diagonal slot. Each row is then sorted and deduplicated in place,
+/// compacting the one `indices` array with a forward write pointer (write
+/// never passes read), so duplicates, both orientations and input
+/// self-loops cost only their slack. A node's degree is its deduplicated
+/// row length less its diagonal, and every entry is
+/// `inv_sqrt[u] * inv_sqrt[v]` with `inv_sqrt[i] = 1 / sqrt(deg_i + 1)`.
+fn symmetric_gcn<I>(n: usize, edges: I, self_loop: impl Fn(usize) -> bool) -> CsrMatrix
+where
+    I: Iterator<Item = (usize, usize)> + Clone,
+{
+    // Pass 1: `indptr[u + 1]` counts row u's candidates, then the prefix
+    // sum (with one diagonal slot per looped row) turns counts into offsets.
+    let mut indptr = vec![0usize; n + 1];
+    for (u, v) in edges.clone() {
+        assert!(u < n && v < n, "edge ({u},{v}) out of range for n={n}");
+        if u != v {
+            indptr[u + 1] += 1;
+            indptr[v + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        indptr[i + 1] += indptr[i] + usize::from(self_loop(i));
+    }
+
+    // Pass 2: diagonals first, then both orientations of each edge.
+    let mut indices = vec![0u32; indptr[n]];
+    let mut next = indptr[..n].to_vec();
+    for (i, slot) in next.iter_mut().enumerate() {
+        if self_loop(i) {
+            indices[*slot] = i as u32;
+            *slot += 1;
+        }
+    }
+    for (u, v) in edges {
+        if u != v {
+            indices[next[u]] = v as u32;
+            next[u] += 1;
+            indices[next[v]] = u as u32;
+            next[v] += 1;
+        }
+    }
+    drop(next);
+
+    // Sort and deduplicate each row, compacting in place.
+    let mut write = 0usize;
+    let mut read = 0usize;
+    for u in 0..n {
+        let end = indptr[u + 1];
+        indices[read..end].sort_unstable();
+        indptr[u] = write;
+        let mut prev = u32::MAX;
+        for r in read..end {
+            let c = indices[r];
+            if c != prev {
+                indices[write] = c;
+                write += 1;
+                prev = c;
+            }
+        }
+        read = end;
+    }
+    indptr[n] = write;
+    indices.truncate(write);
+
+    let inv_sqrt: Vec<f32> = (0..n)
+        .map(|i| {
+            let deg = indptr[i + 1] - indptr[i] - usize::from(self_loop(i));
+            1.0 / ((deg + 1) as f32).sqrt()
+        })
         .collect();
-    seen.sort_unstable();
-    seen.dedup();
-    let mut deg = vec![1usize; n]; // self-loop
-    for &(u, v) in &seen {
-        deg[u] += 1;
-        deg[v] += 1;
+    let mut values = vec![0.0f32; write];
+    for u in 0..n {
+        let (lo, hi) = (indptr[u], indptr[u + 1]);
+        for (val, &c) in values[lo..hi].iter_mut().zip(&indices[lo..hi]) {
+            *val = inv_sqrt[u] * inv_sqrt[c as usize];
+        }
     }
-    let mut adj = CooBuilder::new(n, n);
-    for &(u, v) in &seen {
-        adj.push(u, v, 1.0 / deg[u] as f32);
-        adj.push(v, u, 1.0 / deg[v] as f32);
-    }
-    for (i, &d) in deg.iter().enumerate() {
-        adj.push(i, i, 1.0 / d as f32);
-    }
-    adj.build()
+    CsrMatrix::new(n, n, indptr, indices, values)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::CooBuilder;
+    use crate::patch::DynamicAdjacency;
+    use skipnode_tensor::SplitRng;
+
+    /// The COO builder every normalization used before the counting
+    /// builder: canonicalize, sort and dedup the pairs, count degrees, push
+    /// both orientations and the kept diagonals, sort the entries. The
+    /// counting builder must match it bit for bit.
+    fn reference(n: usize, edges: &[(usize, usize)], keep: &[bool]) -> CsrMatrix {
+        let mut seen: Vec<(usize, usize)> = edges
+            .iter()
+            .copied()
+            .filter(|&(u, v)| u != v && keep[u] && keep[v])
+            .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
+            .collect();
+        seen.sort_unstable();
+        seen.dedup();
+        let mut deg = vec![0usize; n];
+        for &(u, v) in &seen {
+            deg[u] += 1;
+            deg[v] += 1;
+        }
+        let inv_sqrt: Vec<f32> = deg.iter().map(|&d| 1.0 / ((d + 1) as f32).sqrt()).collect();
+        let mut adj = CooBuilder::new(n, n);
+        for &(u, v) in &seen {
+            adj.push_symmetric(u, v, inv_sqrt[u] * inv_sqrt[v]);
+        }
+        for i in 0..n {
+            if keep[i] {
+                adj.push(i, i, inv_sqrt[i] * inv_sqrt[i]);
+            }
+        }
+        adj.build()
+    }
+
+    /// Seeded unsorted edge lists with self-loops, duplicates in both
+    /// orientations, and (through the sparse ones) isolated nodes.
+    fn random_edge_lists() -> Vec<(usize, Vec<(usize, usize)>)> {
+        let mut rng = SplitRng::new(21);
+        let mut cases = vec![(0, Vec::new()), (1, vec![(0, 0)]), (4, vec![(1, 3)])];
+        for n in [2usize, 17, 100, 600] {
+            for per_node in [0usize, 1, 4] {
+                let m = n * per_node;
+                let mut edges: Vec<(usize, usize)> =
+                    (0..m).map(|_| (rng.below(n), rng.below(n))).collect();
+                let flipped: Vec<(usize, usize)> =
+                    edges.iter().step_by(3).map(|&(u, v)| (v, u)).collect();
+                let repeated: Vec<(usize, usize)> = edges.iter().step_by(5).copied().collect();
+                edges.extend(flipped);
+                edges.extend(repeated);
+                edges.push((n - 1, n - 1));
+                rng.shuffle(&mut edges);
+                cases.push((n, edges));
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn counting_builder_matches_the_coo_reference_bitwise() {
+        let mut rng = SplitRng::new(5);
+        for (n, edges) in random_edge_lists() {
+            let all = vec![true; n];
+            let want = reference(n, &edges, &all);
+            assert_eq!(gcn_adjacency(n, &edges), want, "plain, n={n}");
+            assert_eq!(
+                gcn_adjacency_filtered(n, edges.iter().copied()),
+                want,
+                "filtered (all kept), n={n}"
+            );
+            assert_eq!(
+                DynamicAdjacency::from_edges(n, &edges).snapshot(),
+                want,
+                "dynamic snapshot, n={n}"
+            );
+
+            let kept: Vec<(usize, usize)> =
+                edges.iter().copied().filter(|_| rng.unit() < 0.6).collect();
+            assert_eq!(
+                gcn_adjacency_filtered(n, kept.iter().copied()),
+                reference(n, &kept, &all),
+                "filtered, n={n}"
+            );
+
+            let keep: Vec<bool> = (0..n).map(|_| rng.unit() < 0.7).collect();
+            let masked = gcn_adjacency_with_node_mask(n, &edges, &keep);
+            assert_eq!(masked, reference(n, &edges, &keep), "node mask, n={n}");
+            for (i, &k) in keep.iter().enumerate() {
+                if !k {
+                    assert_eq!(masked.row_nnz(i), 0, "dropped node {i} keeps a row");
+                }
+            }
+        }
+    }
 
     /// Path graph 0-1-2.
     fn path_edges() -> Vec<(usize, usize)> {
@@ -177,15 +291,5 @@ mod tests {
         let full = gcn_adjacency(3, &path_edges());
         let masked = gcn_adjacency_with_node_mask(3, &path_edges(), &[true; 3]);
         assert_eq!(full, masked);
-    }
-
-    #[test]
-    fn row_normalized_rows_sum_to_one() {
-        let a = row_normalized_adjacency(3, &path_edges());
-        for r in 0..3 {
-            let (_, vals) = a.row(r);
-            let s: f32 = vals.iter().sum();
-            assert!((s - 1.0).abs() < 1e-6, "row {r} sums to {s}");
-        }
     }
 }

@@ -8,8 +8,10 @@
 //! O(deg(u) + deg(v) + Σ_{w∈N(u)∪N(v)} log deg(w)) update instead of the
 //! O(n + m) full rebuild [`crate::gcn_adjacency`] pays.
 //!
-//! **Bitwise oracle.** Every patched value is recomputed from the *current*
-//! degrees with the exact float expressions `gcn_adjacency` uses —
+//! **Bitwise oracle.** [`DynamicAdjacency::from_edges`] slices its rows out
+//! of the matrix `gcn_adjacency` builds, so a fresh adjacency equals the
+//! rebuild by construction. Every patched value is then recomputed from the
+//! *current* degrees with the exact float expressions `gcn_adjacency` uses —
 //! `inv_sqrt(d) = 1.0 / ((d + 1) as f32).sqrt()` and entry
 //! `inv_sqrt(deg_u) * inv_sqrt(deg_v)` (f32 multiplication is commutative,
 //! so operand order is immaterial) — and rows stay sorted by column. A
@@ -21,6 +23,7 @@
 //! cached intermediate (the serve engine's first-hop `Ã·X` row cache).
 
 use crate::csr::{spmm_subset_mapped_impl, CsrMatrix, SubsetRowSource};
+use crate::normalize::gcn_adjacency;
 use skipnode_tensor::{kstats, Matrix};
 
 /// One adjacency row stored CSR-style (parallel arrays, columns sorted).
@@ -51,51 +54,26 @@ pub struct DynamicAdjacency {
 }
 
 impl DynamicAdjacency {
-    /// Build from canonical undirected edges (self-loops ignored,
-    /// duplicates deduplicated) — same tolerances as
-    /// [`crate::gcn_adjacency`], and bitwise the same matrix.
+    /// Build from undirected edges, with the same tolerances as
+    /// [`crate::gcn_adjacency`]: the rows are sliced out of the matrix it
+    /// builds, so a fresh adjacency is bitwise the same matrix.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut seen: Vec<(usize, usize)> = edges
-            .iter()
-            .copied()
-            .filter(|(u, v)| u != v)
-            .map(|(u, v)| if u < v { (u, v) } else { (v, u) })
-            .collect();
-        seen.sort_unstable();
-        seen.dedup();
-        let mut deg = vec![0u32; n];
-        for &(u, v) in &seen {
-            assert!(u < n && v < n, "edge endpoint out of range");
-            deg[u] += 1;
-            deg[v] += 1;
-        }
-        let inv: Vec<f32> = deg.iter().map(|&d| inv_sqrt(d)).collect();
-        let mut rows: Vec<AdjRow> = (0..n)
-            .map(|i| AdjRow {
-                cols: Vec::with_capacity(deg[i] as usize + 1),
-                vals: Vec::with_capacity(deg[i] as usize + 1),
+        let adj = gcn_adjacency(n, edges);
+        let rows: Vec<AdjRow> = (0..n)
+            .map(|r| {
+                let (cols, vals) = adj.row(r);
+                AdjRow {
+                    cols: cols.to_vec(),
+                    vals: vals.to_vec(),
+                }
             })
             .collect();
-        // Neighbor entries arrive sorted per row because `seen` is sorted
-        // and each row receives (a) partners v > u in order from its `u`
-        // role, interleaved with (b) partners u < v in order from its `v`
-        // role — merge by pushing and sorting once at the end instead.
-        for &(u, v) in &seen {
-            let w = inv[u] * inv[v];
-            rows[u].cols.push(v as u32);
-            rows[u].vals.push(w);
-            rows[v].cols.push(u as u32);
-            rows[v].vals.push(w);
-        }
-        for (i, row) in rows.iter_mut().enumerate() {
-            row.cols.push(i as u32);
-            row.vals.push(inv[i] * inv[i]);
-            sort_row(row);
-        }
+        // Every row holds its diagonal, so a degree is the row length less one.
+        let deg = rows.iter().map(|row| row.cols.len() as u32 - 1).collect();
         Self {
             rows,
             deg,
-            edges: seen.len(),
+            edges: (adj.nnz() - n) / 2,
             touched: Vec::new(),
         }
     }
@@ -268,14 +246,6 @@ impl SubsetRowSource for DynamicAdjacency {
     }
 }
 
-/// Sort one row's parallel arrays by column.
-fn sort_row(row: &mut AdjRow) {
-    let mut order: Vec<usize> = (0..row.cols.len()).collect();
-    order.sort_unstable_by_key(|&i| row.cols[i]);
-    row.cols = order.iter().map(|&i| row.cols[i]).collect();
-    row.vals = order.iter().map(|&i| row.vals[i]).collect();
-}
-
 /// Insert `(col, val)` into a sorted row.
 fn insert_entry(row: &mut AdjRow, col: u32, val: f32) {
     let slot = match row.cols.binary_search(&col) {
@@ -289,7 +259,6 @@ fn insert_entry(row: &mut AdjRow, col: u32, val: f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::normalize::gcn_adjacency;
 
     fn assert_bitwise(dyn_adj: &DynamicAdjacency, edges: &[(usize, usize)]) {
         let want = gcn_adjacency(dyn_adj.n(), edges);

@@ -7,7 +7,7 @@
 //!    single-graph trainer: same loss curve, same output-gradient norms,
 //!    same weight-norm trajectory, same evaluation protocol, same final
 //!    parameters — for every backbone × strategy × fused/unfused × engine
-//!    combination. The packed path reuses the streamed adjacency builder,
+//!    combination. The packed path reuses the single-graph adjacency builder,
 //!    segment-aware skip-mask sampling, and the shared training core, so
 //!    any divergence means one of those drifted from the reference.
 //! 2. **Per-graph reference loop** — a multi-graph packed forward must
