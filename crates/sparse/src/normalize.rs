@@ -171,7 +171,7 @@ mod tests {
     /// orientations, and (through the sparse ones) isolated nodes.
     fn random_edge_lists() -> Vec<(usize, Vec<(usize, usize)>)> {
         let mut rng = SplitRng::new(21);
-        let mut cases = vec![(0, Vec::new()), (1, vec![(0, 0)]), (4, vec![(1, 3)])];
+        let mut cases = Vec::new();
         for n in [2usize, 17, 100, 600] {
             for per_node in [0usize, 1, 4] {
                 let m = n * per_node;
@@ -192,20 +192,26 @@ mod tests {
 
     #[test]
     fn counting_builder_matches_the_coo_reference_bitwise() {
-        let mut rng = SplitRng::new(5);
         for (n, edges) in random_edge_lists() {
-            let all = vec![true; n];
-            let want = reference(n, &edges, &all);
+            let want = reference(n, &edges, &vec![true; n]);
             assert_eq!(gcn_adjacency(n, &edges), want, "plain, n={n}");
-            assert_eq!(
-                gcn_adjacency_filtered(n, edges.iter().copied()),
-                want,
-                "filtered (all kept), n={n}"
-            );
             assert_eq!(
                 DynamicAdjacency::from_edges(n, &edges).snapshot(),
                 want,
                 "dynamic snapshot, n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn edge_and_node_drops_match_the_coo_reference_bitwise() {
+        let mut rng = SplitRng::new(5);
+        for (n, edges) in random_edge_lists() {
+            let all = vec![true; n];
+            assert_eq!(
+                gcn_adjacency_filtered(n, edges.iter().copied()),
+                reference(n, &edges, &all),
+                "filtered (all kept), n={n}"
             );
 
             let kept: Vec<(usize, usize)> =
@@ -225,6 +231,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn empty_and_isolated_nodes_are_fine() {
+        for (n, edges) in [(0, vec![]), (1, vec![(0, 0)]), (4, vec![(1, 3)])] {
+            let want = reference(n, &edges, &vec![true; n]);
+            assert_eq!(gcn_adjacency(n, &edges), want, "n={n}");
+            assert_eq!(DynamicAdjacency::from_edges(n, &edges).snapshot(), want, "n={n}");
+        }
+        assert_eq!(gcn_adjacency(0, &[]).rows(), 0);
+        let a = gcn_adjacency(4, &[(1, 3)]);
+        assert_eq!(a.rows(), 4);
+        // Isolated nodes keep only their unit self-loop.
+        for i in [0, 2] {
+            assert_eq!(a.row_nnz(i), 1, "node {i}");
+            assert_eq!(a.get(i, i), 1.0, "node {i}");
+        }
+        assert_eq!(a.row_nnz(1), 2);
+        assert_eq!(a.row_nnz(3), 2);
+        assert!((a.get(3, 1) - 0.5).abs() < 1e-6);
     }
 
     /// Path graph 0-1-2.
