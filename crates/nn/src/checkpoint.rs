@@ -21,13 +21,17 @@
 //!
 //! All integers and floats are little-endian. The trailing `fnv1a64` is
 //! FNV-1a (64-bit) over every byte before it; a reader rejects a mismatch
-//! as [`io::ErrorKind::InvalidData`], so a corrupt file never reaches
-//! [`ModelCheckpoint::restore`]. Versions 1 and 2 were the same layouts
-//! without the checksum. [`ModelCheckpoint`] is the v4 surface: it captures a trained model together with the
-//! [`BackboneSpec`] needed to rebuild it, and [`ModelCheckpoint::restore`]
-//! rebuilds the architecture and overwrites every freshly initialized
-//! parameter with the saved bytes — evaluation after a round trip is
-//! bitwise identical to the captured model.
+//! as [`io::ErrorKind::InvalidData`], so an accidentally corrupted file
+//! never reaches [`ModelCheckpoint::restore`]. The checksum is no defence
+//! against a crafted file, whose checksum anyone can recompute; `restore`
+//! still checks the header against the saved parameters. Versions 1 and 2
+//! were the same layouts without the checksum.
+//!
+//! [`ModelCheckpoint`] is the v4 surface: it captures a trained model
+//! together with the [`BackboneSpec`] needed to rebuild it, and
+//! [`ModelCheckpoint::restore`] rebuilds the architecture and overwrites
+//! every freshly initialized parameter with the saved bytes — evaluation
+//! after a round trip is bitwise identical to the captured model.
 
 use crate::models::{BackboneSpec, Model};
 use crate::param::ParamStore;

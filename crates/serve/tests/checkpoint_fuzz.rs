@@ -2,14 +2,18 @@
 //! either load into an engine that still answers a query with `out_dim`
 //! values, or return an error. They never panic, and never make the load
 //! allocate more than the file's own size beyond what the intact file
-//! costs.
+//! costs (times the claimed depth over the saved one, for a resealed file
+//! that loads).
 //!
 //! For every plan backbone, a small checkpoint is cut at every byte
 //! offset of its header and at a spread of offsets through its
 //! parameters, then hit with seeded single-bit and single-byte flips
 //! (half of them aimed at the header, where the sizes and names live).
-//! Each input goes through `ModelCheckpoint::read` → `restore` →
-//! `ServeEngine::from_checkpoint` → `serve_batch(&[0])`.
+//! The trailing checksum rejects every one of those, so each flip is also
+//! tried resealed (its checksum recomputed), which is what reaches the
+//! checks behind the checksum. Each input goes through
+//! `ModelCheckpoint::read` → `restore` → `ServeEngine::from_checkpoint` →
+//! `serve_batch(&[0])`.
 
 use skipnode_graph::Graph;
 use skipnode_nn::models::BACKBONE_NAMES;
@@ -117,6 +121,19 @@ fn saved(name: &str) -> (Vec<u8>, usize) {
     (bytes, header)
 }
 
+/// Recompute the trailing FNV-1a-64 checksum of an edited file, as anyone
+/// crafting a file can, so the edit gets past `ModelCheckpoint::read`'s
+/// checksum to the checks behind it.
+fn reseal(bytes: &mut [u8]) {
+    let body = bytes.len() - 8;
+    let hash = bytes[..body]
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    bytes[body..].copy_from_slice(&hash.to_le_bytes());
+}
+
 /// What one load did: `Ok(Some(values))` when an engine answered,
 /// `Ok(None)` when the file was rejected, `Err` on a panic; plus the
 /// heap bytes the load needed at its peak.
@@ -160,14 +177,26 @@ fn intact_cost(name: &str, bytes: &[u8], graph: &Graph) -> usize {
     peak
 }
 
+/// One corrupt input: what was done to the file, its bytes, and whether
+/// its checksum was recomputed after the edit.
+struct Case {
+    what: String,
+    bytes: Vec<u8>,
+    resealed: bool,
+}
+
 /// The seeded corruptions of one file: header cuts, body cuts, then bit
-/// and byte flips.
-fn corruptions(bytes: &[u8], header: usize, rng: &mut SplitRng) -> Vec<(String, Vec<u8>)> {
+/// and byte flips, each flip before the checksum also resealed.
+fn corruptions(bytes: &[u8], header: usize, rng: &mut SplitRng) -> Vec<Case> {
     let mut cases = Vec::new();
     let body = bytes.len() - header;
     let cuts = (0..header).chain((0..BODY_CUTS).map(|i| header + i * body / BODY_CUTS));
     for cut in cuts {
-        cases.push((format!("cut at {cut}"), bytes[..cut].to_vec()));
+        cases.push(Case {
+            what: format!("cut at {cut}"),
+            bytes: bytes[..cut].to_vec(),
+            resealed: false,
+        });
     }
     for i in 0..2 * FLIPS {
         // Even cases aim at the header, odd ones anywhere in the file.
@@ -177,15 +206,33 @@ fn corruptions(bytes: &[u8], header: usize, rng: &mut SplitRng) -> Vec<(String, 
             rng.below(bytes.len())
         };
         let mut flipped = bytes.to_vec();
-        if i < FLIPS {
+        let what = if i < FLIPS {
             let bit = rng.below(8);
             flipped[at] ^= 1 << bit;
-            cases.push((format!("bit {bit} of byte {at} flipped"), flipped));
+            format!("bit {bit} of byte {at} flipped")
         } else {
             let value = rng.below(256) as u8;
             flipped[at] = value;
-            cases.push((format!("byte {at} set to {value:#04x}"), flipped));
+            format!("byte {at} set to {value:#04x}")
+        };
+        if flipped == bytes {
+            continue;
         }
+        // Resealing a flip inside the checksum gives back the intact file.
+        if at < bytes.len() - 8 {
+            let mut resealed = flipped.clone();
+            reseal(&mut resealed);
+            cases.push(Case {
+                what: format!("{what}, resealed"),
+                bytes: resealed,
+                resealed: true,
+            });
+        }
+        cases.push(Case {
+            what,
+            bytes: flipped,
+            resealed: false,
+        });
     }
     cases
 }
@@ -199,11 +246,27 @@ fn corrupt_checkpoints_are_rejected_or_serve_without_panicking() {
     for name in BACKBONE_NAMES {
         let (bytes, header) = saved(name);
         let baseline = intact_cost(name, &bytes, &graph);
-        for (what, input) in corruptions(&bytes, header, &mut rng) {
+        for Case {
+            what,
+            bytes: input,
+            resealed,
+        } in corruptions(&bytes, header, &mut rng)
+        {
             let (outcome, peak) = load(&input, &graph);
+            // A resealed file that loads holds every parameter of the model
+            // its header describes, and `restore` bounds a depth only by
+            // their count; that depth sizes the plan, so for APPNP, GRAND
+            // and SGC a deeper claim legitimately costs more. Every other
+            // input is held to the intact file's own cost.
+            let scale = match (&outcome, ModelCheckpoint::read(&input[..])) {
+                (Ok(Some(_)), Ok(ckpt)) if resealed => ckpt.spec.depth.max(DEPTH).div_ceil(DEPTH),
+                _ => 1,
+            };
             if let Err(panic) = outcome {
                 failures.push(format!("{name}, {what}: panicked: {panic}"));
-            } else if peak > baseline + bytes.len() {
+            } else if !resealed && outcome != Ok(None) {
+                failures.push(format!("{name}, {what}: loaded past the checksum"));
+            } else if peak > baseline * scale + bytes.len() {
                 failures.push(format!(
                     "{name}, {what}: needed {peak} heap bytes, intact {baseline}, file {}",
                     bytes.len()
@@ -221,20 +284,27 @@ fn corrupt_checkpoints_are_rejected_or_serve_without_panicking() {
 fn header_claims_cost_no_more_than_the_file() {
     let _serial = serial();
     let graph = graph();
-    // (backbone, byte, new value): a backbone-name length of 3 + 2^18
-    // (read in full before the bytes arrived); an InceptGCN depth of
-    // 4 + 2^10 (its parameter-shape list built for every claimed layer);
-    // and an APPNP depth of 0xa8 = 168, which its 184 saved values allowed,
-    // so the file loaded and served a 168-step plan until the checksum.
-    for (name, at, value) in [
-        ("gcn", 10, 0x04),
-        ("inceptgcn", 34, 0x04),
-        ("appnp", 29, 0xa8),
+    // (backbone, byte, new value, resealed): a backbone-name length of
+    // 3 + 2^18 (read in full before the bytes arrived; the parser stops
+    // before the checksum); an InceptGCN depth of 4 + 2^10, resealed so it
+    // reaches `restore` (its parameter-shape list was built for every
+    // claimed layer); and an APPNP depth of 0xa8 = 168, which its 184 saved
+    // values allowed, so the file loaded and served a 168-step plan until
+    // the checksum.
+    for (name, at, value, resealed) in [
+        ("gcn", 10, 0x04, false),
+        ("inceptgcn", 34, 0x04, true),
+        ("appnp", 29, 0xa8, false),
     ] {
         let (bytes, _) = saved(name);
         let baseline = intact_cost(name, &bytes, &graph);
         let mut input = bytes.clone();
         input[at] = value;
+        if resealed {
+            reseal(&mut input);
+            let ckpt = ModelCheckpoint::read(&input[..]).expect("resealed header parses");
+            assert_eq!(ckpt.spec.depth, 4 + (1 << 10), "{name}: the depth byte");
+        }
         let (outcome, peak) = load(&input, &graph);
         assert_eq!(
             outcome,

@@ -238,7 +238,11 @@ mod tests {
         for (n, edges) in [(0, vec![]), (1, vec![(0, 0)]), (4, vec![(1, 3)])] {
             let want = reference(n, &edges, &vec![true; n]);
             assert_eq!(gcn_adjacency(n, &edges), want, "n={n}");
-            assert_eq!(DynamicAdjacency::from_edges(n, &edges).snapshot(), want, "n={n}");
+            assert_eq!(
+                DynamicAdjacency::from_edges(n, &edges).snapshot(),
+                want,
+                "n={n}"
+            );
         }
         assert_eq!(gcn_adjacency(0, &[]).rows(), 0);
         let a = gcn_adjacency(4, &[(1, 3)]);
