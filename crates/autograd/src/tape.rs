@@ -745,13 +745,8 @@ impl Tape {
                 if self.rg(*w) {
                     // dW = Sᵀ · dT over the active rows (cached compact
                     // support); with the identity map z = (1-β)s + β·s·W,
-                    // so dT = β·dZ. The register-tiled GEMM over an
-                    // explicit Sᵀ adds the nonzero products in `t_matmul`'s
-                    // order, so it gives its bits on finite values, at a
-                    // fraction of its cost on these short rows.
-                    let st = cache.p_active.transpose();
-                    let mut dw = st.matmul(&gz);
-                    workspace::give(st);
+                    // so dT = β·dZ.
+                    let mut dw = cache.p_active.t_matmul(&gz);
                     if let Some(beta) = identity_map {
                         dw.scale_in_place(*beta);
                     }

@@ -5,15 +5,22 @@
 //! - **Register tiling.** The scalar `A·B` kernel computes 4×8 output
 //!   tiles with accumulators held in locals and fixed-size (`[f32; 8]`) row
 //!   windows, so the autovectorizer lifts the inner loop to SIMD FMAs; the
-//!   vector kernel ([`crate::simd::gemm_rows`]) uses 4×16 tiles. `Aᵀ·B`
-//!   streams row-axpy updates into a cache-resident output slab; `A·Bᵀ`
-//!   runs four independent dot-product chains per output row.
-//! - **Zero skipping.** Tiles whose `A` window is entirely zero are
-//!   skipped. Adding `0·x` for finite `x` is exact, so results are
-//!   unchanged. Sparse input features no longer reach these kernels on
-//!   `f32` tapes — the input layer runs over their stored entries
-//!   (`skipnode_autograd`'s sparse input op) — so the skip now pays only on
-//!   the int8 and dense-feature paths.
+//!   scalar `Aᵀ·B` streams row-axpy updates into a cache-resident output
+//!   slab and `A·Bᵀ` runs four independent dot-product chains per output
+//!   row. The vector kernels ([`crate::simd::gemm_rows`],
+//!   `simd::gemm_at_b_rows`, `simd::gemm_a_bt_rows`) hold 4×16 output
+//!   tiles in registers for `A·B` and `Aᵀ·B` and 2×4 dot blocks for
+//!   `A·Bᵀ`, each element keeping its scalar summation order.
+//! - **Zero skipping.** `A·B` and `Aᵀ·B` skip the terms whose 4-wide
+//!   window of `A` is entirely zero (the scalar `Aᵀ·B` each zero entry).
+//!   The vector kernels first list the live windows — branch-free for
+//!   `A·B`, from a bitmask for `Aᵀ·B` — and then run their tiles over the
+//!   list with no branch inside. Adding `0·x` for finite `x` is exact, so
+//!   results are unchanged; a non-finite `B` value beside a zero `A` entry
+//!   in a live window reaches the sum. ReLU-and-dropout activations are
+//!   about 75% zeros, and raw bag-of-words features still reach these
+//!   kernels wherever the sparse input op (`skipnode_autograd`) does not
+//!   apply.
 //! - **Pooled dispatch.** Large products are split over disjoint output
 //!   row-blocks and dispatched on [`crate::pool`] — no per-call thread
 //!   spawn/join. Every output element is computed by exactly one chunk with
@@ -173,27 +180,7 @@ fn at_b_rows_dispatch(
 ) {
     match isa {
         Isa::Scalar => at_b_rows(a, b, out, p_begin, p_end),
-        isa => at_b_rows_simd(isa, a, b, out, p_begin, p_end),
-    }
-}
-
-/// SIMD `Aᵀ·B` rows: the same streaming row-axpy as the scalar reference
-/// with the inner loop vectorized over output columns — per-element
-/// accumulation order over `r` is unchanged, so the result is invariant to
-/// the parallel row split and differs from scalar only by FMA contraction.
-fn at_b_rows_simd(isa: Isa, a: &Matrix, b: &Matrix, out: &mut [f32], p_begin: usize, p_end: usize) {
-    let m = a.rows();
-    let n = b.cols();
-    out.fill(0.0);
-    for r in 0..m {
-        let a_slab = &a.row(r)[p_begin..p_end];
-        let b_row = b.row(r);
-        for (local_p, &ap) in a_slab.iter().enumerate() {
-            if ap == 0.0 {
-                continue;
-            }
-            simd::axpy(isa, ap, b_row, &mut out[local_p * n..(local_p + 1) * n]);
-        }
+        isa => simd::gemm_at_b_rows(isa, a, b, out, p_begin, p_end),
     }
 }
 
@@ -251,38 +238,7 @@ fn a_bt_rows_dispatch(
 ) {
     match isa {
         Isa::Scalar => a_bt_rows(a, b, out, row_begin, row_end),
-        isa => a_bt_rows_simd(isa, a, b, out, row_begin, row_end),
-    }
-}
-
-/// SIMD `A·Bᵀ` rows: four vector dot chains per output row. Dot products
-/// fold lanes, so this kernel is tolerance-class versus the scalar
-/// reference (deterministic for a fixed ISA).
-fn a_bt_rows_simd(
-    isa: Isa,
-    a: &Matrix,
-    b: &Matrix,
-    out: &mut [f32],
-    row_begin: usize,
-    row_end: usize,
-) {
-    let n = b.rows();
-    for (local, r) in (row_begin..row_end).enumerate() {
-        let a_row = a.row(r);
-        let out_row = &mut out[local * n..(local + 1) * n];
-        let mut j = 0;
-        while j + 4 <= n {
-            let vals = simd::dot4(
-                isa,
-                a_row,
-                [b.row(j), b.row(j + 1), b.row(j + 2), b.row(j + 3)],
-            );
-            out_row[j..j + 4].copy_from_slice(&vals);
-            j += 4;
-        }
-        for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
-            *o = simd::dot(isa, a_row, b.row(jj));
-        }
+        isa => simd::gemm_a_bt_rows(isa, a, b, out, row_begin, row_end),
     }
 }
 

@@ -1,8 +1,9 @@
 //! Runtime-dispatched SIMD inner kernels.
 //!
 //! Every hot loop in the stack funnels through a handful of primitives in
-//! this module: the GEMM register microkernel, the feature-dimension axpy
-//! used by SpMM and `Aᵀ·B`, the dot chains of `A·Bᵀ`, the elementwise
+//! this module: the register-tiled GEMM row kernels of the three layouts
+//! (`A·B`, `Aᵀ·B`, `A·Bᵀ`), the feature-dimension axpy used by SpMM, the
+//! dot products of `A·Bᵀ`'s remainders, the elementwise
 //! update kernels, the f64-accumulated square-sum, the fused Adam
 //! element step, and the eight-lane xoshiro256++ Bernoulli draw behind
 //! long dropout fills (`bernoulli_lanes`, integer-only and so bitwise on
@@ -19,11 +20,11 @@
 //! tile size, or row compaction. The rules:
 //!
 //! - **Order-preserving kernels vectorize across output elements only.**
-//!   The GEMM microkernel, the SpMM axpy, and `Aᵀ·B` accumulate each output
-//!   element in the exact scalar index order (`p = 0..k`, neighbors in CSR
-//!   order); lanes hold *different* output columns, never partial sums of
-//!   the same element. Zero-skip (`fma(0, x, acc) == acc` for finite `x`)
-//!   stays exact.
+//!   The `A·B` and `Aᵀ·B` tiles and the SpMM axpy accumulate each output
+//!   element in the exact scalar index order (`p = 0..k`, `r = 0..m`,
+//!   neighbors in CSR order); lanes hold *different* output columns, never
+//!   partial sums of the same element. Zero-skip (`fma(0, x, acc) == acc`
+//!   for finite `x`) stays exact.
 //! - **The SIMD path uses fused multiply-add uniformly** — vector FMA in
 //!   the lane loops and `f32::mul_add` in every remainder loop — so a given
 //!   element's bits are invariant to where tile/lane boundaries fall. SIMD
@@ -33,7 +34,8 @@
 //!   and the Adam step use plain mul/add/max lanes that round exactly like
 //!   the scalar reference, so they stay bit-identical to it on every ISA
 //!   (the `-0.0 < +0.0` ReLU edge noted on [`relu`] aside).
-//! - **Reductions that fold lanes** (`dot`, [`sum_sq_f64`]) combine partial
+//! - **Reductions that fold lanes** (`dot`, the `A·Bᵀ` kernel, which folds
+//!   four of `dot`'s lane sums at once, [`sum_sq_f64`]) combine partial
 //!   sums in a fixed order, so they are deterministic per ISA but
 //!   tolerance-class versus scalar.
 //!
@@ -150,11 +152,11 @@ pub fn force(isa: Isa) -> Isa {
 // ---------------------------------------------------------------------------
 
 /// `y[i] = alpha * x[i] + y[i]`. This is the inner axpy of SpMM's neighbor
-/// accumulation and `Aᵀ·B`'s streaming update: each `y[i]` is one output
-/// element, so repeated calls accumulate every element in the caller's
-/// (scalar) order. Vector ISAs use FMA lanes (tolerance-class); the
-/// [`Isa::Scalar`] path is the plain `y += alpha * x` reference loop,
-/// bit-identical to the pre-SIMD kernels.
+/// accumulation and of the NEON `Aᵀ·B` stream in `gemm_at_b_rows`: each
+/// `y[i]` is one output element, so repeated calls accumulate every element
+/// in the caller's (scalar) order. Vector ISAs use FMA lanes
+/// (tolerance-class); the [`Isa::Scalar`] path is the plain
+/// `y += alpha * x` reference loop, bit-identical to the pre-SIMD kernels.
 #[inline]
 pub fn axpy(isa: Isa, alpha: f32, x: &[f32], y: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
@@ -229,22 +231,6 @@ pub fn dot(isa: Isa, x: &[f32], y: &[f32]) -> f32 {
     acc
 }
 
-/// Four simultaneous dot products of `x` against `ys[0..4]` (the `A·Bᵀ`
-/// microkernel: one pass over `x` serves four output columns).
-pub fn dot4(isa: Isa, x: &[f32], ys: [&[f32]; 4]) -> [f32; 4] {
-    #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx2 {
-        // SAFETY: see `axpy`.
-        return unsafe { dot4_avx2(x, ys) };
-    }
-    [
-        dot(isa, x, ys[0]),
-        dot(isa, x, ys[1]),
-        dot(isa, x, ys[2]),
-        dot(isa, x, ys[3]),
-    ]
-}
-
 /// Sum of squares with f64 accumulation (the [`crate::l2_norm_sq`] chunk
 /// kernel). Scalar ISA reproduces the reference loop bitwise; vector ISAs
 /// fold two f64 lanes-groups in a fixed order (tolerance-class).
@@ -259,10 +245,16 @@ pub fn sum_sq_f64(isa: Isa, x: &[f32]) -> f64 {
 }
 
 /// SIMD GEMM row kernel: rows `[row_begin, row_end)` of `a·b` into the row
-/// block `out`, in 4×16 register tiles. Per-element accumulation order is
-/// `p = 0..k` with exact zero-skip, so the serial/pooled split produces
-/// identical bytes; versus the scalar reference the only difference is FMA
-/// contraction.
+/// block `out`. On AVX2 each 4-row block first lists, branch-free, the `p`
+/// whose 4-wide window of `A` is not all zero, then runs 4×16 register
+/// tiles over that list; NEON runs 4×16 tiles with a per-`p` window test.
+/// Either way each element sums `p = 0..k` in order with FMA from `+0`,
+/// skipping exactly the all-zero windows, so the serial/pooled split
+/// produces identical bytes; versus the scalar reference the only
+/// difference is FMA contraction.
+///
+/// # Panics
+/// Panics when the shapes disagree or `out` is shorter than the row block.
 pub fn gemm_rows(
     isa: Isa,
     a: &Matrix,
@@ -271,9 +263,17 @@ pub fn gemm_rows(
     row_begin: usize,
     row_end: usize,
 ) {
+    assert!(
+        a.cols() == b.rows()
+            && row_begin <= row_end
+            && row_end <= a.rows()
+            && out.len() >= (row_end - row_begin) * b.cols(),
+        "gemm_rows shapes"
+    );
     #[cfg(target_arch = "x86_64")]
     if isa == Isa::Avx2 {
-        // SAFETY: see `axpy`.
+        // SAFETY: see `axpy` for the ISA; the assert above is the kernel's
+        // shape contract.
         unsafe { gemm_rows_avx2(a, b, out, row_begin, row_end) };
         return;
     }
@@ -285,6 +285,89 @@ pub fn gemm_rows(
     }
     let _ = isa;
     gemm_rows_portable(a, b, out, row_begin, row_end);
+}
+
+/// SIMD `Aᵀ·B` row kernel: output rows `[p_begin, p_end)` of `aᵀ·b` into
+/// the row block `out`. On AVX2, 4×16 output tiles stay in registers while
+/// `r` runs in ascending row blocks, skipping rows whose 4-wide window of
+/// `A` is all zero; NEON streams [`axpy`] row updates, skipping zero
+/// entries. Either way each element sums `r = 0..m` in order with FMA from
+/// `+0`, so the result is invariant to the pooled split and differs from
+/// the scalar reference only by FMA contraction.
+///
+/// # Panics
+/// Panics when the shapes disagree or `out` is shorter than the row block.
+pub(crate) fn gemm_at_b_rows(
+    isa: Isa,
+    a: &Matrix,
+    b: &Matrix,
+    out: &mut [f32],
+    p_begin: usize,
+    p_end: usize,
+) {
+    let n = b.cols();
+    assert!(
+        a.rows() == b.rows()
+            && p_begin <= p_end
+            && p_end <= a.cols()
+            && out.len() >= (p_end - p_begin) * n,
+        "gemm_at_b_rows shapes"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if isa == Isa::Avx2 {
+        // SAFETY: see `gemm_rows`.
+        unsafe { at_b_rows_avx2(a, b, out, p_begin, p_end) };
+        return;
+    }
+    out.fill(0.0);
+    for r in 0..a.rows() {
+        let b_row = b.row(r);
+        for (local_p, &ap) in a.row(r)[p_begin..p_end].iter().enumerate() {
+            if ap == 0.0 {
+                continue;
+            }
+            axpy(isa, ap, b_row, &mut out[local_p * n..(local_p + 1) * n]);
+        }
+    }
+}
+
+/// SIMD `A·Bᵀ` row kernel: rows `[row_begin, row_end)` of `a·bᵀ` into the
+/// row block `out`. Each element is [`dot`] of its two rows — vector FMA
+/// lanes folded in a fixed order, then the scalar tail — so it is
+/// deterministic per ISA and tolerance-class versus the scalar reference.
+/// AVX2 computes two rows of `A` against four rows of `B` per pass and
+/// folds four elements at once, bit for bit as [`dot`] does.
+///
+/// # Panics
+/// Panics when the shapes disagree or `out` is shorter than the row block.
+pub(crate) fn gemm_a_bt_rows(
+    isa: Isa,
+    a: &Matrix,
+    b: &Matrix,
+    out: &mut [f32],
+    row_begin: usize,
+    row_end: usize,
+) {
+    let n = b.rows();
+    assert!(
+        a.cols() == b.cols()
+            && row_begin <= row_end
+            && row_end <= a.rows()
+            && out.len() >= (row_end - row_begin) * n,
+        "gemm_a_bt_rows shapes"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if isa == Isa::Avx2 {
+        // SAFETY: see `gemm_rows`.
+        unsafe { a_bt_rows_avx2(a, b, out, row_begin, row_end) };
+        return;
+    }
+    for (local, r) in (row_begin..row_end).enumerate() {
+        let a_row = a.row(r);
+        for (j, o) in out[local * n..(local + 1) * n].iter_mut().enumerate() {
+            *o = dot(isa, a_row, b.row(j));
+        }
+    }
 }
 
 /// Portable fallback matching the SIMD path's per-element semantics
@@ -547,33 +630,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot4_avx2(x: &[f32], ys: [&[f32]; 4]) -> [f32; 4] {
-        let n = x.len();
-        let mut acc = [_mm256_setzero_ps(); 4];
-        let mut i = 0;
-        while i + 8 <= n {
-            let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-            for (a, yrow) in acc.iter_mut().zip(&ys) {
-                *a = _mm256_fmadd_ps(xv, _mm256_loadu_ps(yrow.as_ptr().add(i)), *a);
-            }
-            i += 8;
-        }
-        let mut tail = [0.0f32; 4];
-        while i < n {
-            let xv = *x.get_unchecked(i);
-            for (t, yrow) in tail.iter_mut().zip(&ys) {
-                *t = xv.mul_add(*yrow.get_unchecked(i), *t);
-            }
-            i += 1;
-        }
-        let mut out = [0.0f32; 4];
-        for j in 0..4 {
-            out[j] = hsum(acc[j]) + tail[j];
-        }
-        out
-    }
-
-    #[target_feature(enable = "avx2,fma")]
     pub unsafe fn sum_sq_f64_avx2(x: &[f32]) -> f64 {
         let n = x.len();
         let mut acc0 = _mm256_setzero_pd();
@@ -639,10 +695,208 @@ mod avx2 {
         }
     }
 
-    /// Register-tiled GEMM rows: `MR = 4` output rows × `NU = 2` 8-lane
-    /// column vectors per tile. Accumulation over `p` is in scalar order
-    /// with the same all-rows-zero skip as the scalar kernel, so the tile
-    /// and remainder paths agree bitwise.
+    /// Register-tile width: two 8-lane vectors of output columns.
+    const NR: usize = 16;
+    /// `Aᵀ·B` sums `r` in blocks of this many rows, so a block's window
+    /// list fits a stack array and its rows of `A` and `B` stay in cache
+    /// while every output tile of the chunk passes over them.
+    const AT_B_ROW_BLOCK: usize = 256;
+
+    /// Lane masks for the first `w` of a register tile's `NR` columns. The
+    /// tile functions take `FULL` for `w == NR`, which loads and stores
+    /// without the masks.
+    #[derive(Clone, Copy)]
+    struct Cols {
+        mask: [__m256i; 2],
+    }
+
+    impl Cols {
+        /// Masks selecting the first `w` of a tile's `NR` columns.
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        fn new(w: usize) -> Cols {
+            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let upto = |w: usize| _mm256_cmpgt_epi32(_mm256_set1_epi32(w.min(8) as i32), lane);
+            Cols {
+                mask: [upto(w), upto(w.saturating_sub(8))],
+            }
+        }
+
+        /// # Safety
+        /// `p` must be valid for reads of the tile's columns: all `NR` when
+        /// `FULL`, else those `mask` selects (the others are not touched).
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load<const FULL: bool>(self, p: *const f32) -> [__m256; 2] {
+            if FULL {
+                [_mm256_loadu_ps(p), _mm256_loadu_ps(p.add(8))]
+            } else {
+                [
+                    _mm256_maskload_ps(p, self.mask[0]),
+                    _mm256_maskload_ps(p.wrapping_add(8), self.mask[1]),
+                ]
+            }
+        }
+
+        /// # Safety
+        /// `p` must be valid for writes of the tile's columns, as in
+        /// [`Cols::load`].
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn store<const FULL: bool>(self, p: *mut f32, v: [__m256; 2]) {
+            if FULL {
+                _mm256_storeu_ps(p, v[0]);
+                _mm256_storeu_ps(p.add(8), v[1]);
+            } else {
+                _mm256_maskstore_ps(p, self.mask[0], v[0]);
+                _mm256_maskstore_ps(p.wrapping_add(8), self.mask[1], v[1]);
+            }
+        }
+    }
+
+    /// One `R × NR` output tile at `out` (row stride `n`): starts from `+0`,
+    /// or from `out` when `resume`, then adds every index `t` of `live` in
+    /// order — `acc[q] = fma(a[q][t · a_step], b[t · n ..], acc[q])`, one
+    /// FMA per element and no branch — and stores the tile. `A·B` walks
+    /// `t = p` along `R` rows of `A` (`a_step = 1`); `Aᵀ·B` walks `t = r`
+    /// down `R` columns of `A` (`a_step` its row length).
+    ///
+    /// # Safety
+    /// For every `t` in `live`, `a[q] + t · a_step` must be readable for
+    /// each `q`, and `b + t · n` readable as in [`Cols::load`]; `out + q · n`
+    /// must be readable and writable likewise for each `q < R`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tile<const R: usize, const FULL: bool>(
+        a: &[*const f32; R],
+        a_step: usize,
+        live: &[usize],
+        b: *const f32,
+        n: usize,
+        cols: Cols,
+        out: *mut f32,
+        resume: bool,
+    ) {
+        let mut acc: [[__m256; 2]; R] = std::array::from_fn(|q| {
+            if resume {
+                cols.load::<FULL>(out.add(q * n))
+            } else {
+                [_mm256_setzero_ps(); 2]
+            }
+        });
+        for &t in live {
+            let bv = cols.load::<FULL>(b.add(t * n));
+            for (accq, aq) in acc.iter_mut().zip(a) {
+                let av = _mm256_set1_ps(*aq.add(t * a_step));
+                accq[0] = _mm256_fmadd_ps(av, bv[0], accq[0]);
+                accq[1] = _mm256_fmadd_ps(av, bv[1], accq[1]);
+            }
+        }
+        for (q, accq) in acc.iter().enumerate() {
+            cols.store::<FULL>(out.add(q * n), *accq);
+        }
+    }
+
+    /// Every column tile of `R` output rows at `out` (row stride `n`), the
+    /// last one masked; see [`tile`].
+    ///
+    /// # Safety
+    /// As for [`tile`], for every column tile of the `n` columns.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn tile_row<const R: usize>(
+        a: &[*const f32; R],
+        a_step: usize,
+        live: &[usize],
+        b: *const f32,
+        n: usize,
+        out: *mut f32,
+        resume: bool,
+    ) {
+        let mut jt = 0;
+        while jt < n {
+            let w = NR.min(n - jt);
+            let (b, o, cols) = (b.add(jt), out.add(jt), Cols::new(w));
+            if w == NR {
+                tile::<R, true>(a, a_step, live, b, n, cols, o, resume);
+            } else {
+                tile::<R, false>(a, a_step, live, b, n, cols, o, resume);
+            }
+            jt += w;
+        }
+    }
+
+    /// Writes to `live`, ascending, every `p < k` at which one of the `R`
+    /// rows is nonzero (NaN counts as nonzero and `-0.0` as zero, as in the
+    /// scalar kernels' `== 0.0` tests), and returns how many. Branch-free: each
+    /// `p` is written, and the count only steps past the live ones.
+    ///
+    /// # Safety
+    /// Each row pointer must be readable for `k` floats.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn live_columns<const R: usize>(
+        rows: &[*const f32; R],
+        k: usize,
+        live: &mut [usize],
+    ) -> usize {
+        let zero = _mm256_setzero_ps();
+        let mut c = 0;
+        let mut p = 0;
+        while p + 8 <= k {
+            let mut nz = _mm256_setzero_ps();
+            for row in rows {
+                let v = _mm256_loadu_ps(row.add(p));
+                nz = _mm256_or_ps(nz, _mm256_cmp_ps::<_CMP_NEQ_UQ>(v, zero));
+            }
+            let bits = _mm256_movemask_ps(nz);
+            for lane in 0..8 {
+                live[c] = p + lane;
+                c += (bits >> lane & 1) as usize;
+            }
+            p += 8;
+        }
+        while p < k {
+            live[c] = p;
+            c += rows.iter().fold(false, |nz, row| nz | (*row.add(p) != 0.0)) as usize;
+            p += 1;
+        }
+        c
+    }
+
+    /// One block of `R` rows of `A·B` into `out` (row stride `n`): the
+    /// live-window list once, then every column tile over it.
+    ///
+    /// # Safety
+    /// Each row pointer must be readable for `k` floats, `b` for `k × n`
+    /// and `out` writable for `R × n`; `live` must hold `k` entries.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn ab_row_block<const R: usize>(
+        rows: &[*const f32; R],
+        k: usize,
+        b: *const f32,
+        n: usize,
+        live: &mut [usize],
+        out: *mut f32,
+    ) {
+        let c = live_columns(rows, k, live);
+        tile_row(rows, 1, &live[..c], b, n, out, false);
+    }
+
+    /// Register-tiled GEMM rows `[row_begin, row_end)` of `a·b` into the
+    /// row block `out`: 4-row blocks (single rows for the remainder) ×
+    /// 16-column tiles, the last tile masked. Each block first lists the
+    /// `p` whose window of `A` is not all zero, branch-free, then runs its
+    /// tiles over that list only, each element summing `p` in ascending
+    /// order with FMA from `+0`.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA; `a.cols() == b.rows()`,
+    /// `row_end <= a.rows()` and `out.len() >= (row_end - row_begin) ·
+    /// b.cols()`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn gemm_rows_avx2(
         a: &Matrix,
@@ -652,65 +906,213 @@ mod avx2 {
         row_end: usize,
     ) {
         const MR: usize = 4;
-        const NU: usize = 2;
         let k = a.cols();
         let n = b.cols();
-        let bd = b.as_slice();
-        let nr = NU * 8;
-        let rows = row_end - row_begin;
-        let mut i = 0;
-        while i < rows {
-            let mr = MR.min(rows - i);
-            let r0 = row_begin + i;
-            let mut jt = 0;
-            while jt < n {
-                let w = nr.min(n - jt);
-                if mr == MR && w == nr {
-                    let a_ptrs: [*const f32; MR] = std::array::from_fn(|r| a.row(r0 + r).as_ptr());
-                    let mut acc = [[_mm256_setzero_ps(); NU]; MR];
-                    for p in 0..k {
-                        let avals: [f32; MR] = std::array::from_fn(|r| *a_ptrs[r].add(p));
-                        if avals == [0.0; MR] {
-                            continue;
-                        }
-                        let bp = bd.as_ptr().add(p * n + jt);
-                        let bv: [__m256; NU] =
-                            std::array::from_fn(|u| _mm256_loadu_ps(bp.add(u * 8)));
-                        for (accr, &ar) in acc.iter_mut().zip(&avals) {
-                            let av = _mm256_set1_ps(ar);
-                            for (o, &bvu) in accr.iter_mut().zip(&bv) {
-                                *o = _mm256_fmadd_ps(av, bvu, *o);
-                            }
-                        }
-                    }
-                    for (r, accr) in acc.iter().enumerate() {
-                        let optr = out.as_mut_ptr().add((i + r) * n + jt);
-                        for (u, &o) in accr.iter().enumerate() {
-                            _mm256_storeu_ps(optr.add(u * 8), o);
-                        }
-                    }
-                } else {
-                    // Remainder: same per-element order, mul_add to stay
-                    // FMA-consistent with the tile path.
-                    let mut acc = [0.0f32; 16];
-                    for r in 0..mr {
-                        let a_row = a.row(r0 + r);
-                        acc[..w].fill(0.0);
-                        for (p, &ap) in a_row.iter().enumerate() {
-                            if ap == 0.0 {
-                                continue;
-                            }
-                            let bp = &bd[p * n + jt..p * n + jt + w];
-                            for (o, &bv) in acc[..w].iter_mut().zip(bp) {
-                                *o = ap.mul_add(bv, *o);
-                            }
-                        }
-                        out[(i + r) * n + jt..(i + r) * n + jt + w].copy_from_slice(&acc[..w]);
+        let bd = b.as_slice().as_ptr();
+        let mut live = vec![0usize; k];
+        let mut i = row_begin;
+        while i < row_end {
+            let o = out.as_mut_ptr().add((i - row_begin) * n);
+            if row_end - i >= MR {
+                let rows: [*const f32; MR] = std::array::from_fn(|q| a.row(i + q).as_ptr());
+                ab_row_block(&rows, k, bd, n, &mut live, o);
+                i += MR;
+            } else {
+                ab_row_block(&[a.row(i).as_ptr()], k, bd, n, &mut live, o);
+                i += 1;
+            }
+        }
+    }
+
+    /// Sets, for each row `r` of `rows` and each 4-wide window `t` of
+    /// `a[r][p_begin..p_end]` (the last one possibly narrower), bit
+    /// `r - rows.start` of `nonzero[t]` when the window is not all zero (NaN
+    /// counts as nonzero and `-0.0` as zero, as in `live_columns`). Reads
+    /// each row once, front to back.
+    ///
+    /// # Safety
+    /// `a` must hold every row of `rows` with row length `lda >= p_end`,
+    /// and `nonzero` one entry per window.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn window_bits(
+        a: *const f32,
+        lda: usize,
+        rows: std::ops::Range<usize>,
+        p_begin: usize,
+        p_end: usize,
+        nonzero: &mut [[u64; AT_B_ROW_BLOCK / 64]],
+    ) {
+        let zero = _mm256_setzero_ps();
+        nonzero.fill([0; AT_B_ROW_BLOCK / 64]);
+        for (rl, r) in rows.enumerate() {
+            let (word, shift) = (rl / 64, rl % 64);
+            let row = a.add(r * lda);
+            let mut p = p_begin;
+            let mut t = 0;
+            while p + 8 <= p_end {
+                let v = _mm256_loadu_ps(row.add(p));
+                let bits = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NEQ_UQ>(v, zero));
+                nonzero[t][word] |= u64::from(bits & 0xf != 0) << shift;
+                nonzero[t + 1][word] |= u64::from(bits >> 4 != 0) << shift;
+                p += 8;
+                t += 2;
+            }
+            while p < p_end {
+                let w = 4.min(p_end - p);
+                let nz = (0..w).fold(false, |nz, q| nz | (*row.add(p + q) != 0.0));
+                nonzero[t][word] |= u64::from(nz) << shift;
+                p += w;
+                t += 1;
+            }
+        }
+    }
+
+    /// Register-tiled `Aᵀ·B` rows `[p_begin, p_end)` into the row block
+    /// `out`: 4×16 output tiles held in registers while `r` runs in
+    /// ascending blocks of [`AT_B_ROW_BLOCK`] rows, each block loading the
+    /// tile from `out` and storing it back, so each element sums
+    /// `r = 0..m` in order from `+0`. One front-to-back pass over the
+    /// block's rows marks which 4-wide windows of `A` are not all zero;
+    /// each tile then lists its live rows from those bits, ascending, and
+    /// runs over them only. The list is read off one 64-row word at a
+    /// time (one loop exit per word, not a branch per row), so its cost
+    /// follows the live rows; on 1%-dense features a per-row count
+    /// (`c += bit`) is slower and on dense operands no faster (see
+    /// EXPERIMENTS.md).
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA; `a.rows() == b.rows()`,
+    /// `p_end <= a.cols()` and `out.len() >= (p_end - p_begin) · b.cols()`.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn at_b_rows_avx2(
+        a: &Matrix,
+        b: &Matrix,
+        out: &mut [f32],
+        p_begin: usize,
+        p_end: usize,
+    ) {
+        let (m, lda) = a.shape();
+        let n = b.cols();
+        if m == 0 {
+            out[..(p_end - p_begin) * n].fill(0.0);
+            return;
+        }
+        let ad = a.as_slice().as_ptr();
+        let bd = b.as_slice().as_ptr();
+        let mut nonzero = vec![[0u64; AT_B_ROW_BLOCK / 64]; (p_end - p_begin).div_ceil(4)];
+        let mut live = [0usize; AT_B_ROW_BLOCK];
+        let mut r0 = 0;
+        while r0 < m {
+            let r1 = (r0 + AT_B_ROW_BLOCK).min(m);
+            window_bits(ad, lda, r0..r1, p_begin, p_end, &mut nonzero);
+            for (t, bits) in nonzero.iter().enumerate() {
+                let mut c = 0;
+                for (w, &word) in bits.iter().enumerate() {
+                    let mut word = word;
+                    while word != 0 {
+                        live[c] = r0 + 64 * w + word.trailing_zeros() as usize;
+                        c += 1;
+                        word &= word - 1;
                     }
                 }
-                jt += w;
+                // Output rows p.. take column p.. of A: one pointer per row.
+                let p = p_begin + 4 * t;
+                let ap = |q: usize| ad.add(p + q);
+                let (live, o, resume) = (&live[..c], out.as_mut_ptr().add(4 * t * n), r0 > 0);
+                match (p_end - p).min(4) {
+                    4 => tile_row(&[ap(0), ap(1), ap(2), ap(3)], lda, live, bd, n, o, resume),
+                    3 => tile_row(&[ap(0), ap(1), ap(2)], lda, live, bd, n, o, resume),
+                    2 => tile_row(&[ap(0), ap(1)], lda, live, bd, n, o, resume),
+                    _ => tile_row(&[ap(0)], lda, live, bd, n, o, resume),
+                }
             }
-            i += mr;
+            r0 = r1;
+        }
+    }
+
+    /// Rows `rows` of `A·Bᵀ` into `out` (row stride `b.rows()`): each pass
+    /// holds `R` rows of `A` against four rows of `B` in `4R` 8-lane
+    /// accumulators, then folds each four outputs at once with
+    /// `hadd(hadd(v0, v1), hadd(v2, v3))` and a low-plus-high add — per
+    /// element `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, [`hsum`]'s order —
+    /// and adds the scalar `k % 8` tail chain (`+0.0` when empty), as
+    /// [`dot_avx2`] does for the column remainder.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA; every row must have `b.cols()`
+    /// entries and `out` must be writable for `R × b.rows()`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn a_bt_row_block<const R: usize>(rows: [&[f32]; R], b: &Matrix, out: *mut f32) {
+        let k = b.cols();
+        let n = b.rows();
+        let mut j = 0;
+        while j + 4 <= n {
+            let bj: [*const f32; 4] = std::array::from_fn(|c| b.row(j + c).as_ptr());
+            let mut acc = [[_mm256_setzero_ps(); 4]; R];
+            let mut p = 0;
+            while p + 8 <= k {
+                let bv: [__m256; 4] = std::array::from_fn(|c| _mm256_loadu_ps(bj[c].add(p)));
+                for (accq, row) in acc.iter_mut().zip(&rows) {
+                    let av = _mm256_loadu_ps(row.as_ptr().add(p));
+                    for (o, &bvc) in accq.iter_mut().zip(&bv) {
+                        *o = _mm256_fmadd_ps(av, bvc, *o);
+                    }
+                }
+                p += 8;
+            }
+            for (q, (accq, row)) in acc.iter().zip(&rows).enumerate() {
+                let mut tail = [0.0f32; 4];
+                for (pt, &x) in row.iter().enumerate().skip(p) {
+                    for (t, bjc) in tail.iter_mut().zip(&bj) {
+                        *t = x.mul_add(*bjc.add(pt), *t);
+                    }
+                }
+                let h = _mm256_hadd_ps(
+                    _mm256_hadd_ps(accq[0], accq[1]),
+                    _mm256_hadd_ps(accq[2], accq[3]),
+                );
+                let sums = _mm_add_ps(_mm256_castps256_ps128(h), _mm256_extractf128_ps::<1>(h));
+                let v = _mm_add_ps(sums, _mm_loadu_ps(tail.as_ptr()));
+                _mm_storeu_ps(out.add(q * n + j), v);
+            }
+            j += 4;
+        }
+        for jj in j..n {
+            for (q, row) in rows.iter().enumerate() {
+                *out.add(q * n + jj) = dot_avx2(row, b.row(jj));
+            }
+        }
+    }
+
+    /// Register-tiled `A·Bᵀ` rows `[row_begin, row_end)` into the row block
+    /// `out`: two rows of `A` per pass (one for an odd last row), see
+    /// `a_bt_row_block`.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA; `a.cols() == b.cols()`,
+    /// `row_end <= a.rows()` and `out.len() >= (row_end - row_begin) ·
+    /// b.rows()`.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn a_bt_rows_avx2(
+        a: &Matrix,
+        b: &Matrix,
+        out: &mut [f32],
+        row_begin: usize,
+        row_end: usize,
+    ) {
+        let n = b.rows();
+        let mut i = row_begin;
+        while i < row_end {
+            let o = out.as_mut_ptr().add((i - row_begin) * n);
+            if row_end - i >= 2 {
+                a_bt_row_block([a.row(i), a.row(i + 1)], b, o);
+                i += 2;
+            } else {
+                a_bt_row_block([a.row(i)], b, o);
+                i += 1;
+            }
         }
     }
 
@@ -865,8 +1267,8 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 use avx2::{
-    adam_step_avx2, add_scaled_avx2, axpy_avx2, axpy_scatter_avx2, bernoulli_lanes_avx2, dot4_avx2,
-    dot_avx2, gemm_rows_avx2, relu_avx2, sum_sq_f64_avx2,
+    a_bt_rows_avx2, adam_step_avx2, add_scaled_avx2, at_b_rows_avx2, axpy_avx2, axpy_scatter_avx2,
+    bernoulli_lanes_avx2, dot_avx2, gemm_rows_avx2, relu_avx2, sum_sq_f64_avx2,
 };
 
 // ---------------------------------------------------------------------------

