@@ -6,7 +6,7 @@
 //! layer" to the Figure-2(b) diagnostics, and lets multi-head objectives
 //! (GRAND's consistency regularization) sum seeds before one backward pass.
 
-use skipnode_tensor::{row_softmax_in_place, Matrix};
+use skipnode_tensor::{softmax_row_in_place, Matrix};
 
 /// Loss value plus the gradient of the loss w.r.t. the logits.
 pub struct LossOutput {
@@ -14,39 +14,37 @@ pub struct LossOutput {
     pub loss: f64,
     /// `∂L/∂Z`, zero outside the supervised rows.
     pub grad: Matrix,
-    /// Row-softmax probabilities (useful to callers computing metrics).
-    pub probs: Matrix,
 }
 
 /// Masked softmax cross-entropy over the rows listed in `idx`.
 ///
 /// `logits` is `n × C`; `labels[i] < C` for every `i ∈ idx`. The gradient
 /// rows follow the standard `(softmax − one_hot)/B` form — exactly the
-/// quantity analyzed in Theorem 1 of the paper.
+/// quantity analyzed in Theorem 1 of the paper. Only the supervised rows
+/// are softmaxed, each by [`softmax_row_in_place`], the per-row code of
+/// the all-row [`skipnode_tensor::row_softmax_in_place`].
 pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize], idx: &[usize]) -> LossOutput {
     assert!(!idx.is_empty(), "empty supervision set");
     assert_eq!(labels.len(), logits.rows(), "one label per row");
     let c = logits.cols();
-    let mut probs = logits.clone();
-    row_softmax_in_place(&mut probs);
     let b = idx.len() as f64;
     let mut grad = Matrix::zeros(logits.rows(), c);
     let mut loss = 0.0f64;
     for &i in idx {
         let y = labels[i];
         assert!(y < c, "label {y} out of range for {c} classes");
-        let p = probs.get(i, y).max(1e-12) as f64;
-        loss -= p.ln();
-        let grow = grad.row_mut(i);
-        for (j, g) in grow.iter_mut().enumerate() {
+        let probs = grad.row_mut(i);
+        probs.copy_from_slice(logits.row(i));
+        softmax_row_in_place(probs);
+        loss -= (probs[y].max(1e-12) as f64).ln();
+        for (j, g) in probs.iter_mut().enumerate() {
             let indicator = if j == y { 1.0 } else { 0.0 };
-            *g = ((probs.get(i, j) - indicator) as f64 / b) as f32;
+            *g = ((*g - indicator) as f64 / b) as f32;
         }
     }
     LossOutput {
         loss: loss / b,
         grad,
-        probs,
     }
 }
 
@@ -59,20 +57,17 @@ pub fn bce_with_logits(scores: &Matrix, targets: &[f32]) -> LossOutput {
     assert!(!targets.is_empty(), "empty target set");
     let m = targets.len() as f64;
     let mut grad = Matrix::zeros(scores.rows(), 1);
-    let mut probs = Matrix::zeros(scores.rows(), 1);
     let mut loss = 0.0f64;
     for (e, &t) in targets.iter().enumerate() {
         let z = scores.get(e, 0) as f64;
         // log(1 + e^{-|z|}) + max(z, 0) − t·z
         loss += (1.0 + (-z.abs()).exp()).ln() + z.max(0.0) - t as f64 * z;
         let sigma = 1.0 / (1.0 + (-z).exp());
-        probs.set(e, 0, sigma as f32);
         grad.set(e, 0, ((sigma - t as f64) / m) as f32);
     }
     LossOutput {
         loss: loss / m,
         grad,
-        probs,
     }
 }
 
@@ -115,6 +110,35 @@ mod tests {
                 assert!((fd - an).abs() < 1e-3, "({r},{c}): fd {fd} vs {an}");
             }
         }
+    }
+
+    /// Softmaxing only the supervised rows gives the loss and seed bits of
+    /// softmaxing every row first (the pooled `row_softmax_in_place` on a
+    /// matrix past its parallel threshold).
+    #[test]
+    fn cross_entropy_matches_the_all_row_softmax_bitwise() {
+        let (n, c) = (4000, 40);
+        let mut rng = skipnode_tensor::SplitRng::new(21);
+        let logits = rng.uniform_matrix(n, c, -8.0, 8.0);
+        let labels: Vec<usize> = (0..n).map(|i| (i * 7) % c).collect();
+        let idx: Vec<usize> = (0..n).filter(|i| i % 5 == 2).collect();
+        let mut probs = logits.clone();
+        skipnode_tensor::row_softmax_in_place(&mut probs);
+        let b = idx.len() as f64;
+        let mut loss = 0.0f64;
+        let mut grad = Matrix::zeros(n, c);
+        for &i in &idx {
+            let y = labels[i];
+            loss -= (probs.get(i, y).max(1e-12) as f64).ln();
+            for j in 0..c {
+                let indicator = if j == y { 1.0 } else { 0.0 };
+                grad.set(i, j, ((probs.get(i, j) - indicator) as f64 / b) as f32);
+            }
+        }
+        let out = softmax_cross_entropy(&logits, &labels, &idx);
+        assert_eq!((out.loss).to_bits(), (loss / b).to_bits());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out.grad), bits(&grad));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::schedule::{clip_global_norm, LrSchedule};
 use skipnode_autograd::{softmax_cross_entropy, Tape, TrainProgram};
 use skipnode_graph::{Graph, GraphBatch, Split};
 use skipnode_sparse::CsrMatrix;
-use skipnode_tensor::{workspace, Matrix, SegmentTable, SplitRng};
+use skipnode_tensor::{row_softmax_in_place, workspace, Matrix, SegmentTable, SplitRng};
 use std::sync::Arc;
 
 /// Which executor drives the per-epoch training step.
@@ -529,7 +529,6 @@ pub(crate) fn build_seeds(
     let mut seeds = Vec::with_capacity(s);
     let mut mean_loss = 0.0f64;
     let mut first_grad_norm = 0.0f64;
-    let mut head_probs = Vec::with_capacity(s);
     for (hi, logit) in logits.iter().enumerate() {
         let out = softmax_cross_entropy(logit, labels, &split.train);
         mean_loss += out.loss / s as f64;
@@ -541,10 +540,9 @@ pub(crate) fn build_seeds(
             seed.scale_in_place(1.0 / s as f32);
         }
         seeds.push(seed);
-        head_probs.push(out.probs);
     }
     if let (Some(cons), true) = (consistency, s > 1) {
-        add_consistency_seeds(&mut seeds, &head_probs, cons.lambda, cons.temperature);
+        add_consistency_seeds(&mut seeds, logits, cons.lambda, cons.temperature);
     }
     (mean_loss, first_grad_norm, seeds)
 }
@@ -554,18 +552,22 @@ pub(crate) fn build_seeds(
 /// `L_con = (λ/S) Σ_s (1/n) Σ_i ‖p_s,i − p̄'_i‖²` where `p̄'` is the
 /// temperature-sharpened average distribution (treated as constant). The
 /// gradient w.r.t. each head's logits is the softmax VJP of
-/// `2λ/(S·n) (p_s − p̄')`.
-fn add_consistency_seeds(
-    seeds: &mut [Matrix],
-    head_probs: &[Matrix],
-    lambda: f64,
-    temperature: f64,
-) {
+/// `2λ/(S·n) (p_s − p̄')`. This is the one reader of every row's
+/// probabilities, so it softmaxes the heads' logits itself.
+fn add_consistency_seeds(seeds: &mut [Matrix], logits: &[&Matrix], lambda: f64, temperature: f64) {
+    let head_probs: Vec<Matrix> = logits
+        .iter()
+        .map(|&l| {
+            let mut p = l.clone();
+            row_softmax_in_place(&mut p);
+            p
+        })
+        .collect();
     let s = head_probs.len();
     let (n, c) = head_probs[0].shape();
     // Average distribution.
     let mut mean = Matrix::zeros(n, c);
-    for p in head_probs {
+    for p in &head_probs {
         mean.add_scaled(p, 1.0 / s as f32);
     }
     // Sharpen: p'_ij ∝ p_ij^{1/T}.
@@ -581,7 +583,7 @@ fn add_consistency_seeds(
         }
     }
     let coef = (2.0 * lambda / (s as f64 * n as f64)) as f32;
-    for (seed, probs) in seeds.iter_mut().zip(head_probs) {
+    for (seed, probs) in seeds.iter_mut().zip(&head_probs) {
         for r in 0..n {
             let p_row = probs.row(r);
             // gp = coef * (p − p̄'); gz = p ⊙ (gp − (gp·p) 1)

@@ -4,6 +4,11 @@ use crate::csr::CsrMatrix;
 
 /// Incremental COO builder that sorts, deduplicates (summing duplicates),
 /// and emits a valid [`CsrMatrix`].
+///
+/// This is the test-construction helper: tests and the normalization
+/// builder's reference use it to write matrices by hand, and no production
+/// path calls it. Every GCN adjacency comes from the counting builder
+/// behind [`crate::gcn_adjacency`].
 #[derive(Debug, Clone)]
 pub struct CooBuilder {
     rows: usize,

@@ -327,10 +327,11 @@ impl CsrMatrix {
     /// contents are ignored); the pooled paths partition rows disjointly
     /// over this kernel.
     ///
-    /// The neighbor accumulation is the dispatched [`simd::axpy`]: each
-    /// output element accumulates its neighbors in CSR order on every ISA,
-    /// so the result is invariant to schedule and row subsetting; vector
-    /// ISAs differ from scalar only by FMA contraction.
+    /// Each output row is one call of [`simd::spmm_row`], which sums the
+    /// row's neighbors in CSR order from `+0` (on AVX2 with the row's
+    /// 64-column panels held in registers across its nonzeros), so the
+    /// result is invariant to schedule and row subsetting; vector ISAs
+    /// differ from scalar only by FMA contraction.
     pub fn spmm_rows(&self, x: &Matrix, out: &mut [f32], row_begin: usize, row_end: usize) {
         stats::record_spmm_rows(row_end - row_begin);
         let isa = simd::active();
@@ -338,10 +339,7 @@ impl CsrMatrix {
         for (local, r) in (row_begin..row_end).enumerate() {
             let (cols, vals) = self.row(r);
             let out_row = &mut out[local * d..(local + 1) * d];
-            out_row.fill(0.0);
-            for (&c, &v) in cols.iter().zip(vals) {
-                simd::axpy(isa, v, x.row(c as usize), out_row);
-            }
+            simd::spmm_row(isa, cols, vals, |c| Some(c as usize), x, out_row);
         }
     }
 
@@ -349,62 +347,22 @@ impl CsrMatrix {
     /// (sorted, duplicate-free), written compacted: row `k` of `out` is
     /// output row `rows[k]`. This is the forward half of SkipNode's fused
     /// layer kernel — skipped rows never enter the product. Pooled with
-    /// nnz-balanced chunking over the subset; per-row accumulation order is
-    /// identical to [`CsrMatrix::spmm_rows`], so computed rows match the
-    /// full product bit-for-bit.
+    /// nnz-balanced chunking over the subset; each row is the same
+    /// [`simd::spmm_row`] call as in [`CsrMatrix::spmm_rows`], so computed
+    /// rows match the full product bit-for-bit.
     ///
     /// # Panics
     /// Panics on shape mismatch or an out-of-range row index.
     pub fn spmm_rows_subset(&self, x: &Matrix, rows: &[u32], out: &mut Matrix) {
         assert_eq!(self.cols, x.rows(), "spmm_rows_subset inner dimension");
-        assert_eq!(
-            out.shape(),
-            (rows.len(), x.cols()),
-            "spmm_rows_subset out shape"
+        spmm_subset_impl(
+            self,
+            x,
+            |c| Some(c as usize),
+            rows,
+            out,
+            kstats::Kernel::SpmmSubset,
         );
-        let d = x.cols();
-        if d == 0 || rows.is_empty() {
-            return;
-        }
-        kstats::record(kstats::Kernel::SpmmSubset, rows.len());
-        let isa = simd::active();
-        // Prefix nonzero counts over the subset drive the balance.
-        let mut cum = Vec::with_capacity(rows.len() + 1);
-        cum.push(0usize);
-        for &r in rows {
-            let r = r as usize;
-            assert!(r < self.rows, "spmm_rows_subset row out of range");
-            cum.push(cum.last().unwrap() + self.row_nnz(r));
-        }
-        let sub_nnz = *cum.last().unwrap();
-        let kernel = |out: &mut [f32], lo: usize, hi: usize| {
-            stats::record_spmm_rows(hi - lo);
-            for (local, &r) in rows[lo..hi].iter().enumerate() {
-                let (cols, vals) = self.row(r as usize);
-                let out_row = &mut out[local * d..(local + 1) * d];
-                out_row.fill(0.0);
-                for (&c, &v) in cols.iter().zip(vals) {
-                    simd::axpy(isa, v, x.row(c as usize), out_row);
-                }
-            }
-        };
-        if sub_nnz * d < SPMM_PARALLEL_THRESHOLD || rows.len() <= 1 {
-            kernel(out.as_mut_slice(), 0, rows.len());
-        } else {
-            let chunks = pool::chunk_count(rows.len());
-            let mut bounds = Vec::with_capacity(chunks + 1);
-            bounds.push(0usize);
-            for i in 1..chunks {
-                let target = i * sub_nnz / chunks;
-                let b = cum.partition_point(|&p| p < target).min(rows.len());
-                bounds.push(b.max(*bounds.last().unwrap()));
-            }
-            bounds.push(rows.len());
-            let elem_bounds: Vec<usize> = bounds.iter().map(|&k| k * d).collect();
-            pool::par_ranges_mut(out.as_mut_slice(), &elem_bounds, |idx, block| {
-                kernel(block, bounds[idx], bounds[idx + 1]);
-            });
-        }
     }
 
     /// `self * X̂` computed **only** for the output rows listed in `rows`
@@ -431,10 +389,10 @@ impl CsrMatrix {
         out: &mut Matrix,
     ) {
         assert_eq!(col_map.len(), self.cols, "spmm_cols_compact map length");
-        spmm_subset_mapped_impl(
+        spmm_subset_impl(
             self,
             x_compact,
-            col_map,
+            |c| mapped_row(col_map, c),
             rows,
             out,
             kstats::Kernel::SpmmCompact,
@@ -450,9 +408,10 @@ impl CsrMatrix {
     /// scattering back to full width. Output row `k` of `out` is logical row
     /// `rows[k]`.
     ///
-    /// Per-row accumulation order is CSR order via the same dispatched
-    /// [`simd::axpy`] as [`CsrMatrix::spmm_rows`], so computed rows match the
-    /// full product bit-for-bit whenever every referenced column is mapped.
+    /// Each row is the same [`simd::spmm_row`] call as in
+    /// [`CsrMatrix::spmm_rows`], with [`COL_SKIP`] columns left out, so
+    /// computed rows match the full product bit-for-bit whenever every
+    /// referenced column is mapped.
     ///
     /// # Panics
     /// Panics on shape mismatch or an out-of-range row index.
@@ -464,10 +423,10 @@ impl CsrMatrix {
         out: &mut Matrix,
     ) {
         assert_eq!(col_map.len(), self.cols, "spmm_rows_subset_mapped map len");
-        spmm_subset_mapped_impl(
+        spmm_subset_impl(
             self,
             x_compact,
-            col_map,
+            |c| mapped_row(col_map, c),
             rows,
             out,
             kstats::Kernel::SpmmSubsetMapped,
@@ -744,8 +703,8 @@ impl CsrMatrix {
 }
 
 /// Anything that can hand out CSR-shaped rows `(sorted cols, values)`.
-/// Lets [`spmm_subset_mapped_impl`] serve both the immutable [`CsrMatrix`]
-/// and the serving layer's patchable [`crate::DynamicAdjacency`] with one
+/// Lets [`spmm_subset_impl`] serve both the immutable [`CsrMatrix`] and the
+/// serving layer's patchable [`crate::DynamicAdjacency`] with one
 /// accumulation loop — the loop being shared is what makes "patched
 /// adjacency" and "rebuilt adjacency" provably produce the same bytes for
 /// the same row contents.
@@ -765,23 +724,33 @@ impl SubsetRowSource for CsrMatrix {
     }
 }
 
-/// Shared driver for the subset × col-mapped product (see
+/// Row of the compacted operand holding logical row `c`, or `None` for a
+/// [`COL_SKIP`] (masked) column.
+#[inline]
+pub(crate) fn mapped_row(col_map: &[u32], c: u32) -> Option<usize> {
+    let m = col_map[c as usize];
+    (m != COL_SKIP).then_some(m as usize)
+}
+
+/// Shared routine behind the row-subset products (see
+/// [`CsrMatrix::spmm_rows_subset`] and
 /// [`CsrMatrix::spmm_rows_subset_mapped`] for semantics), counted under
-/// `kernel`. Pooled with nnz-balanced chunking over the subset.
-pub(crate) fn spmm_subset_mapped_impl<S: SubsetRowSource + ?Sized>(
+/// `kernel`: output row `k` is [`simd::spmm_row`] of source row `rows[k]`
+/// against `x`, with `row_of` naming the row of `x` each column reads.
+/// Pooled with nnz-balanced chunking over the subset.
+pub(crate) fn spmm_subset_impl<S, F>(
     src: &S,
-    x_compact: &Matrix,
-    col_map: &[u32],
+    x: &Matrix,
+    row_of: F,
     rows: &[u32],
     out: &mut Matrix,
     kernel: kstats::Kernel,
-) {
-    assert_eq!(
-        out.shape(),
-        (rows.len(), x_compact.cols()),
-        "spmm_rows_subset_mapped out shape"
-    );
-    let d = x_compact.cols();
+) where
+    S: SubsetRowSource + ?Sized,
+    F: Fn(u32) -> Option<usize> + Sync,
+{
+    assert_eq!(out.shape(), (rows.len(), x.cols()), "spmm subset out shape");
+    let d = x.cols();
     if d == 0 || rows.is_empty() {
         return;
     }
@@ -792,7 +761,7 @@ pub(crate) fn spmm_subset_mapped_impl<S: SubsetRowSource + ?Sized>(
     cum.push(0usize);
     for &r in rows {
         let r = r as usize;
-        assert!(r < src.source_rows(), "spmm_rows_subset_mapped row range");
+        assert!(r < src.source_rows(), "spmm subset row out of range");
         cum.push(cum.last().unwrap() + src.source_row(r).0.len());
     }
     let sub_nnz = *cum.last().unwrap();
@@ -801,14 +770,7 @@ pub(crate) fn spmm_subset_mapped_impl<S: SubsetRowSource + ?Sized>(
         for (local, &r) in rows[lo..hi].iter().enumerate() {
             let (cols, vals) = src.source_row(r as usize);
             let out_row = &mut out[local * d..(local + 1) * d];
-            out_row.fill(0.0);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let m = col_map[c as usize];
-                if m == COL_SKIP {
-                    continue;
-                }
-                simd::axpy(isa, v, x_compact.row(m as usize), out_row);
-            }
+            simd::spmm_row(isa, cols, vals, &row_of, x, out_row);
         }
     };
     if sub_nnz * d < SPMM_PARALLEL_THRESHOLD || rows.len() <= 1 {

@@ -22,7 +22,7 @@
 //! recorded so callers can invalidate exactly the affected rows of any
 //! cached intermediate (the serve engine's first-hop `Ã·X` row cache).
 
-use crate::csr::{spmm_subset_mapped_impl, CsrMatrix, SubsetRowSource};
+use crate::csr::{mapped_row, spmm_subset_impl, CsrMatrix, SubsetRowSource};
 use crate::normalize::gcn_adjacency;
 use skipnode_tensor::{kstats, Matrix};
 
@@ -226,10 +226,10 @@ impl DynamicAdjacency {
         out: &mut Matrix,
     ) {
         assert_eq!(col_map.len(), self.n(), "spmm_rows_subset_mapped map len");
-        spmm_subset_mapped_impl(
+        spmm_subset_impl(
             self,
             x_compact,
-            col_map,
+            |c| mapped_row(col_map, c),
             rows,
             out,
             kstats::Kernel::SpmmSubsetMapped,

@@ -23,7 +23,12 @@
 //!   apply.
 //! - **Pooled dispatch.** Large products are split over disjoint output
 //!   row-blocks and dispatched on [`crate::pool`] — no per-call thread
-//!   spawn/join. Every output element is computed by exactly one chunk with
+//!   spawn/join. `A·B` and `A·Bᵀ` split the rows of `A`, so a chunk reads
+//!   only its own rows and they over-decompose into
+//!   [`pool::chunk_count`] chunks for load balance; every `Aᵀ·B` chunk
+//!   streams all rows of both operands, so it takes one chunk per pool
+//!   thread and a one-thread pool reads them once. Every output element is
+//!   computed by exactly one chunk with
 //!   a fixed accumulation order, so results are bit-identical for every
 //!   `SKIPNODE_THREADS` value (and match the serial reference kernels).
 //!
@@ -149,7 +154,10 @@ pub(crate) fn gemm_rows(a: &Matrix, b: &Matrix, out: &mut [f32], row_begin: usiz
 ///
 /// Parallelized over disjoint **output** row ranges (the `k` dimension of
 /// `a`), so no cross-worker reduction or private accumulators are needed
-/// and results are bit-stable across thread counts.
+/// and results are bit-stable across thread counts. Every chunk streams all
+/// `m` rows of `a` and `b`, so there is one chunk per pool thread, not the
+/// over-decomposed [`pool::chunk_count`]: one thread reads the operands
+/// once.
 pub fn gemm_at_b(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let (m, k) = a.shape();
     let n = b.cols();
@@ -163,7 +171,7 @@ pub fn gemm_at_b(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         at_b_rows_dispatch(isa, a, b, out.as_mut_slice(), 0, k);
         return;
     }
-    let rows = rows_per_chunk(k);
+    let rows = k.div_ceil(pool::num_threads().min(k));
     pool::par_chunks_mut(out.as_mut_slice(), rows * n, |idx, block| {
         let begin = idx * rows;
         at_b_rows_dispatch(isa, a, b, block, begin, (begin + rows).min(k));

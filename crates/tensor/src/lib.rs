@@ -40,6 +40,8 @@ pub mod workspace;
 pub use init::{glorot_uniform, he_normal, Init};
 pub use linalg::{max_singular_value, power_iteration, PowerIterOptions};
 pub use matrix::Matrix;
-pub use reduce::{cosine_distance_rows, frobenius_norm, l2_norm_sq, row_softmax_in_place};
+pub use reduce::{
+    cosine_distance_rows, frobenius_norm, l2_norm_sq, row_softmax_in_place, softmax_row_in_place,
+};
 pub use rng::{normal_f32, uniform_f32, SplitRng};
 pub use segment::{ReadoutKind, SegmentTable};

@@ -39,6 +39,21 @@ pub fn frobenius_norm(m: &Matrix) -> f64 {
     l2_norm_sq(m).sqrt()
 }
 
+/// In-place, numerically stable softmax of one row: the per-row code of
+/// [`row_softmax_in_place`].
+pub fn softmax_row_in_place(row: &mut [f32]) {
+    let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+    let mut sum = 0.0f64;
+    for v in row.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v as f64;
+    }
+    let inv = (1.0 / sum) as f32;
+    for v in row.iter_mut() {
+        *v *= inv;
+    }
+}
+
 /// In-place, numerically stable row-wise softmax, pooled over row blocks
 /// for large matrices.
 pub fn row_softmax_in_place(m: &mut Matrix) {
@@ -46,20 +61,7 @@ pub fn row_softmax_in_place(m: &mut Matrix) {
     if cols == 0 {
         return;
     }
-    let softmax_rows = |rows: &mut [f32]| {
-        for row in rows.chunks_mut(cols) {
-            let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-            let mut sum = 0.0f64;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v as f64;
-            }
-            let inv = (1.0 / sum) as f32;
-            for v in row.iter_mut() {
-                *v *= inv;
-            }
-        }
-    };
+    let softmax_rows = |rows: &mut [f32]| rows.chunks_mut(cols).for_each(softmax_row_in_place);
     if m.len() < REDUCE_PAR_THRESHOLD {
         softmax_rows(m.as_mut_slice());
         return;

@@ -2,8 +2,9 @@
 //!
 //! Every hot loop in the stack funnels through a handful of primitives in
 //! this module: the register-tiled GEMM row kernels of the three layouts
-//! (`A·B`, `Aᵀ·B`, `A·Bᵀ`), the feature-dimension axpy used by SpMM, the
-//! dot products of `A·Bᵀ`'s remainders, the elementwise
+//! (`A·B`, `Aᵀ·B`, `A·Bᵀ`), the SpMM row kernel (`spmm_row`) and the
+//! axpy it is defined by, the dot products of `A·Bᵀ`'s remainders, the
+//! elementwise
 //! update kernels, the f64-accumulated square-sum, the fused Adam
 //! element step, and the eight-lane xoshiro256++ Bernoulli draw behind
 //! long dropout fills (`bernoulli_lanes`, integer-only and so bitwise on
@@ -20,9 +21,10 @@
 //! tile size, or row compaction. The rules:
 //!
 //! - **Order-preserving kernels vectorize across output elements only.**
-//!   The `A·B` and `Aᵀ·B` tiles and the SpMM axpy accumulate each output
-//!   element in the exact scalar index order (`p = 0..k`, `r = 0..m`,
-//!   neighbors in CSR order); lanes hold *different* output columns, never
+//!   The `A·B` and `Aᵀ·B` tiles and the SpMM row kernel accumulate each
+//!   output element in the exact scalar index order (`p = 0..k`,
+//!   `r = 0..m`, neighbors in CSR order); lanes hold *different* output
+//!   columns, never
 //!   partial sums of the same element. Zero-skip (`fma(0, x, acc) == acc`
 //!   for finite `x`) stays exact.
 //! - **The SIMD path uses fused multiply-add uniformly** — vector FMA in
@@ -151,10 +153,11 @@ pub fn force(isa: Isa) -> Isa {
 // FMA-class primitives (order-preserving per element, tolerance vs scalar)
 // ---------------------------------------------------------------------------
 
-/// `y[i] = alpha * x[i] + y[i]`. This is the inner axpy of SpMM's neighbor
-/// accumulation and of the NEON `Aᵀ·B` stream in `gemm_at_b_rows`: each
-/// `y[i]` is one output element, so repeated calls accumulate every element
-/// in the caller's (scalar) order. Vector ISAs use FMA lanes
+/// `y[i] = alpha * x[i] + y[i]`. This is the per-nonzero step of
+/// [`spmm_row`] off AVX2 (and the arithmetic its AVX2 kernel reproduces)
+/// and of the NEON `Aᵀ·B` stream in `gemm_at_b_rows`: each `y[i]` is one
+/// output element, so repeated calls accumulate every element in the
+/// caller's (scalar) order. Vector ISAs use FMA lanes
 /// (tolerance-class); the [`Isa::Scalar`] path is the plain
 /// `y += alpha * x` reference loop, bit-identical to the pre-SIMD kernels.
 #[inline]
@@ -366,6 +369,51 @@ pub(crate) fn gemm_a_bt_rows(
         let a_row = a.row(r);
         for (j, o) in out[local * n..(local + 1) * n].iter_mut().enumerate() {
             *o = dot(isa, a_row, b.row(j));
+        }
+    }
+}
+
+/// One SpMM output row: `out = Σ vals[i] · x[row_of(cols[i])]` over the
+/// nonzeros in order, from `+0`; a nonzero whose column `row_of` maps to
+/// `None` contributes nothing. Called once per output row by every SpMM
+/// in `skipnode_sparse` (full, row-subset, and column-mapped).
+///
+/// On AVX2 each panel of up to 64 columns of the row stays in eight
+/// accumulator registers across all of the row's nonzeros — one
+/// `fmadd(v, x, acc)` per element and nonzero, in nonzero order — and is
+/// stored once, the last vector of a narrower panel masked. That is the
+/// arithmetic [`axpy`] applies to each element, one nonzero after another,
+/// so the bits equal a per-nonzero [`axpy`] loop over a zeroed row while
+/// the output row is read and written once instead of once per nonzero.
+/// Other ISAs run that [`axpy`] loop.
+///
+/// # Panics
+/// Panics when `cols` and `vals` differ in length, `out` is not
+/// `x.cols()` wide, or `row_of` names a row past `x`'s last.
+#[inline]
+pub fn spmm_row<F: Fn(u32) -> Option<usize>>(
+    isa: Isa,
+    cols: &[u32],
+    vals: &[f32],
+    row_of: F,
+    x: &Matrix,
+    out: &mut [f32],
+) {
+    assert!(
+        cols.len() == vals.len() && out.len() == x.cols(),
+        "spmm_row shapes"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if isa == Isa::Avx2 {
+        // SAFETY: see `axpy` for the ISA; the assert above and the kernel's
+        // per-nonzero row check are its shape contract.
+        unsafe { spmm_row_avx2(cols, vals, &row_of, x, out) };
+        return;
+    }
+    out.fill(0.0);
+    for (&c, &v) in cols.iter().zip(vals) {
+        if let Some(r) = row_of(c) {
+            axpy(isa, v, x.row(r), out);
         }
     }
 }
@@ -1116,6 +1164,95 @@ mod avx2 {
         }
     }
 
+    /// SpMM panel width in columns: eight 8-lane accumulators.
+    const SPMM_PANEL: usize = 64;
+
+    /// One panel of an SpMM output row: `V` accumulators (the last one
+    /// masked by `mask` when `MASKED`) over every nonzero, stored once at
+    /// `out`. `x` points at the panel's first column of row 0 (row stride
+    /// `d`); `rows` bounds the rows `row_of` may name.
+    ///
+    /// # Safety
+    /// Row `r < rows` of `x` must be readable and `out` writable for the
+    /// panel's columns: all `8V` unless `MASKED`, else those `mask`
+    /// selects in the last vector.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn spmm_panel<const V: usize, const MASKED: bool, F: Fn(u32) -> Option<usize>>(
+        cols: &[u32],
+        vals: &[f32],
+        row_of: &F,
+        x: *const f32,
+        d: usize,
+        rows: usize,
+        mask: __m256i,
+        out: *mut f32,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); V];
+        for (&c, &v) in cols.iter().zip(vals) {
+            let Some(r) = row_of(c) else { continue };
+            assert!(r < rows, "spmm_row: row {r} out of range");
+            let xr = x.add(r * d);
+            let av = _mm256_set1_ps(v);
+            for (i, a) in acc.iter_mut().enumerate() {
+                let xv = if MASKED && i + 1 == V {
+                    _mm256_maskload_ps(xr.add(8 * i), mask)
+                } else {
+                    _mm256_loadu_ps(xr.add(8 * i))
+                };
+                *a = _mm256_fmadd_ps(av, xv, *a);
+            }
+        }
+        for (i, a) in acc.iter().enumerate() {
+            if MASKED && i + 1 == V {
+                _mm256_maskstore_ps(out.add(8 * i), mask, *a);
+            } else {
+                _mm256_storeu_ps(out.add(8 * i), *a);
+            }
+        }
+    }
+
+    /// [`super::spmm_row`]: panels of [`SPMM_PANEL`] columns, each held in
+    /// registers across all of the row's nonzeros.
+    ///
+    /// # Safety
+    /// The host must support AVX2 and FMA; `cols.len() == vals.len()` and
+    /// `out.len() == x.cols()`.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn spmm_row_avx2<F: Fn(u32) -> Option<usize>>(
+        cols: &[u32],
+        vals: &[f32],
+        row_of: &F,
+        x: &Matrix,
+        out: &mut [f32],
+    ) {
+        let (rows, d) = x.shape();
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mut jt = 0;
+        while jt < d {
+            let w = SPMM_PANEL.min(d - jt);
+            let (xp, o) = (
+                x.as_slice().as_ptr().wrapping_add(jt),
+                out.as_mut_ptr().add(jt),
+            );
+            let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((w % 8) as i32), lane);
+            macro_rules! panel {
+                ($($v:literal)*) => {
+                    match (w.div_ceil(8), w % 8 != 0) {
+                        $(
+                            ($v, false) => spmm_panel::<$v, false, F>(cols, vals, row_of, xp, d, rows, mask, o),
+                            ($v, true) => spmm_panel::<$v, true, F>(cols, vals, row_of, xp, d, rows, mask, o),
+                        )*
+                        _ => unreachable!("a panel holds 1 to 8 vectors"),
+                    }
+                };
+            }
+            panel!(1 2 3 4 5 6 7 8);
+            jt += w;
+        }
+    }
+
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn adam_step_avx2(
         value: &mut [f32],
@@ -1268,7 +1405,7 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 use avx2::{
     a_bt_rows_avx2, adam_step_avx2, add_scaled_avx2, at_b_rows_avx2, axpy_avx2, axpy_scatter_avx2,
-    bernoulli_lanes_avx2, dot_avx2, gemm_rows_avx2, relu_avx2, sum_sq_f64_avx2,
+    bernoulli_lanes_avx2, dot_avx2, gemm_rows_avx2, relu_avx2, spmm_row_avx2, sum_sq_f64_avx2,
 };
 
 // ---------------------------------------------------------------------------

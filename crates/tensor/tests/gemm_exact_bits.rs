@@ -11,7 +11,7 @@
 //! skipped term is `fma(±0, x, acc) == acc` for finite `x`, so the bits
 //! must agree on the finite operands used here. The products run through
 //! the public `Matrix` API, so they take the pooled split; the check runs
-//! in child processes under `SKIPNODE_THREADS=1` and `4` (the pool reads
+//! in child processes under `SKIPNODE_THREADS` of 1 to 4 (the pool reads
 //! the variable once per process). Hosts without AVX2+FMA skip it.
 #![cfg(target_arch = "x86_64")]
 
@@ -227,7 +227,9 @@ fn assert_same_bits(got: &Matrix, want: &Matrix, label: &str) {
 /// `A` as `m × k` and `B` as `m × n`. They cross the 4-row block, the
 /// 16-column tile (full, over 8 and under 8 wide), the 256-row block of
 /// `Aᵀ·B`, the pool's chunks (above 64³ multiply-adds; 16 chunks of 33 or
-/// 38 rows under four threads) and every `k % 8`.
+/// 38 rows under four threads) and every `k % 8`. `Aᵀ·B` splits its `k`
+/// output rows into one chunk per thread; the last three shapes have a `k`
+/// that neither two nor three threads divide evenly.
 const SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),
     (3, 0, 5),
@@ -242,6 +244,9 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (517, 70, 45),
     (600, 70, 37),
     (130, 1433, 7),
+    (333, 97, 40),
+    (700, 131, 20),
+    (260, 1001, 3),
 ];
 
 fn check_all_kernels() {
@@ -284,7 +289,7 @@ fn tiled_kernels_reproduce_the_replaced_kernels_bit_for_bit() {
         return;
     }
     let exe = std::env::current_exe().expect("test binary path");
-    for threads in ["1", "4"] {
+    for threads in ["1", "2", "3", "4"] {
         let out = std::process::Command::new(&exe)
             .args([
                 "--exact",
