@@ -29,11 +29,11 @@
 
 use crate::attention::gat_forward;
 use crate::op_timers::{self, Phase};
-use crate::tape::{apply_dropout, apply_row_dropout, NodeId, Op, Tape, Value};
+use crate::tape::{apply_row_dropout, NodeId, Op, Tape, Value};
 use skipnode_sparse::CsrMatrix;
 use skipnode_tensor::quant::{qgemm, QuantizedMatrix};
 use skipnode_tensor::segment::segment_reduce_into;
-use skipnode_tensor::{kstats, workspace, Matrix};
+use skipnode_tensor::{apply_dropout, dropout_into, kstats, workspace, Epilogue, Matrix};
 
 /// Sentinel for "no consumer".
 pub(crate) const NO_USE: usize = usize::MAX;
@@ -51,6 +51,13 @@ pub(crate) fn op_inputs(op: &Op, f: &mut dyn FnMut(usize)) {
             f(b.0);
         }
         Op::Spmm { x, .. } => f(x.0),
+        Op::Linear { x, w, b, .. } => {
+            f(x.0);
+            f(w.0);
+            if let Some(b) = b {
+                f(b.0);
+            }
+        }
         // `X` is read through the CSR on the record, never from its node.
         Op::SparseInput { w, .. } => f(w.0),
         Op::Scale(x, _)
@@ -151,34 +158,29 @@ fn skip_conv_compute(args: &SkipConvArgs<'_>, active: &[u32]) -> (Matrix, Matrix
             s
         }
     };
-    // Compact GEMM: T = S·W, |active| × d_out.
+    // Compact GEMM T = S·W (|active| × d_out), then the optional bias and
+    // the ReLU: in the GEMM's tile stores, or after the identity map
+    // (z = (1−β)·S + β·T) when there is one.
+    let ep = Epilogue {
+        bias: args.bv.map(|bv| bv.row(0)),
+        relu: true,
+    };
     let mut t = workspace::take_scratch(active.len(), d_out);
-    s.matmul_into(args.wv, &mut t);
-    // Identity map (z = (1−β)·S + β·T), optional bias, ReLU.
-    let mut z = match args.beta {
-        None => t,
+    let z = match args.beta {
+        None => {
+            s.matmul_with_into(args.wv, ep, &mut t);
+            t
+        }
         Some(beta) => {
+            s.matmul_into(args.wv, &mut t);
             let mut z = workspace::take(active.len(), d_out);
             z.add_scaled(&s, 1.0 - beta);
             z.add_scaled(&t, beta);
             workspace::give(t);
+            ep.apply_rows(z.as_mut_slice(), d_out);
             z
         }
     };
-    match args.bv {
-        Some(bv) => {
-            for local in 0..z.rows() {
-                for (v, &bias) in z.row_mut(local).iter_mut().zip(bv.row(0)) {
-                    *v = (*v + bias).max(0.0);
-                }
-            }
-        }
-        None => {
-            for v in z.as_mut_slice() {
-                *v = v.max(0.0);
-            }
-        }
-    }
     (z, s)
 }
 
@@ -312,7 +314,42 @@ impl Tape {
                     self.val(a.0).matmul(self.val(b.0))
                 }
             }
-            Op::Spmm { adj, x } => self.adjs[*adj].mat.spmm(self.val(x.0)),
+            Op::Spmm {
+                adj,
+                x,
+                dropped,
+                rate,
+            } => {
+                let (mat, xv) = (&self.adjs[*adj].mat, self.val(x.0));
+                if dropped.is_empty() {
+                    mat.spmm(xv)
+                } else {
+                    // The masked input in one pass, read by the product and
+                    // recycled at once.
+                    let mut masked = workspace::take_scratch(xv.rows(), xv.cols());
+                    dropout_into(xv.as_slice(), dropped, *rate, masked.as_mut_slice());
+                    let out = mat.spmm(&masked);
+                    workspace::give(masked);
+                    out
+                }
+            }
+            Op::Linear { x, w, b, relu } => {
+                let ep = Epilogue {
+                    bias: b.map(|b| self.val(b.0).row(0)),
+                    relu: *relu,
+                };
+                let (xv, wv) = (self.val(x.0), self.val(w.0));
+                let mut out = workspace::take_scratch(xv.rows(), wv.cols());
+                // Quantized inference keeps its int8 product for leaf
+                // weights (see `MatMul`) and applies the epilogue after it.
+                if self.is_quantized() && matches!(self.nodes[w.0].op, Op::Leaf) {
+                    qgemm(xv, &QuantizedMatrix::from_cols(wv), &mut out);
+                    ep.apply_rows(out.as_mut_slice(), wv.cols());
+                } else {
+                    xv.matmul_with_into(wv, ep, &mut out);
+                }
+                out
+            }
             Op::AddScaled(a, b, c) => {
                 let mut v = self.reuse_or_copy(a.0, idx, last_use, pinned, &[b.0]);
                 v.add_scaled(self.val(b.0), *c);
@@ -384,9 +421,7 @@ impl Tape {
                     for &c in &cache.nbr {
                         let c = c as usize;
                         let flags = &dropped[c * d..(c + 1) * d];
-                        let row = m.row_mut(c);
-                        row.copy_from_slice(xv.row(c));
-                        apply_dropout(row, flags, *rate);
+                        dropout_into(xv.row(c), flags, *rate, m.row_mut(c));
                         cache.nbr_dropped.extend_from_slice(flags);
                     }
                     m

@@ -6,13 +6,14 @@
 //! layer" to the Figure-2(b) diagnostics, and lets multi-head objectives
 //! (GRAND's consistency regularization) sum seeds before one backward pass.
 
-use skipnode_tensor::{softmax_row_in_place, Matrix};
+use skipnode_tensor::{softmax_row_in_place, workspace, Matrix};
 
 /// Loss value plus the gradient of the loss w.r.t. the logits.
 pub struct LossOutput {
     /// Mean loss over the supervised rows.
     pub loss: f64,
-    /// `∂L/∂Z`, zero outside the supervised rows.
+    /// `∂L/∂Z`, zero outside the supervised rows. A [`workspace`] buffer:
+    /// the backward pass that takes it as its seed gives it back.
     pub grad: Matrix,
 }
 
@@ -28,7 +29,7 @@ pub fn softmax_cross_entropy(logits: &Matrix, labels: &[usize], idx: &[usize]) -
     assert_eq!(labels.len(), logits.rows(), "one label per row");
     let c = logits.cols();
     let b = idx.len() as f64;
-    let mut grad = Matrix::zeros(logits.rows(), c);
+    let mut grad = workspace::take(logits.rows(), c);
     let mut loss = 0.0f64;
     for &i in idx {
         let y = labels[i];
@@ -56,7 +57,7 @@ pub fn bce_with_logits(scores: &Matrix, targets: &[f32]) -> LossOutput {
     assert_eq!(scores.rows(), targets.len(), "one target per score");
     assert!(!targets.is_empty(), "empty target set");
     let m = targets.len() as f64;
-    let mut grad = Matrix::zeros(scores.rows(), 1);
+    let mut grad = workspace::take(scores.rows(), 1);
     let mut loss = 0.0f64;
     for (e, &t) in targets.iter().enumerate() {
         let z = scores.get(e, 0) as f64;

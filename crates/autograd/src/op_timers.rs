@@ -26,7 +26,9 @@ pub enum Phase {
 
 const PHASES: [Phase; 3] = [Phase::Forward, Phase::Backward, Phase::Inference];
 
-/// Op kinds, in [`Op`] declaration order (stable, lowercase).
+/// Op kinds, in [`Op`] declaration order (stable, lowercase). A folded
+/// `Op::Linear` counts as `matmul` (its bias and ReLU run in the GEMM's
+/// stores) and a propagation with a folded dropout as `spmm`.
 const NAMES: [&str; 21] = [
     "leaf",
     "matmul",
@@ -61,7 +63,7 @@ static NANOS: [[AtomicU64; KINDS]; PHASES.len()] =
 pub(crate) fn kind(op: &Op) -> usize {
     match op {
         Op::Leaf => 0,
-        Op::MatMul(..) => 1,
+        Op::MatMul(..) | Op::Linear { .. } => 1,
         Op::Spmm { .. } => 2,
         Op::AddScaled(..) => 3,
         Op::Scale(..) => 4,

@@ -57,9 +57,51 @@ impl Tape {
 
     /// Sparse propagation `Ã * x`.
     pub fn spmm(&mut self, adj: AdjId, x: NodeId) -> NodeId {
+        self.record_spmm(adj, x, Vec::new(), 0.0)
+    }
+
+    /// Sparse propagation of a dropout, `Ã · dropout(x, rate)`, as one op
+    /// (plain [`Tape::spmm`] when `rate == 0`). Draws the `n · d` flags
+    /// [`Tape::dropout`] would, and its value and gradient are
+    /// bit-identical to `spmm(adj, dropout(x, rate))`; it saves the
+    /// dropout's own passes: the forward masks `x` while copying it, and
+    /// the backward scales `Ãᵀ·g` as the SpMM stores it.
+    pub fn spmm_dropout(&mut self, adj: AdjId, x: NodeId, rate: f64, rng: &mut SplitRng) -> NodeId {
+        assert!((0.0..1.0).contains(&rate), "dropout rate must be in [0,1)");
+        if rate == 0.0 {
+            return self.spmm(adj, x);
+        }
+        let (rows, cols) = self.shape(x);
+        let mut dropped = vec![false; rows * cols];
+        rng.fill_bernoulli(rate, &mut dropped);
+        self.record_spmm(adj, x, dropped, rate)
+    }
+
+    fn record_spmm(&mut self, adj: AdjId, x: NodeId, dropped: Vec<bool>, rate: f64) -> NodeId {
         let rows = self.adjs[adj.0].mat.rows();
         let cols = self.shape(x).1;
-        self.record(rows, cols, Op::Spmm { adj: adj.0, x })
+        let op = Op::Spmm {
+            adj: adj.0,
+            x,
+            dropped,
+            rate,
+        };
+        self.record(rows, cols, op)
+    }
+
+    /// `relu?(x · w [+ b])` as one op: the GEMM applies the bias and the
+    /// ReLU as it stores each tile, and the backward masks and sums the
+    /// bias gradient in one pass. Value and gradients are bit-identical to
+    /// `matmul → [add_bias] → [relu]`.
+    pub fn linear(&mut self, x: NodeId, w: NodeId, b: Option<NodeId>, relu: bool) -> NodeId {
+        let (rows, inner) = self.shape(x);
+        let (w_rows, cols) = self.shape(w);
+        assert_eq!(inner, w_rows, "matmul shape mismatch");
+        if let Some(b) = b {
+            assert_eq!(self.shape(b).0, 1, "bias must be a row vector");
+            assert_eq!(self.shape(b).1, cols, "bias width mismatch");
+        }
+        self.record(rows, cols, Op::Linear { x, w, b, relu })
     }
 
     /// `a + b`.

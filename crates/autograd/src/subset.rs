@@ -17,22 +17,9 @@
 
 use skipnode_tensor::Matrix;
 
-/// `v[r, :] += bias[0, :]` for every row — the tape's `AddBias`.
-pub fn add_bias_in_place(v: &mut Matrix, bias: &Matrix) {
-    for r in 0..v.rows() {
-        let row = v.row_mut(r);
-        for (t, &bv) in row.iter_mut().zip(bias.row(0)) {
-            *t += bv;
-        }
-    }
-}
-
-/// Elementwise `max(x, 0)` — the tape's `Relu`.
-pub fn relu_in_place(v: &mut Matrix) {
-    for t in v.as_mut_slice() {
-        *t = t.max(0.0);
-    }
-}
+/// The tape's `AddBias` and `Relu`, shared with the tensor kernels that
+/// fold them into their stores.
+pub use skipnode_tensor::{add_bias_in_place, relu_in_place};
 
 /// `v = Σ parts[k].0 · parts[k].1` accumulated in part order onto a
 /// zeroed buffer — the tape's `LinComb` (and `WeightedSum`, whose

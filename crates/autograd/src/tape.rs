@@ -10,7 +10,9 @@ use crate::attention::gat_backward;
 use crate::infer::op_inputs;
 use skipnode_sparse::{CsrMatrix, COL_SKIP};
 use skipnode_tensor::segment::segment_reduce_backward_into;
-use skipnode_tensor::{workspace, Matrix, ReadoutKind, SegmentTable};
+use skipnode_tensor::{
+    apply_dropout, dropout_scale, keep_factor, workspace, Matrix, ReadoutKind, SegmentTable,
+};
 use std::ops::Index;
 use std::sync::Arc;
 
@@ -45,9 +47,27 @@ impl AdjEntry {
 pub(crate) enum Op {
     Leaf,
     MatMul(NodeId, NodeId),
+    /// `Ã · dropout(x)`: the propagation with an inverted dropout of its
+    /// input folded in, one flag per element of `x` applied like
+    /// [`Op::Mask`]'s (no dropout when `dropped` is empty). The forward
+    /// writes the masked input in one pass and the backward stores
+    /// `dropout(Ãᵀ·g)` from the SpMM's registers, so neither pays a pass
+    /// of its own; values and gradients are the `Mask → Spmm` chain's.
     Spmm {
         adj: usize,
         x: NodeId,
+        dropped: Vec<bool>,
+        rate: f64,
+    },
+    /// `relu?(x · w [+ b])`: a product with its bias and ReLU applied as
+    /// the GEMM stores each tile, and a backward that applies the ReLU
+    /// mask and sums the bias gradient in one row-ordered pass. Values and
+    /// gradients are the `MatMul → AddBias → Relu` chain's.
+    Linear {
+        x: NodeId,
+        w: NodeId,
+        b: Option<NodeId>,
+        relu: bool,
     },
     /// `a + c * b`
     AddScaled(NodeId, NodeId, f32),
@@ -580,10 +600,71 @@ impl Tape {
                 }
                 workspace::give(g);
             }
-            Op::Spmm { adj, x } => {
+            Op::Spmm {
+                adj,
+                x,
+                dropped,
+                rate,
+            } => {
                 if self.rg(*x) {
-                    let dx = self.adjs[*adj].backward_mat().spmm(&g);
+                    let back = self.adjs[*adj].backward_mat();
+                    let dx = if dropped.is_empty() {
+                        back.spmm(&g)
+                    } else {
+                        let mut dx = workspace::take_scratch(back.rows(), g.cols());
+                        back.spmm_dropout_into(&g, dropped, *rate, &mut dx);
+                        dx
+                    };
                     accum(grads, *x, dx);
+                }
+                workspace::give(g);
+            }
+            Op::Linear { x, w, b, relu } => {
+                let mut g = g;
+                // One row-ordered pass: the ReLU mask read back from the
+                // node's own output (`out > 0` keeps `g`, as `Relu`'s
+                // backward does; the output is never NaN), then the bias
+                // row sum in `AddBias`'s order, from `+0`.
+                let mut db = b
+                    .filter(|&b| self.rg(b))
+                    .map(|_| workspace::take(1, g.cols()));
+                match (*relu, db.as_mut()) {
+                    (true, Some(db)) => {
+                        let out = self.val(idx);
+                        for r in 0..g.rows() {
+                            let rows = g.row_mut(r).iter_mut().zip(out.row(r));
+                            for ((t, &ov), dv) in rows.zip(db.as_mut_slice()) {
+                                let v = if ov > 0.0 { *t } else { 0.0 };
+                                *t = v;
+                                *dv += v;
+                            }
+                        }
+                    }
+                    (true, None) => {
+                        let out = self.val(idx);
+                        for (t, &ov) in g.as_mut_slice().iter_mut().zip(out.as_slice()) {
+                            *t = if ov > 0.0 { *t } else { 0.0 };
+                        }
+                    }
+                    (false, Some(db)) => {
+                        for r in 0..g.rows() {
+                            for (dv, &v) in db.as_mut_slice().iter_mut().zip(g.row(r)) {
+                                *dv += v;
+                            }
+                        }
+                    }
+                    (false, None) => {}
+                }
+                if let (Some(b), Some(db)) = (b, db) {
+                    accum(grads, *b, db);
+                }
+                if self.rg(*x) {
+                    let dx = g.matmul_t(self.val(w.0));
+                    accum(grads, *x, dx);
+                }
+                if self.rg(*w) {
+                    let dw = self.val(x.0).t_matmul(&g);
+                    accum(grads, *w, dw);
                 }
                 workspace::give(g);
             }
@@ -1010,6 +1091,19 @@ pub(crate) fn backward_value_reads(tape: &Tape, idx: usize, f: &mut dyn FnMut(us
                 f(a.0);
             }
         }
+        // The ReLU mask is the node's own output; the GEMM operands as in
+        // `MatMul`.
+        Op::Linear { x, w, relu, .. } => {
+            if *relu {
+                f(idx);
+            }
+            if rg(*x) {
+                f(w.0);
+            }
+            if rg(*w) {
+                f(x.0);
+            }
+        }
         // The ReLU mask is read back from the node's own output.
         Op::Relu(_) => f(idx),
         // The ReLU mask and the GEMM operand live on the op record.
@@ -1188,7 +1282,7 @@ fn route_rows(
     let d = out.cols();
     let masked = src
         .dropped
-        .map(|(dropped, rate)| (dropped, (1.0 / (1.0 - rate)) as f32));
+        .map(|(dropped, rate)| (dropped, dropout_scale(rate)));
     let mut next_nbr = 0;
     for r in 0..out.rows() {
         let local = src.col_map[r];
@@ -1242,10 +1336,10 @@ fn add_row(o: &mut [f32], empty: &mut bool, row: &[f32]) {
 }
 
 /// [`add_row`] of `row` under inverted dropout, each element multiplied
-/// as [`apply_dropout`] does.
+/// as [`skipnode_tensor::apply_dropout`] does.
 #[inline]
 fn add_masked_row(o: &mut [f32], empty: &mut bool, row: &[f32], dropped: &[bool], scale: f32) {
-    let keep = |d: bool| if d { 0.0 } else { scale };
+    let keep = |d: bool| keep_factor(d, scale);
     if *empty {
         for ((t, &v), &d) in o.iter_mut().zip(row).zip(dropped) {
             *t = v * keep(d);
@@ -1258,23 +1352,12 @@ fn add_masked_row(o: &mut [f32], empty: &mut bool, row: &[f32], dropped: &[bool]
     *empty = false;
 }
 
-/// Inverted dropout in place, forward and backward alike: `v[i]` is
-/// multiplied by `0` where `dropped[i]`, else by `1 / (1 − rate)`. A
-/// product rather than a store, so `-0.0`, NaN and ±inf propagate as
-/// through any other multiply.
-pub(crate) fn apply_dropout(v: &mut [f32], dropped: &[bool], rate: f64) {
-    let scale = (1.0 / (1.0 - rate)) as f32;
-    for (t, &d) in v.iter_mut().zip(dropped) {
-        *t *= if d { 0.0 } else { scale };
-    }
-}
-
-/// Row-level [`apply_dropout`]: row `r` of `m` is multiplied by `0` where
-/// `dropped[r]`, else by `1 / (1 − rate)`.
+/// Row-level [`skipnode_tensor::apply_dropout`]: row `r` of `m` is
+/// multiplied by `0` where `dropped[r]`, else by `1 / (1 − rate)`.
 pub(crate) fn apply_row_dropout(m: &mut Matrix, dropped: &[bool], rate: f64) {
-    let scale = (1.0 / (1.0 - rate)) as f32;
+    let scale = dropout_scale(rate);
     for (r, &d) in dropped.iter().enumerate() {
-        let f = if d { 0.0 } else { scale };
+        let f = keep_factor(d, scale);
         for t in m.row_mut(r) {
             *t *= f;
         }

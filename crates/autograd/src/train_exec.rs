@@ -366,6 +366,9 @@ impl TrainProgram {
                 Op::Mask { dropped, rate, .. } | Op::RowMask { dropped, rate, .. } => {
                     rng.fill_bernoulli(*rate, dropped)
                 }
+                // A dropout folded into its propagation, drawn where its
+                // own `Mask` would have drawn.
+                Op::Spmm { dropped, rate, .. } if *rate > 0.0 => rng.fill_bernoulli(*rate, dropped),
                 Op::SparseInput {
                     xs, dropped, rate, ..
                 } if *rate > 0.0 => {

@@ -154,9 +154,12 @@ pub struct ForwardCtx<'a> {
     /// (the MAD metric of Figures 2(a) and 5(b) reads it).
     pub penultimate: Option<NodeId>,
     /// Route SkipNode middle layers through the fused masked kernel
-    /// ([`Tape::skip_conv`]) when applicable. On by default; benchmarks
-    /// flip it off to A/B against the unfused op chain. Both paths produce
-    /// bit-identical outputs and draw identically from `rng`.
+    /// ([`Tape::skip_conv`]) when applicable, and fold a layer's dropout,
+    /// bias and ReLU into its SpMM and GEMM ([`Tape::spmm_dropout`],
+    /// [`Tape::linear`]; see `crate::plan`). On by default; `false` runs
+    /// the unfused op chain, the reference the identity tests compare
+    /// against. Both paths produce bit-identical outputs and draw
+    /// identically from `rng`.
     pub fuse: bool,
     /// Per-graph row ranges when this forward runs over a packed
     /// multi-graph batch ([`skipnode_graph::GraphBatch`]). Skip masks are

@@ -31,8 +31,8 @@ use crate::diagnostics::{DiagnosticsRecorder, EpochDiagnostics};
 use crate::models::Model;
 use crate::optim::Adam;
 use crate::trainer::{
-    apply_update, compile_for, evaluate, split_accuracy, train_step, Selection, TrainConfig,
-    TrainData, TrainResult,
+    apply_update, compile_for, evaluate, give_outputs, split_accuracy, train_step, Selection,
+    TrainConfig, TrainData, TrainResult,
 };
 use skipnode_graph::{Graph, ShardSet, Split};
 use skipnode_tensor::SplitRng;
@@ -198,8 +198,9 @@ fn train_over_shards(
         let wants_diag = recorder.wants(epoch);
         if should_eval || wants_diag {
             let mut eval_rng = rng.split();
-            let (logits, _) = evaluate(model, graph, &full_adj, strategy, &mut eval_rng);
+            let (logits, penultimate) = evaluate(model, graph, &full_adj, strategy, &mut eval_rng);
             let (val_acc, test_acc) = split_accuracy(&logits, graph.labels(), split);
+            give_outputs(logits, penultimate);
             if wants_diag {
                 recorder.push(EpochDiagnostics {
                     epoch,
@@ -307,8 +308,9 @@ fn train_neighbor_sampled(
 
         if epoch % cfg.eval_every == 0 || epoch + 1 == cfg.epochs {
             let mut eval_rng = rng.split();
-            let (logits, _) = evaluate(model, graph, &full_adj, strategy, &mut eval_rng);
+            let (logits, penultimate) = evaluate(model, graph, &full_adj, strategy, &mut eval_rng);
             let (val_acc, test_acc) = split_accuracy(&logits, graph.labels(), split);
+            give_outputs(logits, penultimate);
             if selection.observe(epoch, val_acc, test_acc, cfg) {
                 break;
             }

@@ -5,7 +5,7 @@
 //! the optimizer reads gradients back out by [`ParamId`].
 
 use skipnode_autograd::{NodeId, Tape};
-use skipnode_tensor::{glorot_uniform, Matrix, SplitRng};
+use skipnode_tensor::{glorot_uniform, workspace, Matrix, SplitRng};
 
 /// Handle to a parameter in a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,7 +95,7 @@ impl ParamStore {
             nodes: self
                 .params
                 .iter()
-                .map(|p| tape.param(p.value.clone()))
+                .map(|p| tape.param(workspace::take_copy(&p.value)))
                 .collect(),
         }
     }

@@ -25,10 +25,20 @@
 //!   reads it into one [`Tape::sparse_input`] over the features' stored
 //!   entries, when [`Tape::sparse_features`] accepts them. Bit-identical
 //!   to the dense chain, same RNG draws.
-//! - **Dropout folding** — a dropout of a layer's carry that alone feeds
-//!   an `ActivatedConv` taking the fused kernel folds into that kernel,
-//!   which applies it only to the rows its gather reads. Bit-identical to
+//! - **Dropout folding** — a dropout whose one reader is the next op's
+//!   propagation folds into it, under [`ForwardCtx::fuse`]. Into the fused
+//!   SkipNode kernel when the dropout is of the layer's carry: the kernel
+//!   applies it only to the rows its gather reads. Into the SpMM of a
+//!   `Conv` or an unfused `ActivatedConv` ([`Tape::spmm_dropout`]): the
+//!   forward masks the input in the copy the product reads, and the
+//!   backward scales `Ãᵀ·g` as the SpMM stores each row. Bit-identical to
 //!   the standalone dropout, same RNG draws.
+//! - **Bias and ReLU folding** — under [`ForwardCtx::fuse`], the
+//!   `matmul → add_bias [→ relu]` of a `Conv`, a `Dense` and an unfused
+//!   `ActivatedConv` without identity map is one [`Tape::linear`]: the
+//!   GEMM adds the bias and clamps as it stores each tile, and the
+//!   backward masks and sums the bias gradient in one pass. `fuse: false`
+//!   keeps the op chain as the reference; both are bit-identical.
 //! - **Inference parity by construction** — eager and
 //!   [`Tape::inference`] forwards execute the *same* plan, so the no-grad
 //!   engine can never drift from training semantics.
@@ -442,8 +452,8 @@ enum Deferred {
     /// A dropout of the input features: the reader runs as one
     /// [`Tape::sparse_input`] over the stored entries `xs`.
     SparseInput { xs: Arc<CsrMatrix>, rate: f64 },
-    /// A dropout of a layer's carry, folded into its fused kernel
-    /// ([`FusedStep::dropout`]).
+    /// A dropout folded into its reader's propagation: the fused kernel
+    /// ([`FusedStep::dropout`]) or [`Tape::spmm_dropout`].
     Dropout(f64),
 }
 
@@ -475,11 +485,16 @@ fn takes_fused_kernel(
     ctx.fused_skip_config(conv_shape, carry_shape).is_some()
 }
 
-/// The source and rate of op `k` when it is a dropout of a layer's carry
-/// that the next op, an `ActivatedConv` taking the fused kernel, alone
-/// reads as its input: [`Tape::skip_conv_step`] then draws the flags (before
-/// the skip mask, where the standalone dropout drew them) and applies them
-/// only to the rows its gather reads.
+/// The source and rate of op `k` when it is a dropout that the next op
+/// alone reads, as the input of its propagation, and can fold in (only
+/// under [`ForwardCtx::fuse`]):
+///
+/// - an `ActivatedConv` taking the fused kernel, when the dropout is of
+///   its carry: [`Tape::skip_conv_step`] draws the flags (before the skip
+///   mask, where the standalone dropout drew them) and applies them only
+///   to the rows its gather reads;
+/// - a `Conv` or an `ActivatedConv` on the unfused chain, whose first op
+///   is the propagation: [`Tape::spmm_dropout`] draws them.
 fn folded_dropout(
     plan: &LayerPlan,
     k: usize,
@@ -492,13 +507,19 @@ fn folded_dropout(
         return None;
     };
     let reg = Reg(k + 1);
-    let next = plan.ops.get(k + 1)?;
-    let reads_carry = matches!(next, PlanOp::ActivatedConv { src: input, carry, .. }
-        if *input == reg && *carry == src);
-    (reads_carry
-        && sole_reader(plan, reg)
-        && takes_fused_kernel(next, regs[src.0], regs, tape, binding, ctx))
-    .then_some((src, rate))
+    if !ctx.fuse || !sole_reader(plan, reg) {
+        return None;
+    }
+    let folds = match plan.ops.get(k + 1)? {
+        PlanOp::Conv { src: input, .. } => *input == reg,
+        next @ PlanOp::ActivatedConv {
+            src: input, carry, ..
+        } if *input == reg => {
+            *carry == src || !takes_fused_kernel(next, regs[src.0], regs, tape, binding, ctx)
+        }
+        _ => false,
+    };
+    folds.then_some((src, rate))
 }
 
 /// The rate of op `k` when it is a dropout of the input features (`Reg(0)`)
@@ -559,17 +580,17 @@ fn exec_op(
             }
         }
         PlanOp::Conv { src, w, b } => {
-            let wn = binding.node(*w);
-            let z = match deferred {
+            let (wn, bn) = (binding.node(*w), binding.node(*b));
+            match deferred {
                 Some(Deferred::SparseInput { xs, rate }) => {
-                    tape.sparse_input(xs, Some(ctx.adj), wn, rate, ctx.rng)
+                    let z = tape.sparse_input(xs, Some(ctx.adj), wn, rate, ctx.rng);
+                    tape.add_bias(z, bn)
                 }
-                _ => {
-                    let p = tape.spmm(ctx.adj, r(*src));
-                    tape.matmul(p, wn)
+                deferred => {
+                    let p = propagate(tape, ctx, r(*src), deferred);
+                    linear(tape, ctx, p, wn, Some(bn), false)
                 }
-            };
-            tape.add_bias(z, binding.node(*b))
+            }
         }
         PlanOp::ActivatedConv {
             src,
@@ -593,14 +614,14 @@ fn exec_op(
             deferred,
         ),
         PlanOp::Dense { src, w, b } => {
-            let wn = binding.node(*w);
-            let z = match deferred {
+            let (wn, bn) = (binding.node(*w), binding.node(*b));
+            match deferred {
                 Some(Deferred::SparseInput { xs, rate }) => {
-                    tape.sparse_input(xs, None, wn, rate, ctx.rng)
+                    let z = tape.sparse_input(xs, None, wn, rate, ctx.rng);
+                    tape.add_bias(z, bn)
                 }
-                _ => tape.matmul(r(*src), wn),
-            };
-            tape.add_bias(z, binding.node(*b))
+                _ => linear(tape, ctx, r(*src), wn, Some(bn), false),
+            }
         }
         PlanOp::Relu { src } => tape.relu(r(*src)),
         PlanOp::Propagate {
@@ -644,6 +665,41 @@ fn exec_op(
     }
 }
 
+/// `Ã · src`, with a deferred [`Deferred::Dropout`] of `src` folded into
+/// the product.
+fn propagate(
+    tape: &mut Tape,
+    ctx: &mut ForwardCtx,
+    src: NodeId,
+    deferred: Option<Deferred>,
+) -> NodeId {
+    match deferred {
+        Some(Deferred::Dropout(rate)) => tape.spmm_dropout(ctx.adj, src, rate, ctx.rng),
+        _ => tape.spmm(ctx.adj, src),
+    }
+}
+
+/// `relu?(z · w [+ b])`: one [`Tape::linear`] under [`ForwardCtx::fuse`],
+/// else the `matmul → [add_bias] → [relu]` chain it is bit-identical to.
+fn linear(
+    tape: &mut Tape,
+    ctx: &ForwardCtx,
+    z: NodeId,
+    w: NodeId,
+    b: Option<NodeId>,
+    relu: bool,
+) -> NodeId {
+    if ctx.fuse {
+        return tape.linear(z, w, b, relu);
+    }
+    let t = tape.matmul(z, w);
+    match (b, relu) {
+        (_, true) => bias_relu(tape, t, b),
+        (Some(b), false) => tape.add_bias(t, b),
+        (None, false) => t,
+    }
+}
+
 /// The activated-middle-layer step, fused or unfused.
 ///
 /// The unfused chain is the *canonical* op order every strategy sees:
@@ -652,10 +708,12 @@ fn exec_op(
 /// replays the same scalar operations in the same order on the active
 /// rows only, so the two paths are bit-identical and consume identical
 /// RNG streams (the skip mask is drawn at the position `post_conv` would
-/// draw it). A deferred [`Deferred::Dropout`] of the carry runs inside the
-/// fused kernel; with a deferred [`Deferred::SparseInput`], the unfused
-/// `spmm → matmul` head runs as one [`Tape::sparse_input`] that also draws
-/// the input dropout.
+/// draw it). A deferred [`Deferred::Dropout`] runs inside the fused kernel
+/// or the chain's SpMM; with a deferred [`Deferred::SparseInput`], the
+/// unfused `spmm → matmul` head runs as one [`Tape::sparse_input`] that
+/// also draws the input dropout. Under [`ForwardCtx::fuse`], the chain's
+/// `matmul → [add_bias] → relu` is one [`Tape::linear`] when there is no
+/// identity map between them.
 #[allow(clippy::too_many_arguments)]
 fn exec_activated_conv(
     tape: &mut Tape,
@@ -702,32 +760,40 @@ fn exec_activated_conv(
             sample,
         );
     }
-    let z = match deferred {
+    let a = match deferred {
         // Chosen only without an initial residual or identity map.
         Some(Deferred::SparseInput { xs, rate }) => {
-            tape.sparse_input(xs, Some(ctx.adj), wn, rate, ctx.rng)
+            let z = tape.sparse_input(xs, Some(ctx.adj), wn, rate, ctx.rng);
+            bias_relu(tape, z, bn)
         }
-        _ => {
-            let p = tape.spmm(ctx.adj, src);
+        deferred => {
+            let p = propagate(tape, ctx, src, deferred);
             let support = match init_residual {
                 Some((h0, alpha)) => tape.lin_comb(&[(p, 1.0 - alpha), (h0, alpha)]),
                 None => p,
             };
-            let t = tape.matmul(support, wn);
             match identity_map {
-                Some(beta) => tape.lin_comb(&[(support, 1.0 - beta), (t, beta)]),
-                None => t,
+                None => linear(tape, ctx, support, wn, bn, true),
+                Some(beta) => {
+                    let t = tape.matmul(support, wn);
+                    let z = tape.lin_comb(&[(support, 1.0 - beta), (t, beta)]);
+                    bias_relu(tape, z, bn)
+                }
             }
         }
     };
-    let z = match bn {
-        Some(bn) => tape.add_bias(z, bn),
-        None => z,
-    };
-    let a = tape.relu(z);
     let a = match residual {
         Some(res) => tape.add(a, res),
         None => a,
     };
     ctx.post_conv(tape, a, carry)
+}
+
+/// `relu(z [+ b])` as the standalone `add_bias → relu` ops.
+fn bias_relu(tape: &mut Tape, z: NodeId, b: Option<NodeId>) -> NodeId {
+    let z = match b {
+        Some(b) => tape.add_bias(z, b),
+        None => z,
+    };
+    tape.relu(z)
 }

@@ -328,6 +328,7 @@ fn train_classifier_core(
                     train_seconds,
                 });
             }
+            give_outputs(logits, penultimate);
             if should_eval && selection.observe(epoch, val_acc, test_acc, cfg) {
                 break;
             }
@@ -335,6 +336,15 @@ fn train_classifier_core(
     }
 
     selection.result(epochs_run, recorder.into_entries(), last_mad)
+}
+
+/// Return an evaluation's logits and penultimate features to the
+/// workspace they were taken from, once read.
+pub(crate) fn give_outputs(logits: Matrix, penultimate: Option<Matrix>) {
+    workspace::give(logits);
+    if let Some(p) = penultimate {
+        workspace::give(p);
+    }
 }
 
 /// Validation and test accuracy of `logits` over `split`. With no

@@ -23,7 +23,7 @@
 
 use crate::stats;
 use skipnode_tensor::simd;
-use skipnode_tensor::{kstats, pool, workspace, Matrix};
+use skipnode_tensor::{dropout_scale, kstats, pool, workspace, Matrix};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Below this many multiply-adds (`nnz * feature_dim`), SpMM stays serial.
@@ -275,19 +275,44 @@ impl CsrMatrix {
             x.cols()
         );
         assert_eq!(out.shape(), (self.rows, x.cols()), "spmm_into out shape");
+        self.spmm_pooled(x, None, out);
+    }
+
+    /// `dropout(self * x)` into a caller-provided buffer: every element of
+    /// the product multiplied, as its row is stored from registers, by `0`
+    /// where `dropped` (row-major, one flag per output element) is set,
+    /// else by `1 / (1 − rate)`. Bit for bit [`CsrMatrix::spmm_into`]
+    /// followed by [`skipnode_tensor::apply_dropout`]: it is the backward
+    /// of a dropout folded into a propagation, `dX = dropout(Ãᵀ·G)`,
+    /// without the second pass over `dX`. Prior contents of `out` are
+    /// ignored.
+    ///
+    /// # Panics
+    /// Panics on an inner-dimension or output-shape mismatch, or when
+    /// `dropped` does not hold one flag per output element.
+    pub fn spmm_dropout_into(&self, x: &Matrix, dropped: &[bool], rate: f64, out: &mut Matrix) {
+        assert_eq!(self.cols, x.rows(), "spmm_dropout inner dimension");
+        assert_eq!(out.shape(), (self.rows, x.cols()), "spmm_dropout out shape");
+        assert_eq!(dropped.len(), out.len(), "one dropout flag per output");
+        self.spmm_pooled(x, Some((dropped, dropout_scale(rate))), out);
+    }
+
+    /// The pooled row split behind [`CsrMatrix::spmm_into`] and
+    /// [`CsrMatrix::spmm_dropout_into`].
+    fn spmm_pooled(&self, x: &Matrix, keep: Option<(&[bool], f32)>, out: &mut Matrix) {
         let d = x.cols();
         if d == 0 {
             return;
         }
         kstats::record(kstats::Kernel::Spmm, self.rows);
         if self.nnz() * d < SPMM_PARALLEL_THRESHOLD || self.rows <= 1 {
-            self.spmm_rows(x, out.as_mut_slice(), 0, self.rows);
+            self.spmm_rows_keep(x, keep, out.as_mut_slice(), 0, self.rows);
             return;
         }
         let bounds = self.nnz_partition(pool::chunk_count(self.rows));
         let elem_bounds: Vec<usize> = bounds.iter().map(|&r| r * d).collect();
         pool::par_ranges_mut(out.as_mut_slice(), &elem_bounds, |idx, block| {
-            self.spmm_rows(x, block, bounds[idx], bounds[idx + 1]);
+            self.spmm_rows_keep(x, keep, block, bounds[idx], bounds[idx + 1]);
         });
     }
 
@@ -333,13 +358,34 @@ impl CsrMatrix {
     /// result is invariant to schedule and row subsetting; vector ISAs
     /// differ from scalar only by FMA contraction.
     pub fn spmm_rows(&self, x: &Matrix, out: &mut [f32], row_begin: usize, row_end: usize) {
+        self.spmm_rows_keep(x, None, out, row_begin, row_end);
+    }
+
+    /// [`CsrMatrix::spmm_rows`], each row scaled by its dropout factors as
+    /// [`simd::spmm_row_dropout`] stores it when `keep` holds the flags of
+    /// every output element and the keep scale.
+    fn spmm_rows_keep(
+        &self,
+        x: &Matrix,
+        keep: Option<(&[bool], f32)>,
+        out: &mut [f32],
+        row_begin: usize,
+        row_end: usize,
+    ) {
         stats::record_spmm_rows(row_end - row_begin);
         let isa = simd::active();
         let d = x.cols();
         for (local, r) in (row_begin..row_end).enumerate() {
             let (cols, vals) = self.row(r);
             let out_row = &mut out[local * d..(local + 1) * d];
-            simd::spmm_row(isa, cols, vals, |c| Some(c as usize), x, out_row);
+            let row_of = |c: u32| Some(c as usize);
+            match keep {
+                None => simd::spmm_row(isa, cols, vals, row_of, x, out_row),
+                Some((dropped, scale)) => {
+                    let flags = &dropped[r * d..(r + 1) * d];
+                    simd::spmm_row_dropout(isa, cols, vals, row_of, x, flags, scale, out_row)
+                }
+            }
         }
     }
 

@@ -10,12 +10,15 @@
 //! column-mapped subset (`spmm_rows_subset_mapped`, `spmm_cols_compact`) —
 //! so each takes its pooled split, over widths that cross the AVX2 kernel's
 //! 8-lane vectors and 64-column panels, on every ISA the host has. The
-//! check runs in child processes under `SKIPNODE_THREADS=1` and `4` (the
-//! pool reads the variable once per process).
+//! dropout-scaled row store (`spmm_dropout_into`, the backward of a dropout
+//! folded into a propagation) is checked against `spmm` followed by
+//! `apply_dropout`, with NaN and ±inf in the operand. The check runs in
+//! child processes under `SKIPNODE_THREADS` of 1 to 4 (the pool reads the
+//! variable once per process).
 
 use skipnode_sparse::{CsrMatrix, COL_SKIP};
 use skipnode_tensor::simd::{self, Isa};
-use skipnode_tensor::{Matrix, SplitRng};
+use skipnode_tensor::{apply_dropout, Matrix, SplitRng};
 
 /// Output widths: one lane, under/at/over one 8-lane vector, two vectors,
 /// the arxiv substitute's 40 classes, under/at/over one and two 64-column
@@ -76,6 +79,20 @@ fn adjacency(rng: &mut SplitRng, n: usize) -> CsrMatrix {
     CsrMatrix::new(n, n, indptr, indices, values)
 }
 
+/// A gradient with [`value`]'s mix plus NaN and ±inf entries.
+fn nonfinite(rng: &mut SplitRng, rows: usize, cols: usize) -> Matrix {
+    let mut m = Matrix::zeros(rows, cols);
+    for v in m.as_mut_slice() {
+        *v = match rng.below(20) {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            _ => value(rng),
+        };
+    }
+    m
+}
+
 fn dense(rng: &mut SplitRng, rows: usize, cols: usize) -> Matrix {
     let mut m = Matrix::zeros(rows, cols);
     for v in m.as_mut_slice() {
@@ -123,6 +140,15 @@ fn check(isa: Isa) {
             }
             assert_same_bits(&a.spmm(&x), &want, &format!("spmm {label}"));
 
+            let g = nonfinite(&mut rng, n, d);
+            let mut dropped = vec![false; n * d];
+            rng.fill_bernoulli(0.5, &mut dropped);
+            let mut want = a.spmm(&g);
+            apply_dropout(want.as_mut_slice(), &dropped, 0.3);
+            let mut got = Matrix::full(n, d, f32::NAN);
+            a.spmm_dropout_into(&g, &dropped, 0.3, &mut got);
+            assert_same_bits(&got, &want, &format!("spmm_dropout_into {label}"));
+
             let mut got = Matrix::full(rows.len(), d, f32::NAN);
             a.spmm_rows_subset(&x, &rows, &mut got);
             let mut want = Matrix::zeros(rows.len(), d);
@@ -163,7 +189,7 @@ fn row_kernel_reproduces_the_per_nonzero_axpy_loop_bit_for_bit() {
         return;
     }
     let exe = std::env::current_exe().expect("test binary path");
-    for threads in ["1", "4"] {
+    for threads in ["1", "2", "3", "4"] {
         let out = std::process::Command::new(&exe)
             .args([
                 "--exact",

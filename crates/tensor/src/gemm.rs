@@ -35,6 +35,7 @@
 //! All kernels **overwrite** `out`; callers may pass recycled, non-zeroed
 //! buffers from [`crate::workspace`].
 
+use crate::epilogue::Epilogue;
 use crate::kstats;
 use crate::matrix::Matrix;
 use crate::pool;
@@ -56,22 +57,38 @@ fn rows_per_chunk(m: usize) -> usize {
 /// `out = a * b`. `out` must be pre-shaped `a.rows x b.cols`; prior
 /// contents are ignored.
 pub fn gemm(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    gemm_with(a, b, Epilogue::NONE, out);
+}
+
+/// `out = ep(a * b)`: the product with `ep` (bias, then ReLU) applied to
+/// each output element as its tile is stored, so the bias and ReLU cost
+/// no pass of their own. Every element is the one [`gemm`] computes, then
+/// [`crate::add_bias_in_place`] and [`crate::relu_in_place`] — the same
+/// add and `max(v, 0)`, bit for bit. `out` must be pre-shaped
+/// `a.rows x b.cols`; prior contents are ignored.
+///
+/// # Panics
+/// Panics when the bias is shorter than `b.cols()`.
+pub fn gemm_with(a: &Matrix, b: &Matrix, ep: Epilogue<'_>, out: &mut Matrix) {
     let (m, k) = a.shape();
     let n = b.cols();
     debug_assert_eq!(out.shape(), (m, n));
+    if let Some(bias) = ep.bias {
+        assert!(bias.len() >= n, "gemm bias shorter than the output row");
+    }
     if n == 0 {
         return;
     }
     kstats::record(kstats::Kernel::Gemm, m);
     let isa = simd::active();
     if m * n * k < PARALLEL_THRESHOLD || m == 1 {
-        gemm_rows_dispatch(isa, a, b, out.as_mut_slice(), 0, m);
+        gemm_rows_dispatch(isa, a, b, ep, out.as_mut_slice(), 0, m);
         return;
     }
     let rows = rows_per_chunk(m);
     pool::par_chunks_mut(out.as_mut_slice(), rows * n, |idx, block| {
         let begin = idx * rows;
-        gemm_rows_dispatch(isa, a, b, block, begin, (begin + rows).min(m));
+        gemm_rows_dispatch(isa, a, b, ep, block, begin, (begin + rows).min(m));
     });
 }
 
@@ -81,19 +98,28 @@ fn gemm_rows_dispatch(
     isa: Isa,
     a: &Matrix,
     b: &Matrix,
+    ep: Epilogue<'_>,
     out: &mut [f32],
     row_begin: usize,
     row_end: usize,
 ) {
     match isa {
-        Isa::Scalar => gemm_rows(a, b, out, row_begin, row_end),
-        isa => simd::gemm_rows(isa, a, b, out, row_begin, row_end),
+        Isa::Scalar => gemm_rows(a, b, ep, out, row_begin, row_end),
+        isa => simd::gemm_rows(isa, a, b, ep, out, row_begin, row_end),
     }
 }
 
 /// Serial reference/microkernel for rows `[row_begin, row_end)` of `a`,
-/// writing the corresponding row block `out`.
-pub(crate) fn gemm_rows(a: &Matrix, b: &Matrix, out: &mut [f32], row_begin: usize, row_end: usize) {
+/// writing the corresponding row block `out`, each tile through `ep` as
+/// it is stored.
+pub(crate) fn gemm_rows(
+    a: &Matrix,
+    b: &Matrix,
+    ep: Epilogue<'_>,
+    out: &mut [f32],
+    row_begin: usize,
+    row_end: usize,
+) {
     let k = a.cols();
     let n = b.cols();
     let bd = b.as_slice();
@@ -123,7 +149,8 @@ pub(crate) fn gemm_rows(a: &Matrix, b: &Matrix, out: &mut [f32], row_begin: usiz
                         }
                     }
                 }
-                for (r, accr) in acc.iter().enumerate() {
+                for (r, accr) in acc.iter_mut().enumerate() {
+                    ep.apply(accr, jt);
                     out[(i + r) * n + jt..(i + r) * n + jt + NR].copy_from_slice(accr);
                 }
             } else {
@@ -140,6 +167,7 @@ pub(crate) fn gemm_rows(a: &Matrix, b: &Matrix, out: &mut [f32], row_begin: usiz
                             *o += ap * bv;
                         }
                     }
+                    ep.apply(&mut acc[..nr], jt);
                     out[(i + r) * n + jt..(i + r) * n + jt + nr].copy_from_slice(&acc[..nr]);
                 }
             }

@@ -24,6 +24,7 @@
 //! assert_eq!(c, a);
 //! ```
 
+mod epilogue;
 mod gemm;
 mod init;
 pub mod kstats;
@@ -37,6 +38,10 @@ pub mod segment;
 pub mod simd;
 pub mod workspace;
 
+pub use epilogue::{
+    add_bias_in_place, apply_dropout, dropout_into, dropout_scale, keep_factor, relu_in_place,
+    Epilogue,
+};
 pub use init::{glorot_uniform, he_normal, Init};
 pub use linalg::{max_singular_value, power_iteration, PowerIterOptions};
 pub use matrix::Matrix;

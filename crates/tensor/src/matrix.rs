@@ -1,5 +1,6 @@
 //! Row-major dense matrix type.
 
+use crate::epilogue::Epilogue;
 use crate::gemm;
 use crate::kstats;
 use crate::pool;
@@ -197,6 +198,25 @@ impl Matrix {
         gemm::gemm(self, rhs, out);
     }
 
+    /// `ep(self * rhs)` into a caller-provided buffer: the product with the
+    /// bias and ReLU of `ep` applied to each tile as it is stored, bit for
+    /// bit [`Matrix::matmul_into`] followed by
+    /// [`crate::add_bias_in_place`] and [`crate::relu_in_place`]. Prior
+    /// contents of `out` are ignored.
+    ///
+    /// # Panics
+    /// Panics on an inner-dimension or output-shape mismatch, or a bias
+    /// shorter than `rhs.cols()`.
+    pub fn matmul_with_into(&self, rhs: &Matrix, ep: Epilogue<'_>, out: &mut Matrix) {
+        assert_eq!(
+            self.cols, rhs.rows,
+            "matmul shape mismatch: {}x{} * {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        assert_eq!(out.shape(), (self.rows, rhs.cols), "matmul_into out shape");
+        gemm::gemm_with(self, rhs, ep, out);
+    }
+
     /// `selfᵀ * rhs` without materializing the transpose.
     pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
         let mut out = workspace::take_scratch(self.cols, rhs.cols);
@@ -332,9 +352,8 @@ impl Matrix {
         out
     }
 
-    /// In-place ReLU with a dedicated SIMD path (bit-identical to
-    /// `map_in_place(|x| x.max(0.0))` except on `-0.0` inputs, which the
-    /// stack never produces — see [`crate::simd::relu`]).
+    /// In-place ReLU with a dedicated SIMD path, bit-identical to
+    /// [`crate::relu_in_place`] (see [`crate::simd::relu`]).
     pub fn relu_in_place(&mut self) {
         kstats::record(kstats::Kernel::Elemwise, self.data.len());
         let isa = simd::active();

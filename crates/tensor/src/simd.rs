@@ -35,7 +35,7 @@
 //! - **Bitwise-class kernels avoid FMA entirely.** `add_scaled`, `relu`,
 //!   and the Adam step use plain mul/add/max lanes that round exactly like
 //!   the scalar reference, so they stay bit-identical to it on every ISA
-//!   (the `-0.0 < +0.0` ReLU edge noted on [`relu`] aside).
+//!   (NEON's ReLU is not checked on NaN and `-0.0` inputs).
 //! - **Reductions that fold lanes** (`dot`, the `A·Bᵀ` kernel, which folds
 //!   four of `dot`'s lane sums at once, [`sum_sq_f64`]) combine partial
 //!   sums in a fixed order, so they are deterministic per ISA but
@@ -45,6 +45,7 @@
 //! remain the bitwise reference; `SKIPNODE_SIMD=off` reproduces pre-SIMD
 //! results byte-for-byte.
 
+use crate::epilogue::{self, Epilogue};
 use crate::matrix::Matrix;
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -248,20 +249,24 @@ pub fn sum_sq_f64(isa: Isa, x: &[f32]) -> f64 {
 }
 
 /// SIMD GEMM row kernel: rows `[row_begin, row_end)` of `a·b` into the row
-/// block `out`. On AVX2 each 4-row block first lists, branch-free, the `p`
+/// block `out`, each element through `ep` (bias, then ReLU) as it is
+/// stored. On AVX2 each 4-row block first lists, branch-free, the `p`
 /// whose 4-wide window of `A` is not all zero, then runs 4×16 register
-/// tiles over that list; NEON runs 4×16 tiles with a per-`p` window test.
-/// Either way each element sums `p = 0..k` in order with FMA from `+0`,
-/// skipping exactly the all-zero windows, so the serial/pooled split
-/// produces identical bytes; versus the scalar reference the only
-/// difference is FMA contraction.
+/// tiles over that list and applies `ep` to the registers before the
+/// store; NEON runs 4×16 tiles with a per-`p` window test and applies `ep`
+/// to the row block after it. Either way each element sums `p = 0..k` in
+/// order with FMA from `+0`, skipping exactly the all-zero windows, so the
+/// serial/pooled split produces identical bytes; versus the scalar
+/// reference the only difference is FMA contraction.
 ///
 /// # Panics
-/// Panics when the shapes disagree or `out` is shorter than the row block.
+/// Panics when the shapes disagree, `out` is shorter than the row block or
+/// the bias is shorter than a row.
 pub fn gemm_rows(
     isa: Isa,
     a: &Matrix,
     b: &Matrix,
+    ep: Epilogue<'_>,
     out: &mut [f32],
     row_begin: usize,
     row_end: usize,
@@ -270,24 +275,27 @@ pub fn gemm_rows(
         a.cols() == b.rows()
             && row_begin <= row_end
             && row_end <= a.rows()
-            && out.len() >= (row_end - row_begin) * b.cols(),
+            && out.len() >= (row_end - row_begin) * b.cols()
+            && ep.bias.is_none_or(|bias| bias.len() >= b.cols()),
         "gemm_rows shapes"
     );
     #[cfg(target_arch = "x86_64")]
     if isa == Isa::Avx2 {
         // SAFETY: see `axpy` for the ISA; the assert above is the kernel's
         // shape contract.
-        unsafe { gemm_rows_avx2(a, b, out, row_begin, row_end) };
+        unsafe { gemm_rows_avx2(a, b, ep, out, row_begin, row_end) };
         return;
     }
     #[cfg(target_arch = "aarch64")]
     if isa == Isa::Neon {
         // SAFETY: NEON is baseline on aarch64.
         unsafe { gemm_rows_neon(a, b, out, row_begin, row_end) };
+        ep.apply_rows(&mut out[..(row_end - row_begin) * b.cols()], b.cols());
         return;
     }
     let _ = isa;
     gemm_rows_portable(a, b, out, row_begin, row_end);
+    ep.apply_rows(&mut out[..(row_end - row_begin) * b.cols()], b.cols());
 }
 
 /// SIMD `Aᵀ·B` row kernel: output rows `[p_begin, p_end)` of `aᵀ·b` into
@@ -407,7 +415,7 @@ pub fn spmm_row<F: Fn(u32) -> Option<usize>>(
     if isa == Isa::Avx2 {
         // SAFETY: see `axpy` for the ISA; the assert above and the kernel's
         // per-nonzero row check are its shape contract.
-        unsafe { spmm_row_avx2(cols, vals, &row_of, x, out) };
+        unsafe { spmm_row_avx2(cols, vals, &row_of, x, None, out) };
         return;
     }
     out.fill(0.0);
@@ -415,6 +423,45 @@ pub fn spmm_row<F: Fn(u32) -> Option<usize>>(
         if let Some(r) = row_of(c) {
             axpy(isa, v, x.row(r), out);
         }
+    }
+}
+
+/// [`spmm_row`] with each element multiplied, as it is stored, by its
+/// inverted-dropout factor: `0` where `dropped[i]`, else `scale`. The
+/// backward of a dropout folded into a propagation: it stores
+/// `dropout(Ãᵀ·g)` where the chain stored `Ãᵀ·g` and then scaled it in a
+/// pass of its own, with the same product per element
+/// ([`crate::apply_dropout`]'s), so the bits agree. On AVX2 the factor
+/// multiplies the accumulator registers; other ISAs scale the finished
+/// row.
+///
+/// # Panics
+/// As [`spmm_row`], and when `dropped` is not `out.len()` long.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn spmm_row_dropout<F: Fn(u32) -> Option<usize>>(
+    isa: Isa,
+    cols: &[u32],
+    vals: &[f32],
+    row_of: F,
+    x: &Matrix,
+    dropped: &[bool],
+    scale: f32,
+    out: &mut [f32],
+) {
+    assert!(
+        cols.len() == vals.len() && out.len() == x.cols() && dropped.len() == out.len(),
+        "spmm_row shapes"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if isa == Isa::Avx2 {
+        // SAFETY: as in `spmm_row`; `dropped` covers the row.
+        unsafe { spmm_row_avx2(cols, vals, &row_of, x, Some((dropped, scale)), out) };
+        return;
+    }
+    spmm_row(isa, cols, vals, row_of, x, out);
+    for (t, &d) in out.iter_mut().zip(dropped) {
+        *t *= epilogue::keep_factor(d, scale);
     }
 }
 
@@ -465,11 +512,9 @@ pub fn add_scaled(isa: Isa, y: &mut [f32], x: &[f32], alpha: f32) {
     }
 }
 
-/// In-place ReLU. Bit-identical to `x.max(0.0)` for every input except
-/// `-0.0`, where the vector max returns `+0.0` (the scalar `f32::max` may
-/// keep the sign). The stack never produces `-0.0` pre-activations — exact
-/// zeros come from zero-skip, which yields `+0.0` — so the paths agree on
-/// real data; tests simply avoid `-0.0` inputs.
+/// In-place ReLU, bit-identical to [`crate::relu_in_place`] per element on
+/// the scalar and AVX2 paths: `v` when `v > 0`, else `+0.0` (the vector
+/// `max(v, 0)` returns its second operand for `-0.0` and NaN).
 #[inline]
 pub fn relu(isa: Isa, y: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
@@ -486,7 +531,7 @@ pub fn relu(isa: Isa, y: &mut [f32]) {
     }
     let _ = isa;
     for v in y {
-        *v = v.max(0.0);
+        *v = epilogue::relu(*v);
     }
 }
 
@@ -620,7 +665,7 @@ pub(crate) fn bernoulli_lanes<const FLAG_BITS: i32>(
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{AdamLanes, Matrix};
+    use super::{AdamLanes, Epilogue, Matrix};
     use std::arch::x86_64::*;
 
     /// Fixed-order horizontal sum: `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`.
@@ -738,7 +783,7 @@ mod avx2 {
         }
         while i < n {
             let v = y.get_unchecked_mut(i);
-            *v = v.max(0.0);
+            *v = super::epilogue::relu(*v);
             i += 1;
         }
     }
@@ -746,9 +791,10 @@ mod avx2 {
     /// Register-tile width: two 8-lane vectors of output columns.
     const NR: usize = 16;
     /// `Aᵀ·B` sums `r` in blocks of this many rows, so a block's window
-    /// list fits a stack array and its rows of `A` and `B` stay in cache
-    /// while every output tile of the chunk passes over them.
-    const AT_B_ROW_BLOCK: usize = 256;
+    /// marks fit one `u64` per window and its rows of `A` and `B` (64 rows
+    /// of a 64-wide `B` are 16 KiB) stay in L1 while every output tile of
+    /// the chunk passes over them.
+    const AT_B_ROW_BLOCK: usize = 64;
 
     /// Lane masks for the first `w` of a register tile's `NR` columns. The
     /// tile functions take `FULL` for `w == NR`, which loads and stores
@@ -802,29 +848,64 @@ mod avx2 {
         }
     }
 
+    /// What a tile applies to its registers before the store: `bias`
+    /// points at the tile's first column of the bias row (null for none),
+    /// then `max(v, 0)` when `relu` — lane for lane the scalar
+    /// [`Epilogue`]: one add, and `max_ps(v, 0)` returns `+0` for `-0.0`
+    /// and NaN as `f32::max(v, 0.0)` does.
+    #[derive(Clone, Copy)]
+    struct TileEpilogue {
+        bias: *const f32,
+        relu: bool,
+    }
+
+    impl TileEpilogue {
+        const NONE: TileEpilogue = TileEpilogue {
+            bias: std::ptr::null(),
+            relu: false,
+        };
+
+        fn new(ep: Epilogue<'_>) -> TileEpilogue {
+            TileEpilogue {
+                bias: ep.bias.map_or(std::ptr::null(), <[f32]>::as_ptr),
+                relu: ep.relu,
+            }
+        }
+    }
+
+    /// The rows `t` a tile sums over, ascending: a list of live rows, or a
+    /// contiguous run walked by pointer increments.
+    #[derive(Clone, Copy)]
+    enum Live<'a> {
+        List(&'a [usize]),
+        Run(usize, usize),
+    }
+
     /// One `R × NR` output tile at `out` (row stride `n`): starts from `+0`,
     /// or from `out` when `resume`, then adds every index `t` of `live` in
     /// order — `acc[q] = fma(a[q][t · a_step], b[t · n ..], acc[q])`, one
-    /// FMA per element and no branch — and stores the tile. `A·B` walks
-    /// `t = p` along `R` rows of `A` (`a_step = 1`); `Aᵀ·B` walks `t = r`
-    /// down `R` columns of `A` (`a_step` its row length).
+    /// FMA per element and no branch — and stores the tile through `ep`.
+    /// `A·B` walks `t = p` along `R` rows of `A` (`a_step = 1`); `Aᵀ·B`
+    /// walks `t = r` down `R` columns of `A` (`a_step` its row length).
     ///
     /// # Safety
     /// For every `t` in `live`, `a[q] + t · a_step` must be readable for
     /// each `q`, and `b + t · n` readable as in [`Cols::load`]; `out + q · n`
-    /// must be readable and writable likewise for each `q < R`.
+    /// must be readable and writable likewise for each `q < R`, and a
+    /// non-null `ep.bias` readable as in [`Cols::load`].
     #[allow(clippy::too_many_arguments)]
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn tile<const R: usize, const FULL: bool>(
         a: &[*const f32; R],
         a_step: usize,
-        live: &[usize],
+        live: Live<'_>,
         b: *const f32,
         n: usize,
         cols: Cols,
         out: *mut f32,
         resume: bool,
+        ep: TileEpilogue,
     ) {
         let mut acc: [[__m256; 2]; R] = std::array::from_fn(|q| {
             if resume {
@@ -833,12 +914,34 @@ mod avx2 {
                 [_mm256_setzero_ps(); 2]
             }
         });
-        for &t in live {
-            let bv = cols.load::<FULL>(b.add(t * n));
-            for (accq, aq) in acc.iter_mut().zip(a) {
-                let av = _mm256_set1_ps(*aq.add(t * a_step));
-                accq[0] = _mm256_fmadd_ps(av, bv[0], accq[0]);
-                accq[1] = _mm256_fmadd_ps(av, bv[1], accq[1]);
+        macro_rules! sum_over {
+            ($rows:expr) => {
+                for t in $rows {
+                    let bv = cols.load::<FULL>(b.add(t * n));
+                    for (accq, aq) in acc.iter_mut().zip(a) {
+                        let av = _mm256_set1_ps(*aq.add(t * a_step));
+                        accq[0] = _mm256_fmadd_ps(av, bv[0], accq[0]);
+                        accq[1] = _mm256_fmadd_ps(av, bv[1], accq[1]);
+                    }
+                }
+            };
+        }
+        match live {
+            Live::List(list) => sum_over!(list.iter().copied()),
+            Live::Run(lo, hi) => sum_over!(lo..hi),
+        }
+        if !ep.bias.is_null() {
+            let bv = cols.load::<FULL>(ep.bias);
+            for accq in acc.iter_mut() {
+                accq[0] = _mm256_add_ps(accq[0], bv[0]);
+                accq[1] = _mm256_add_ps(accq[1], bv[1]);
+            }
+        }
+        if ep.relu {
+            let zero = _mm256_setzero_ps();
+            for accq in acc.iter_mut() {
+                accq[0] = _mm256_max_ps(accq[0], zero);
+                accq[1] = _mm256_max_ps(accq[1], zero);
             }
         }
         for (q, accq) in acc.iter().enumerate() {
@@ -850,27 +953,37 @@ mod avx2 {
     /// last one masked; see [`tile`].
     ///
     /// # Safety
-    /// As for [`tile`], for every column tile of the `n` columns.
+    /// As for [`tile`], for every column tile of the `n` columns; a
+    /// non-null `ep.bias` must be readable for `n` floats.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn tile_row<const R: usize>(
         a: &[*const f32; R],
         a_step: usize,
-        live: &[usize],
+        live: Live<'_>,
         b: *const f32,
         n: usize,
         out: *mut f32,
         resume: bool,
+        ep: TileEpilogue,
     ) {
         let mut jt = 0;
         while jt < n {
             let w = NR.min(n - jt);
             let (b, o, cols) = (b.add(jt), out.add(jt), Cols::new(w));
+            let ep = TileEpilogue {
+                bias: if ep.bias.is_null() {
+                    ep.bias
+                } else {
+                    ep.bias.add(jt)
+                },
+                relu: ep.relu,
+            };
             if w == NR {
-                tile::<R, true>(a, a_step, live, b, n, cols, o, resume);
+                tile::<R, true>(a, a_step, live, b, n, cols, o, resume, ep);
             } else {
-                tile::<R, false>(a, a_step, live, b, n, cols, o, resume);
+                tile::<R, false>(a, a_step, live, b, n, cols, o, resume, ep);
             }
             jt += w;
         }
@@ -919,7 +1032,8 @@ mod avx2 {
     ///
     /// # Safety
     /// Each row pointer must be readable for `k` floats, `b` for `k × n`
-    /// and `out` writable for `R × n`; `live` must hold `k` entries.
+    /// and `out` writable for `R × n`; `live` must hold `k` entries and a
+    /// non-null `ep.bias` be readable for `n` floats.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn ab_row_block<const R: usize>(
@@ -929,9 +1043,10 @@ mod avx2 {
         n: usize,
         live: &mut [usize],
         out: *mut f32,
+        ep: TileEpilogue,
     ) {
         let c = live_columns(rows, k, live);
-        tile_row(rows, 1, &live[..c], b, n, out, false);
+        tile_row(rows, 1, Live::List(&live[..c]), b, n, out, false, ep);
     }
 
     /// Register-tiled GEMM rows `[row_begin, row_end)` of `a·b` into the
@@ -939,16 +1054,17 @@ mod avx2 {
     /// 16-column tiles, the last tile masked. Each block first lists the
     /// `p` whose window of `A` is not all zero, branch-free, then runs its
     /// tiles over that list only, each element summing `p` in ascending
-    /// order with FMA from `+0`.
+    /// order with FMA from `+0`, and stores each tile through `ep`.
     ///
     /// # Safety
     /// The host must support AVX2 and FMA; `a.cols() == b.rows()`,
-    /// `row_end <= a.rows()` and `out.len() >= (row_end - row_begin) ·
-    /// b.cols()`.
+    /// `row_end <= a.rows()`, `out.len() >= (row_end - row_begin) ·
+    /// b.cols()` and the bias, if any, holds `b.cols()` values.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn gemm_rows_avx2(
         a: &Matrix,
         b: &Matrix,
+        ep: Epilogue<'_>,
         out: &mut [f32],
         row_begin: usize,
         row_end: usize,
@@ -957,26 +1073,27 @@ mod avx2 {
         let k = a.cols();
         let n = b.cols();
         let bd = b.as_slice().as_ptr();
+        let ep = TileEpilogue::new(ep);
         let mut live = vec![0usize; k];
         let mut i = row_begin;
         while i < row_end {
             let o = out.as_mut_ptr().add((i - row_begin) * n);
             if row_end - i >= MR {
                 let rows: [*const f32; MR] = std::array::from_fn(|q| a.row(i + q).as_ptr());
-                ab_row_block(&rows, k, bd, n, &mut live, o);
+                ab_row_block(&rows, k, bd, n, &mut live, o, ep);
                 i += MR;
             } else {
-                ab_row_block(&[a.row(i).as_ptr()], k, bd, n, &mut live, o);
+                ab_row_block(&[a.row(i).as_ptr()], k, bd, n, &mut live, o, ep);
                 i += 1;
             }
         }
     }
 
-    /// Sets, for each row `r` of `rows` and each 4-wide window `t` of
-    /// `a[r][p_begin..p_end]` (the last one possibly narrower), bit
-    /// `r - rows.start` of `nonzero[t]` when the window is not all zero (NaN
-    /// counts as nonzero and `-0.0` as zero, as in `live_columns`). Reads
-    /// each row once, front to back.
+    /// Sets, for each row `r` of `rows` (at most [`AT_B_ROW_BLOCK`]) and
+    /// each 4-wide window `t` of `a[r][p_begin..p_end]` (the last one
+    /// possibly narrower), bit `r - rows.start` of `nonzero[t]` when the
+    /// window is not all zero (NaN counts as nonzero and `-0.0` as zero, as
+    /// in `live_columns`). Reads each row once, front to back.
     ///
     /// # Safety
     /// `a` must hold every row of `rows` with row length `lda >= p_end`,
@@ -989,27 +1106,26 @@ mod avx2 {
         rows: std::ops::Range<usize>,
         p_begin: usize,
         p_end: usize,
-        nonzero: &mut [[u64; AT_B_ROW_BLOCK / 64]],
+        nonzero: &mut [u64],
     ) {
         let zero = _mm256_setzero_ps();
-        nonzero.fill([0; AT_B_ROW_BLOCK / 64]);
-        for (rl, r) in rows.enumerate() {
-            let (word, shift) = (rl / 64, rl % 64);
+        nonzero.fill(0);
+        for (shift, r) in rows.enumerate() {
             let row = a.add(r * lda);
             let mut p = p_begin;
             let mut t = 0;
             while p + 8 <= p_end {
                 let v = _mm256_loadu_ps(row.add(p));
                 let bits = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_NEQ_UQ>(v, zero));
-                nonzero[t][word] |= u64::from(bits & 0xf != 0) << shift;
-                nonzero[t + 1][word] |= u64::from(bits >> 4 != 0) << shift;
+                nonzero[t] |= u64::from(bits & 0xf != 0) << shift;
+                nonzero[t + 1] |= u64::from(bits >> 4 != 0) << shift;
                 p += 8;
                 t += 2;
             }
             while p < p_end {
                 let w = 4.min(p_end - p);
                 let nz = (0..w).fold(false, |nz, q| nz | (*row.add(p + q) != 0.0));
-                nonzero[t][word] |= u64::from(nz) << shift;
+                nonzero[t] |= u64::from(nz) << shift;
                 p += w;
                 t += 1;
             }
@@ -1021,13 +1137,12 @@ mod avx2 {
     /// ascending blocks of [`AT_B_ROW_BLOCK`] rows, each block loading the
     /// tile from `out` and storing it back, so each element sums
     /// `r = 0..m` in order from `+0`. One front-to-back pass over the
-    /// block's rows marks which 4-wide windows of `A` are not all zero;
-    /// each tile then lists its live rows from those bits, ascending, and
-    /// runs over them only. The list is read off one 64-row word at a
-    /// time (one loop exit per word, not a branch per row), so its cost
-    /// follows the live rows; on 1%-dense features a per-row count
-    /// (`c += bit`) is slower and on dense operands no faster (see
-    /// EXPERIMENTS.md).
+    /// block's rows marks, in one word per 4-wide window of `A`, the rows
+    /// whose window is not all zero. A tile whose word marks every row of
+    /// the block walks the block's rows by pointer increments; any other
+    /// lists its live rows from the word, ascending, and runs over them
+    /// only. Either way each element keeps its `r` order, so the path
+    /// taken never changes a bit.
     ///
     /// # Safety
     /// The host must support AVX2 and FMA; `a.rows() == b.rows()`,
@@ -1048,31 +1163,44 @@ mod avx2 {
         }
         let ad = a.as_slice().as_ptr();
         let bd = b.as_slice().as_ptr();
-        let mut nonzero = vec![[0u64; AT_B_ROW_BLOCK / 64]; (p_end - p_begin).div_ceil(4)];
+        let mut nonzero = vec![0u64; (p_end - p_begin).div_ceil(4)];
         let mut live = [0usize; AT_B_ROW_BLOCK];
         let mut r0 = 0;
         while r0 < m {
             let r1 = (r0 + AT_B_ROW_BLOCK).min(m);
             window_bits(ad, lda, r0..r1, p_begin, p_end, &mut nonzero);
-            for (t, bits) in nonzero.iter().enumerate() {
-                let mut c = 0;
-                for (w, &word) in bits.iter().enumerate() {
+            let all = u64::MAX >> (AT_B_ROW_BLOCK - (r1 - r0));
+            for (t, &word) in nonzero.iter().enumerate() {
+                let rows = if word == all {
+                    Live::Run(r0, r1)
+                } else {
+                    let mut c = 0;
                     let mut word = word;
                     while word != 0 {
-                        live[c] = r0 + 64 * w + word.trailing_zeros() as usize;
+                        live[c] = r0 + word.trailing_zeros() as usize;
                         c += 1;
                         word &= word - 1;
                     }
-                }
+                    Live::List(&live[..c])
+                };
                 // Output rows p.. take column p.. of A: one pointer per row.
                 let p = p_begin + 4 * t;
                 let ap = |q: usize| ad.add(p + q);
-                let (live, o, resume) = (&live[..c], out.as_mut_ptr().add(4 * t * n), r0 > 0);
+                let (o, resume, ep) = (out.as_mut_ptr().add(4 * t * n), r0 > 0, TileEpilogue::NONE);
                 match (p_end - p).min(4) {
-                    4 => tile_row(&[ap(0), ap(1), ap(2), ap(3)], lda, live, bd, n, o, resume),
-                    3 => tile_row(&[ap(0), ap(1), ap(2)], lda, live, bd, n, o, resume),
-                    2 => tile_row(&[ap(0), ap(1)], lda, live, bd, n, o, resume),
-                    _ => tile_row(&[ap(0)], lda, live, bd, n, o, resume),
+                    4 => tile_row(
+                        &[ap(0), ap(1), ap(2), ap(3)],
+                        lda,
+                        rows,
+                        bd,
+                        n,
+                        o,
+                        resume,
+                        ep,
+                    ),
+                    3 => tile_row(&[ap(0), ap(1), ap(2)], lda, rows, bd, n, o, resume, ep),
+                    2 => tile_row(&[ap(0), ap(1)], lda, rows, bd, n, o, resume, ep),
+                    _ => tile_row(&[ap(0)], lda, rows, bd, n, o, resume, ep),
                 }
             }
             r0 = r1;
@@ -1169,13 +1297,16 @@ mod avx2 {
 
     /// One panel of an SpMM output row: `V` accumulators (the last one
     /// masked by `mask` when `MASKED`) over every nonzero, stored once at
-    /// `out`. `x` points at the panel's first column of row 0 (row stride
-    /// `d`); `rows` bounds the rows `row_of` may name.
+    /// `out` — multiplied first, when `keep` is not null, by each element's
+    /// dropout factor (`0` where `keep`'s flag is set, else `scale`). `x`
+    /// points at the panel's first column of row 0 (row stride `d`);
+    /// `rows` bounds the rows `row_of` may name.
     ///
     /// # Safety
     /// Row `r < rows` of `x` must be readable and `out` writable for the
     /// panel's columns: all `8V` unless `MASKED`, else those `mask`
-    /// selects in the last vector.
+    /// selects in the last vector; a non-null `keep` must be readable for
+    /// the same columns.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     #[target_feature(enable = "avx2,fma")]
@@ -1187,6 +1318,8 @@ mod avx2 {
         d: usize,
         rows: usize,
         mask: __m256i,
+        keep: *const bool,
+        scale: __m256,
         out: *mut f32,
     ) {
         let mut acc = [_mm256_setzero_ps(); V];
@@ -1204,6 +1337,21 @@ mod avx2 {
                 *a = _mm256_fmadd_ps(av, xv, *a);
             }
         }
+        if !keep.is_null() {
+            for (i, a) in acc.iter_mut().enumerate() {
+                // Eight flags as bytes (0 or 1), fewer in a masked vector.
+                let flags = keep.add(8 * i).cast::<u8>();
+                let bytes = if MASKED && i + 1 == V {
+                    let lanes = _mm256_movemask_ps(_mm256_castsi256_ps(mask)).count_ones();
+                    (0..lanes as usize).fold(0u64, |w, l| w | u64::from(*flags.add(l)) << (8 * l))
+                } else {
+                    flags.cast::<u64>().read_unaligned()
+                };
+                let dropped = _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(bytes as i64));
+                let kept = _mm256_cmpeq_epi32(dropped, _mm256_setzero_si256());
+                *a = _mm256_mul_ps(*a, _mm256_and_ps(_mm256_castsi256_ps(kept), scale));
+            }
+        }
         for (i, a) in acc.iter().enumerate() {
             if MASKED && i + 1 == V {
                 _mm256_maskstore_ps(out.add(8 * i), mask, *a);
@@ -1213,22 +1361,29 @@ mod avx2 {
         }
     }
 
-    /// [`super::spmm_row`]: panels of [`SPMM_PANEL`] columns, each held in
-    /// registers across all of the row's nonzeros.
+    /// [`super::spmm_row`] and [`super::spmm_row_dropout`]: panels of
+    /// [`SPMM_PANEL`] columns, each held in registers across all of the
+    /// row's nonzeros and scaled by `keep`'s dropout factors, when given,
+    /// before the store.
     ///
     /// # Safety
-    /// The host must support AVX2 and FMA; `cols.len() == vals.len()` and
-    /// `out.len() == x.cols()`.
+    /// The host must support AVX2 and FMA; `cols.len() == vals.len()`,
+    /// `out.len() == x.cols()` and the flags of `keep` cover `out`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn spmm_row_avx2<F: Fn(u32) -> Option<usize>>(
         cols: &[u32],
         vals: &[f32],
         row_of: &F,
         x: &Matrix,
+        keep: Option<(&[bool], f32)>,
         out: &mut [f32],
     ) {
         let (rows, d) = x.shape();
         let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let (flags, scale) = match keep {
+            Some((flags, scale)) => (flags.as_ptr(), _mm256_set1_ps(scale)),
+            None => (std::ptr::null(), _mm256_setzero_ps()),
+        };
         let mut jt = 0;
         while jt < d {
             let w = SPMM_PANEL.min(d - jt);
@@ -1236,13 +1391,18 @@ mod avx2 {
                 x.as_slice().as_ptr().wrapping_add(jt),
                 out.as_mut_ptr().add(jt),
             );
+            let k = if flags.is_null() {
+                flags
+            } else {
+                flags.add(jt)
+            };
             let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32((w % 8) as i32), lane);
             macro_rules! panel {
                 ($($v:literal)*) => {
                     match (w.div_ceil(8), w % 8 != 0) {
                         $(
-                            ($v, false) => spmm_panel::<$v, false, F>(cols, vals, row_of, xp, d, rows, mask, o),
-                            ($v, true) => spmm_panel::<$v, true, F>(cols, vals, row_of, xp, d, rows, mask, o),
+                            ($v, false) => spmm_panel::<$v, false, F>(cols, vals, row_of, xp, d, rows, mask, k, scale, o),
+                            ($v, true) => spmm_panel::<$v, true, F>(cols, vals, row_of, xp, d, rows, mask, k, scale, o),
                         )*
                         _ => unreachable!("a panel holds 1 to 8 vectors"),
                     }

@@ -9,14 +9,22 @@
 //!
 //! Every element sums the same terms in the same order with FMA, and a
 //! skipped term is `fma(±0, x, acc) == acc` for finite `x`, so the bits
-//! must agree on the finite operands used here. The products run through
+//! must agree on the finite operands used here.
+//!
+//! Also by bits: `Aᵀ·B` over row counts around its 64-row block, with
+//! fully live blocks (walked by pointer increments) alternating with
+//! blocks that hold all-zero windows (walked from a live-row list) in one
+//! call; and the bias/ReLU epilogue of `matmul_with_into` against
+//! `matmul` followed by `add_bias_in_place` and `relu_in_place`, on both
+//! the AVX2 and the scalar kernels, with `-0.0`, NaN, ±inf and subnormal
+//! products and biases and a masked last column tile. The products run through
 //! the public `Matrix` API, so they take the pooled split; the check runs
 //! in child processes under `SKIPNODE_THREADS` of 1 to 4 (the pool reads
 //! the variable once per process). Hosts without AVX2+FMA skip it.
 #![cfg(target_arch = "x86_64")]
 
 use skipnode_tensor::simd::{self, Isa};
-use skipnode_tensor::{Matrix, SplitRng};
+use skipnode_tensor::{add_bias_in_place, relu_in_place, Epilogue, Matrix, SplitRng};
 
 mod reference {
     use skipnode_tensor::simd::{self, Isa};
@@ -249,6 +257,119 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (260, 1001, 3),
 ];
 
+/// An `m × k` operand, dense in its 64-row blocks of even index; odd
+/// blocks zero one 4-wide window in some rows (block 1 in every row,
+/// others in every third row), so within one `Aᵀ·B` call the kernel meets
+/// both fully live and partly live windows.
+fn blocky_operand(rng: &mut SplitRng, m: usize, k: usize) -> Matrix {
+    let mut a = rng.uniform_matrix(m, k, -2.0, 2.0);
+    for r in 0..m {
+        let block = r / 64;
+        if block % 2 == 1 && (block == 1 || r % 3 == 0) {
+            let w = 4 * (block % k.div_ceil(4));
+            for v in &mut a.row_mut(r)[w..(w + 4).min(k)] {
+                *v = if r % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+    }
+    a
+}
+
+/// `Aᵀ·B` at row counts below, at and above one and two 64-row blocks, and
+/// at the arxiv substitute's 12,000 rows.
+fn check_at_b_blocks() {
+    for (s, &m) in [1usize, 63, 64, 65, 129, 12_000].iter().enumerate() {
+        for &(k, n) in &[(64usize, 64usize), (13, 40), (128, 7)] {
+            let mut rng = SplitRng::new(0xb10c + 8 * s as u64 + k as u64);
+            let a = blocky_operand(&mut rng, m, k);
+            let g = sparse_operand(&mut rng, m, n, 0.1);
+            assert_same_bits(
+                &a.t_matmul(&g),
+                &reference::t_matmul(&a, &g),
+                &format!("Aᵀ·B blocks {m}x{k}x{n}"),
+            );
+        }
+    }
+}
+
+/// A value from a mix of ordinary floats and the edge cases the epilogue
+/// must pass through unchanged: `±0.0`, NaN, ±inf and subnormals.
+fn edge_value(rng: &mut SplitRng) -> f32 {
+    match rng.below(12) {
+        0 => -0.0,
+        1 => 0.0,
+        2 => f32::NAN,
+        3 => f32::INFINITY,
+        4 => f32::NEG_INFINITY,
+        5 => f32::MIN_POSITIVE * rng.uniform(-0.9, 0.9),
+        _ => rng.uniform(-2.0, 2.0),
+    }
+}
+
+/// `m` with every NaN replaced by one canonical NaN. When an add meets two
+/// NaNs of different payloads (a `0 · inf` product's default NaN and a NaN
+/// bias) it returns one of them, and which one follows the compiler's
+/// operand order, in the standalone `add_bias_in_place` as anywhere else;
+/// every other value is compared by its bits.
+fn nan_class(m: &Matrix) -> Matrix {
+    let mut out = m.clone();
+    for v in out.as_mut_slice() {
+        if v.is_nan() {
+            *v = f32::NAN;
+        }
+    }
+    out
+}
+
+/// The epilogue against the standalone passes on the ISA `isa`. `A` is a
+/// selection matrix (each row a single `1.0`, some rows none), so every
+/// product element is one entry of `B` — `-0.0` entries become `+0.0`
+/// products, NaN, ±inf and subnormal entries come through — and the bias
+/// holds the same mix. Widths 1, 5, 16, 37 and 64 cover a lone masked
+/// tile, full tiles and a masked last tile.
+fn check_epilogue(isa: Isa) {
+    for (s, &(m, k, n)) in [
+        (9usize, 7usize, 1usize),
+        (70, 12, 5),
+        (33, 20, 16),
+        (600, 33, 37),
+        (301, 70, 64),
+    ]
+    .iter()
+    .enumerate()
+    {
+        let mut rng = SplitRng::new(0xe91 + s as u64);
+        let mut a = Matrix::zeros(m, k);
+        for r in 0..m {
+            if r % 7 != 3 {
+                a.set(r, rng.below(k), 1.0);
+            }
+        }
+        let mut b = Matrix::zeros(k, n);
+        let mut bias = Matrix::zeros(1, n);
+        for v in b.as_mut_slice().iter_mut().chain(bias.as_mut_slice()) {
+            *v = edge_value(&mut rng);
+        }
+        for (with_bias, relu) in [(true, true), (true, false), (false, true)] {
+            let mut want = a.matmul(&b);
+            if with_bias {
+                add_bias_in_place(&mut want, &bias);
+            }
+            if relu {
+                relu_in_place(&mut want);
+            }
+            let ep = Epilogue {
+                bias: with_bias.then(|| bias.row(0)),
+                relu,
+            };
+            let mut got = Matrix::full(m, n, 7.0);
+            a.matmul_with_into(&b, ep, &mut got);
+            let label = format!("{isa:?} epilogue bias={with_bias} relu={relu} {m}x{k}x{n}");
+            assert_same_bits(&nan_class(&got), &nan_class(&want), &label);
+        }
+    }
+}
+
 fn check_all_kernels() {
     for (s, &(m, k, n)) in SHAPES.iter().enumerate() {
         for (d, zeros) in [0.0, 0.5, 0.75, 0.99].into_iter().enumerate() {
@@ -286,6 +407,12 @@ fn tiled_kernels_reproduce_the_replaced_kernels_bit_for_bit() {
     }
     if std::env::var("GEMM_BITS_CHILD").is_ok() {
         check_all_kernels();
+        check_at_b_blocks();
+        for isa in [Isa::Avx2, Isa::Scalar] {
+            simd::force(isa);
+            check_epilogue(isa);
+        }
+        simd::force(Isa::Avx2);
         return;
     }
     let exe = std::env::current_exe().expect("test binary path");

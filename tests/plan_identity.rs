@@ -9,12 +9,20 @@
 //! three ways against the reference: plan execution with the fused
 //! masked kernel enabled, plan execution with it disabled, and — where
 //! SkipNode is active — fused vs unfused directly.
+//!
+//! The folded layer (a dropout folded into its propagation's SpMM, bias
+//! and ReLU into its GEMM) is checked further, through training: a GCN
+//! without strategy, a ResGCN and a JKNet give bit-identical losses,
+//! parameter gradients and evaluation logits with folding on and off,
+//! eagerly and through the compiled program.
 
-use skipnode_autograd::{AdjId, NodeId, Tape};
+use skipnode_autograd::{softmax_cross_entropy, AdjId, NodeId, Tape};
 use skipnode_core::{Sampling, SkipNodeConfig};
-use skipnode_graph::{partition_graph, FeatureStyle, Graph, PartitionConfig};
+use skipnode_graph::{
+    full_supervised_split, partition_graph, FeatureStyle, Graph, PartitionConfig, Split,
+};
 use skipnode_nn::models::{build_by_name, BACKBONE_NAMES};
-use skipnode_nn::{ForwardCtx, Model, Strategy};
+use skipnode_nn::{compile_train_program, ForwardCtx, Model, Strategy, StrategySampler};
 use skipnode_sparse::CsrMatrix;
 use skipnode_tensor::{Matrix, SplitRng};
 use std::collections::HashMap;
@@ -377,3 +385,120 @@ fn plans_reproduce_seed_logits_for_every_backbone_and_strategy() {
 // Fused-coverage row-work assertions live in `tests/fused_coverage.rs`:
 // the SpMM row counter is process-global, so that test keeps a binary to
 // itself (same convention as `crates/autograd/tests/work_scaling.rs`).
+
+/// One training step's loss and parameter gradients, in store order.
+struct Step {
+    loss: f64,
+    grads: Vec<Matrix>,
+}
+
+/// `epochs` training steps of `model` (parameters fixed) from the epoch
+/// seeds `100 + e`: eagerly recorded tapes, or one compiled program
+/// replayed, with folding on (`fuse`) or off.
+fn train_steps(
+    model: &dyn Model,
+    g: &Graph,
+    split: &Split,
+    compiled: bool,
+    fuse: bool,
+    epochs: u64,
+) -> Vec<Step> {
+    let adj = g.gcn_adjacency();
+    let degrees = g.degrees();
+    let strategy = Strategy::None;
+    let mut program = compiled.then(|| {
+        compile_train_program(model, g, &adj, &strategy, fuse).expect("plan backbone compiles")
+    });
+    (0..epochs)
+        .map(|e| {
+            let mut rng = SplitRng::new(100 + e);
+            let seed_of = |logits: &Matrix| {
+                let out = softmax_cross_entropy(logits, g.labels(), &split.train);
+                (out.loss, out.grad)
+            };
+            let (loss, grads) = match program.as_mut() {
+                Some(program) => {
+                    program.set_adjacency(Arc::clone(&adj));
+                    program.load_params(model.store().values());
+                    let mut sampler = StrategySampler::new(&strategy, &degrees);
+                    program.begin_epoch(&mut sampler, &mut rng);
+                    program.replay_forward();
+                    let head = program.heads()[0];
+                    let (loss, seed) = seed_of(program.value(head));
+                    let grads = program.backward(vec![(head, seed)]);
+                    (loss, grads.into_iter().map(|g| g.expect("grad")).collect())
+                }
+                None => {
+                    let mut tape = Tape::new();
+                    let binding = model.store().bind(&mut tape);
+                    let adj_id = tape.register_adj(Arc::clone(&adj));
+                    let x = tape.constant_shared(g.features_arc());
+                    let mut ctx = ForwardCtx::new(adj_id, x, &degrees, &strategy, true, &mut rng);
+                    ctx.fuse = fuse;
+                    let out = model.forward(&mut tape, &binding, &mut ctx);
+                    let (loss, seed) = seed_of(tape.value(out));
+                    let mut grads = tape.backward(out, seed);
+                    let grads = binding
+                        .nodes()
+                        .iter()
+                        .map(|&n| grads.take(n).expect("grad"));
+                    (loss, grads.collect())
+                }
+            };
+            Step { loss, grads }
+        })
+        .collect()
+}
+
+/// Evaluation logits on a no-grad inference tape, folding on or off.
+fn eval_logits(model: &dyn Model, g: &Graph, fuse: bool) -> Matrix {
+    let mut tape = Tape::inference();
+    let binding = model.store().bind(&mut tape);
+    let adj = tape.register_adj(g.gcn_adjacency());
+    let x = tape.constant_shared(g.features_arc());
+    let degrees = g.degrees();
+    let mut rng = SplitRng::new(5);
+    let mut ctx = ForwardCtx::new(adj, x, &degrees, &Strategy::None, false, &mut rng);
+    ctx.fuse = fuse;
+    let out = model.forward(&mut tape, &binding, &mut ctx);
+    tape.run(&[out]);
+    tape.take_value(out)
+}
+
+#[test]
+fn folded_layers_match_the_op_chain_in_losses_gradients_and_evaluation() {
+    let g = graph();
+    for name in ["gcn", "resgcn", "jknet"] {
+        let mut rng = SplitRng::new(17);
+        let split = full_supervised_split(&g, &mut rng);
+        let model = build_by_name(
+            name,
+            g.feature_dim(),
+            HIDDEN,
+            g.num_classes(),
+            DEPTH,
+            DROPOUT,
+            &mut rng,
+        )
+        .expect("known backbone");
+        let want = train_steps(model.as_ref(), &g, &split, false, false, 3);
+        for (compiled, fuse) in [(false, true), (true, true), (true, false)] {
+            let got = train_steps(model.as_ref(), &g, &split, compiled, fuse, 3);
+            let engine = if compiled { "compiled" } else { "eager" };
+            for (e, (w, o)) in want.iter().zip(&got).enumerate() {
+                let label = format!("{name} {engine} fuse={fuse} epoch {e}");
+                assert_eq!(w.loss.to_bits(), o.loss.to_bits(), "{label}: loss");
+                assert_eq!(w.grads.len(), o.grads.len(), "{label}: gradient count");
+                for (i, (wg, og)) in w.grads.iter().zip(&o.grads).enumerate() {
+                    assert_bitwise(&format!("{label}: gradient {i}"), wg, og);
+                }
+            }
+        }
+        let want = eval_logits(model.as_ref(), &g, false);
+        assert_bitwise(
+            &format!("{name} evaluation"),
+            &want,
+            &eval_logits(model.as_ref(), &g, true),
+        );
+    }
+}
