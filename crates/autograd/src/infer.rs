@@ -33,7 +33,11 @@ use crate::tape::{apply_row_dropout, NodeId, Op, Tape, Value};
 use skipnode_sparse::CsrMatrix;
 use skipnode_tensor::quant::{qgemm, QuantizedMatrix};
 use skipnode_tensor::segment::segment_reduce_into;
-use skipnode_tensor::{apply_dropout, dropout_into, kstats, workspace, Epilogue, Matrix};
+use skipnode_tensor::{
+    add_bias_in_place, apply_dropout, dropout_into, kstats, relu_in_place, workspace, Epilogue,
+    Matrix,
+};
+use std::sync::Arc;
 
 /// Sentinel for "no consumer".
 pub(crate) const NO_USE: usize = usize::MAX;
@@ -107,6 +111,15 @@ pub(crate) fn op_inputs(op: &Op, f: &mut dyn FnMut(usize)) {
             f(s_src.0);
             f(s_dst.0);
         }
+        Op::Gather { x, .. } => f(x.0),
+    }
+}
+
+/// `v = Σ parts[k].0 · parts[k].1`, accumulated in order onto zeros.
+fn lin_comb_into(v: &mut Matrix, parts: &[(&Matrix, f32)]) {
+    v.as_mut_slice().fill(0.0);
+    for &(p, c) in parts {
+        v.add_scaled(p, c);
     }
 }
 
@@ -245,6 +258,14 @@ impl Tape {
         }
     }
 
+    /// The int8 codes of leaf weight `w`, from `qweights` or made now.
+    fn quantized_weight(&self, w: usize) -> Arc<QuantizedMatrix> {
+        match self.qweights.get(&w) {
+            Some(q) => Arc::clone(q),
+            None => Arc::new(QuantizedMatrix::from_cols(self.val(w))),
+        }
+    }
+
     /// Drop a node's buffer back to the workspace, leaving a shape-only
     /// placeholder. No-op if the value was already stolen for in-place
     /// reuse; shared constants just drop their `Arc`.
@@ -305,7 +326,7 @@ impl Tape {
                 // products through the int8 kernel; per-eval calibration
                 // is one O(k·n) pass against O(m·k·n) of dot work.
                 if self.is_quantized() && matches!(self.nodes[b.0].op, Op::Leaf) {
-                    let qb = QuantizedMatrix::from_cols(self.val(b.0));
+                    let qb = self.quantized_weight(b.0);
                     let av = self.val(a.0);
                     let mut out = workspace::take(av.rows(), qb.n());
                     qgemm(av, &qb, &mut out);
@@ -343,7 +364,7 @@ impl Tape {
                 // Quantized inference keeps its int8 product for leaf
                 // weights (see `MatMul`) and applies the epilogue after it.
                 if self.is_quantized() && matches!(self.nodes[w.0].op, Op::Leaf) {
-                    qgemm(xv, &QuantizedMatrix::from_cols(wv), &mut out);
+                    qgemm(xv, &self.quantized_weight(w.0), &mut out);
                     ep.apply_rows(out.as_mut_slice(), wv.cols());
                 } else {
                     xv.matmul_with_into(wv, ep, &mut out);
@@ -362,12 +383,12 @@ impl Tape {
             }
             Op::AddBias(x, bias) => {
                 let mut v = self.reuse_or_copy(x.0, idx, last_use, pinned, &[bias.0]);
-                crate::subset::add_bias_in_place(&mut v, self.val(bias.0));
+                add_bias_in_place(&mut v, self.val(bias.0));
                 v
             }
             Op::Relu(x) => {
                 let mut v = self.reuse_or_copy(x.0, idx, last_use, pinned, &[]);
-                crate::subset::relu_in_place(&mut v);
+                relu_in_place(&mut v);
                 v
             }
             Op::Mask { x, dropped, rate } => {
@@ -508,18 +529,17 @@ impl Tape {
                     argmax.clear();
                     argmax.resize(v.len(), 0);
                 }
+                // Elementwise max keeping the earlier part on ties.
                 for (k, p) in xs.iter().enumerate().skip(1) {
                     let pv = self.val(p.0);
-                    if retain {
-                        for (i, &cand) in pv.as_slice().iter().enumerate() {
-                            let t = &mut v.as_mut_slice()[i];
-                            if cand > *t {
-                                *t = cand;
+                    for (i, &cand) in pv.as_slice().iter().enumerate() {
+                        let t = &mut v.as_mut_slice()[i];
+                        if cand > *t {
+                            *t = cand;
+                            if retain {
                                 argmax[i] = k as u8;
                             }
                         }
-                    } else {
-                        crate::subset::max_pool_in_place(&mut v, pv);
                     }
                 }
                 v
@@ -554,7 +574,7 @@ impl Tape {
                 let mut v = workspace::take_scratch(rows, cols);
                 let operands: Vec<(&Matrix, f32)> =
                     parts.iter().map(|&(p, c)| (self.val(p.0), c)).collect();
-                crate::subset::lin_comb_into(&mut v, &operands);
+                lin_comb_into(&mut v, &operands);
                 v
             }
             Op::WeightedSum { xs, w } => {
@@ -566,7 +586,7 @@ impl Tape {
                     .zip(&coef)
                     .map(|(x, &c)| (self.val(x.0), c))
                     .collect();
-                crate::subset::lin_comb_into(&mut v, &operands);
+                lin_comb_into(&mut v, &operands);
                 v
             }
             Op::EdgeScore { h, edges } => {
@@ -602,6 +622,14 @@ impl Tape {
                 }
                 out
             }
+            Op::Gather { x, rows } => {
+                let xv = self.val(x.0);
+                let mut v = workspace::take_scratch(rows.len(), xv.cols());
+                for (i, &r) in rows.iter().enumerate() {
+                    v.row_mut(i).copy_from_slice(xv.row(r as usize));
+                }
+                v
+            }
         };
         debug_assert_eq!(
             value.shape(),
@@ -618,7 +646,6 @@ mod tests {
     use super::*;
     use skipnode_sparse::gcn_adjacency;
     use skipnode_tensor::SplitRng;
-    use std::sync::Arc;
 
     fn assert_same(a: &Matrix, b: &Matrix) {
         assert_eq!(a.shape(), b.shape());
@@ -737,6 +764,66 @@ mod tests {
         let y_2 = build_relu_chain(&mut q2);
         q2.run(&[y_2]);
         assert_same(eager.value(y_e), q2.value(y_2));
+    }
+
+    #[test]
+    fn lin_comb_accumulates_in_order() {
+        let a = Matrix::from_rows(&[&[1.0, 2.0]]);
+        let b = Matrix::from_rows(&[&[10.0, 20.0]]);
+        let mut v = Matrix::full(1, 2, f32::NAN);
+        lin_comb_into(&mut v, &[(&a, 0.5), (&b, 0.1)]);
+        assert_eq!(v.as_slice(), &[1.5, 3.0]);
+    }
+
+    #[test]
+    fn max_pool_keeps_the_larger_entry() {
+        let mut infer = Tape::inference();
+        let a = infer.constant(Matrix::from_rows(&[&[1.0, 5.0]]));
+        let b = infer.constant(Matrix::from_rows(&[&[3.0, 2.0]]));
+        let v = infer.max_pool(&[a, b]);
+        infer.run(&[v]);
+        assert_eq!(infer.value(v).as_slice(), &[3.0, 5.0]);
+    }
+
+    #[test]
+    fn inference_tapes_register_asymmetric_matrices_without_a_transpose() {
+        // Row-normalized path 0 - 1 - 2: not symmetric.
+        let asym = || {
+            Arc::new(CsrMatrix::new(
+                3,
+                3,
+                vec![0, 2, 5, 7],
+                vec![0, 1, 0, 1, 2, 1, 2],
+                vec![0.5, 0.5, 0.25, 0.5, 0.25, 0.5, 0.5],
+            ))
+        };
+        let mut train = Tape::new();
+        let id = train.register_adj(asym());
+        assert!(train.adjs[id.0].transpose.is_some());
+
+        let mut infer = Tape::inference();
+        let id = infer.register_adj(asym());
+        assert!(infer.adjs[id.0].transpose.is_none());
+        let x = infer.constant(Matrix::from_rows(&[&[1.0], &[2.0], &[4.0]]));
+        let y = infer.spmm(id, x);
+        infer.run(&[y]);
+        assert_eq!(infer.value(y).as_slice(), &[1.5, 2.25, 3.0]);
+    }
+
+    #[test]
+    fn gather_copies_the_listed_rows() {
+        let mut infer = Tape::inference();
+        let x = infer.constant(Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]));
+        let g = infer.record(
+            2,
+            2,
+            Op::Gather {
+                x,
+                rows: vec![0, 2],
+            },
+        );
+        infer.run(&[g]);
+        assert_eq!(infer.value(g).as_slice(), &[1.0, 2.0, 5.0, 6.0]);
     }
 
     #[test]

@@ -30,16 +30,17 @@
 //! ```
 
 mod attention;
+mod frontier;
 mod gradcheck;
 mod infer;
 mod loss;
 pub mod op_timers;
 mod ops;
-pub mod subset;
 mod tape;
 mod train_exec;
 
 pub use attention::AttentionGraph;
+pub use frontier::{Cone, Frontier};
 pub use gradcheck::finite_difference_check;
 pub use loss::{bce_with_logits, softmax_cross_entropy, LossOutput};
 pub use ops::FusedStep;

@@ -29,7 +29,7 @@ const PHASES: [Phase; 3] = [Phase::Forward, Phase::Backward, Phase::Inference];
 /// Op kinds, in [`Op`] declaration order (stable, lowercase). A folded
 /// `Op::Linear` counts as `matmul` (its bias and ReLU run in the GEMM's
 /// stores) and a propagation with a folded dropout as `spmm`.
-const NAMES: [&str; 21] = [
+pub(crate) const NAMES: [&str; 22] = [
     "leaf",
     "matmul",
     "spmm",
@@ -51,6 +51,7 @@ const NAMES: [&str; 21] = [
     "weighted_sum",
     "edge_score",
     "gat_aggregate",
+    "gather",
 ];
 const KINDS: usize = NAMES.len();
 
@@ -83,6 +84,7 @@ pub(crate) fn kind(op: &Op) -> usize {
         Op::WeightedSum { .. } => 18,
         Op::EdgeScore { .. } => 19,
         Op::GatAggregate { .. } => 20,
+        Op::Gather { .. } => 21,
     }
 }
 

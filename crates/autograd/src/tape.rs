@@ -9,10 +9,12 @@
 use crate::attention::gat_backward;
 use crate::infer::op_inputs;
 use skipnode_sparse::{CsrMatrix, COL_SKIP};
+use skipnode_tensor::quant::QuantizedMatrix;
 use skipnode_tensor::segment::segment_reduce_backward_into;
 use skipnode_tensor::{
     apply_dropout, dropout_scale, keep_factor, workspace, Matrix, ReadoutKind, SegmentTable,
 };
+use std::collections::HashMap;
 use std::ops::Index;
 use std::sync::Arc;
 
@@ -181,6 +183,13 @@ pub(crate) enum Op {
         s_dst: NodeId,
         cache: Box<crate::attention::GatCache>,
     },
+    /// Inference only: row `i` is row `rows[i]` of `x`. Frontier serving
+    /// ([`crate::Frontier`]) puts one wherever an operand holds more rows
+    /// than its reader computes.
+    Gather {
+        x: NodeId,
+        rows: Vec<u32>,
+    },
 }
 
 /// Forward-pass intermediates the fused SkipNode layer keeps for backward.
@@ -320,6 +329,9 @@ pub struct Tape {
     params: Vec<NodeId>,
     infer: bool,
     quantized: bool,
+    /// Int8 codes of leaf weights by node, made once by frontier serving;
+    /// a quantized product calibrates a weight not listed here itself.
+    pub(crate) qweights: HashMap<usize, Arc<QuantizedMatrix>>,
     /// The fused layer backward's `Ãᵀ·dS` rows on N(active), reused by
     /// every such step: its row count changes with each skip mask, and a
     /// workspace buffer per count seen would stay parked on the free-list.
@@ -446,9 +458,10 @@ impl Tape {
     /// normalized) use a transpose. Both the symmetry test and the
     /// transpose are cached **on the matrix itself**, so re-registering the
     /// same `Arc` every epoch (a fresh tape per forward pass) costs one
-    /// flag read instead of an O(nnz) transpose.
+    /// flag read instead of an O(nnz) transpose. An inference tape never
+    /// runs backward, so it does neither.
     pub fn register_adj(&mut self, mat: Arc<CsrMatrix>) -> AdjId {
-        let transpose = if mat.is_symmetric_cached() {
+        let transpose = if self.infer || mat.is_symmetric_cached() {
             None
         } else {
             Some(mat.transpose_arc())
@@ -1055,6 +1068,7 @@ impl Tape {
                 }
                 workspace::give(g);
             }
+            Op::Gather { .. } => unreachable!("Gather is recorded on inference tapes only"),
         }
         self.nodes[idx].op = op;
     }
@@ -1082,7 +1096,8 @@ pub(crate) fn backward_value_reads(tape: &Tape, idx: usize, f: &mut dyn FnMut(us
         // Readout's backward reads only the upstream gradient plus the
         // op-resident segment table and argmax record.
         | Op::Readout { .. }
-        | Op::LinComb(..) => {}
+        | Op::LinComb(..)
+        | Op::Gather { .. } => {}
         Op::MatMul(a, b) | Op::Hadamard(a, b) => {
             if rg(*a) {
                 f(b.0);

@@ -58,6 +58,6 @@ pub use param::{Binding, LayerInit, ParamId, ParamStore};
 pub use plan::{LayerPlan, PlanBuilder, PlanExecutor, PlanOp, Reg};
 pub use schedule::{clip_global_norm, LrSchedule};
 pub use trainer::{
-    evaluate, evaluate_packed, evaluate_quantized, train_graph_classifier, train_node_classifier,
-    train_packed_node_classifier, TrainConfig, TrainEngine, TrainResult,
+    evaluate, evaluate_packed, evaluate_quantized, record_evaluation, train_graph_classifier,
+    train_node_classifier, train_packed_node_classifier, TrainConfig, TrainEngine, TrainResult,
 };

@@ -9,7 +9,7 @@ use crate::metrics::{accuracy, mean_average_distance};
 use crate::models::{Consistency, Model};
 use crate::optim::{Adam, AdamConfig};
 use crate::schedule::{clip_global_norm, LrSchedule};
-use skipnode_autograd::{softmax_cross_entropy, Tape, TrainProgram};
+use skipnode_autograd::{softmax_cross_entropy, NodeId, Tape, TrainProgram};
 use skipnode_graph::{Graph, GraphBatch, Split};
 use skipnode_sparse::CsrMatrix;
 use skipnode_tensor::{row_softmax_in_place, workspace, Matrix, SegmentTable, SplitRng};
@@ -191,20 +191,15 @@ fn evaluate_data(
     strategy: &Strategy,
     rng: &mut SplitRng,
 ) -> (Matrix, Option<Matrix>) {
-    let binding = model.store().bind(&mut tape);
-    let adj = tape.register_adj(Arc::clone(&data.full_adj));
-    let x = tape.constant_shared(Arc::clone(&data.features));
-    let mut ctx = ForwardCtx::new(adj, x, &data.degrees, strategy, false, rng);
-    ctx.segments = data.segments;
-    let out = model.forward(&mut tape, &binding, &mut ctx);
+    let (_, out, penultimate) = record_data(&mut tape, model, data, strategy, rng);
     let mut keep = vec![out];
-    if let Some(p) = ctx.penultimate {
+    if let Some(p) = penultimate {
         if p != out {
             keep.push(p);
         }
     }
     tape.run(&keep);
-    let penultimate = ctx.penultimate.map(|p| {
+    let penultimate = penultimate.map(|p| {
         if p == out {
             workspace::take_copy(tape.value(out))
         } else {
@@ -212,6 +207,34 @@ fn evaluate_data(
         }
     });
     (tape.take_value(out), penultimate)
+}
+
+/// Record `model`'s evaluation forward over `data` on `tape`, returning the
+/// nodes of the features, the logits and the penultimate, if any.
+fn record_data(
+    tape: &mut Tape,
+    model: &dyn Model,
+    data: &TrainData<'_>,
+    strategy: &Strategy,
+    rng: &mut SplitRng,
+) -> (NodeId, NodeId, Option<NodeId>) {
+    let binding = model.store().bind(tape);
+    let adj = tape.register_adj(Arc::clone(&data.full_adj));
+    let x = tape.constant_shared(Arc::clone(&data.features));
+    let mut ctx = ForwardCtx::new(adj, x, &data.degrees, strategy, false, rng);
+    ctx.segments = data.segments;
+    let out = model.forward(tape, &binding, &mut ctx);
+    (x, out, ctx.penultimate)
+}
+
+/// Record on the inference tape `tape`, and not run, the forward
+/// [`evaluate`] runs without a strategy; returns the nodes of the features
+/// and the logits.
+pub fn record_evaluation(tape: &mut Tape, model: &dyn Model, graph: &Graph) -> (NodeId, NodeId) {
+    // Evaluation without a strategy draws nothing from the RNG.
+    let data = TrainData::from_graph(graph);
+    let (x, out, _) = record_data(tape, model, &data, &Strategy::None, &mut SplitRng::new(0));
+    (x, out)
 }
 
 /// Train a node classifier; returns the standard "test accuracy at best

@@ -7,11 +7,11 @@
 //! this millisecond". This crate provides the runtime between the two
 //! (DESIGN.md §15):
 //!
-//! - [`ServeEngine`] — loads a [`skipnode_nn::ModelCheckpoint`],
-//!   precomputes the normalized adjacency in patchable form
-//!   ([`skipnode_sparse::DynamicAdjacency`]), and answers micro-batches
-//!   of node queries by executing the model's compiled
-//!   [`skipnode_nn::plan::LayerPlan`] over each batch's k-hop frontier
+//! - [`ServeEngine`] — loads a [`skipnode_nn::ModelCheckpoint`], records
+//!   the model's evaluation forward once, precomputes the normalized
+//!   adjacency in patchable form ([`skipnode_sparse::DynamicAdjacency`]),
+//!   and answers micro-batches of node queries by replaying that forward
+//!   ([`skipnode_autograd::Frontier`]) over each batch's k-hop frontier
 //!   only. Batched, sequential, and full-graph evaluation are bitwise
 //!   identical, on both the f32 and the int8-quantized path.
 //! - [`InferenceServer`] — a worker thread with an adaptive batching

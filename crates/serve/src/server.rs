@@ -2,12 +2,14 @@
 //!
 //! Requests land in a shared queue; a single worker thread coalesces
 //! everything that arrives within a tunable batching window (or up to a
-//! batch-size cap) into one frontier-restricted forward. Because batched
-//! and sequential serving are bitwise identical (the engine's contract),
-//! the window is a pure latency/throughput knob with no accuracy
-//! dimension: wider windows amortize the per-forward fixed costs
-//! (frontier discovery, weight traffic, kernel launch overhead) over
-//! more queries.
+//! batch-size cap) into one [`ServeEngine::serve_batch`]: one compact
+//! replay of the model's recorded forward over the rows the batch needs.
+//! Because batched and sequential serving are bitwise identical (the
+//! engine's contract), the window is a pure latency/throughput knob with
+//! no accuracy dimension: wider windows amortize the per-batch fixed
+//! costs (the reverse pass, cutting adjacency blocks, weight traffic)
+//! over more queries, and neighborhoods shared between queries are
+//! computed once.
 //!
 //! Graph updates ride the same channel: they are drained and applied
 //! *before* each batch executes, so every response reflects all updates
@@ -15,6 +17,7 @@
 
 use crate::engine::{EngineStats, ServeEngine};
 use skipnode_graph::GraphUpdate;
+use skipnode_tensor::workspace;
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -233,6 +236,7 @@ fn worker_loop(
                 // A caller that dropped its receiver just misses the row.
                 let _ = tx.send(logits.row(i).to_vec());
             }
+            workspace::give(logits);
             stats.batches += 1;
             stats.requests += batch.len() as u64;
             stats.max_batch_formed = stats.max_batch_formed.max(batch.len());

@@ -3,21 +3,30 @@
 //! 1. Micro-batched frontier serving is **bitwise identical** to
 //!    sequential single-request serving and to the corresponding rows of
 //!    the full-graph forward, for every plan backbone, on the f32 and
-//!    the int8-quantized path.
+//!    the int8-quantized path: over dense features, over bag-of-words
+//!    features sparse enough for the sparse input layer, and over a graph
+//!    whose frontier blocks and products take the pooled kernels.
 //! 2. Incrementally patched serving state equals a from-scratch rebuild:
 //!    after a stream of edge/node updates, the patched adjacency is
 //!    byte-identical to one rebuilt from the final edge list, and served
 //!    logits equal a fresh evaluation on the final graph.
 
-use skipnode_graph::{Graph, GraphUpdate, UpdateStream};
+use skipnode_graph::{
+    partition_graph, FeatureStyle, Graph, GraphUpdate, PartitionConfig, UpdateStream,
+};
 use skipnode_nn::models::BACKBONE_NAMES;
 use skipnode_nn::{evaluate, evaluate_quantized, BackboneSpec, ModelCheckpoint, Strategy};
 use skipnode_serve::{InferenceServer, ServeEngine, ServeMode, ServerConfig};
+use skipnode_sparse::SPMM_PARALLEL_THRESHOLD;
 use skipnode_tensor::{Matrix, SplitRng};
 use std::time::Duration;
 
 const IN_DIM: usize = 10;
+const HIDDEN: usize = 12;
 const CLASSES: usize = 4;
+const DEPTH: usize = 4;
+/// `gemm.rs`'s pooled-dispatch threshold on `m · k · n`.
+const GEMM_PARALLEL_THRESHOLD: usize = 64 * 64 * 64;
 
 /// A connected random graph with deterministic features.
 fn test_graph(n: usize, extra_edges: usize, seed: u64) -> Graph {
@@ -35,8 +44,47 @@ fn test_graph(n: usize, extra_edges: usize, seed: u64) -> Graph {
     Graph::new(n, edges, features, labels, CLASSES)
 }
 
+/// 80 nodes with 200 binary features, 6 active per node: sparse enough
+/// that evaluation runs the sparse input layer for most backbones.
+fn bag_of_words_graph() -> Graph {
+    partition_graph(
+        &PartitionConfig {
+            n: 80,
+            m: 200,
+            classes: CLASSES,
+            homophily: 0.8,
+            power: 0.3,
+        },
+        200,
+        FeatureStyle::BinaryBagOfWords {
+            active: 6,
+            fidelity: 0.9,
+            confusion: 0.1,
+        },
+        &mut SplitRng::new(13),
+    )
+}
+
+/// Nodes within `hops` of `queries`, ascending.
+fn within(graph: &Graph, queries: &[usize], hops: usize) -> Vec<usize> {
+    let adj = graph.gcn_adjacency();
+    let mut seen = vec![false; graph.num_nodes()];
+    queries.iter().for_each(|&q| seen[q] = true);
+    for _ in 0..hops {
+        let frontier: Vec<usize> = (0..seen.len()).filter(|&r| seen[r]).collect();
+        for r in frontier {
+            adj.row(r).0.iter().for_each(|&c| seen[c as usize] = true);
+        }
+    }
+    (0..seen.len()).filter(|&r| seen[r]).collect()
+}
+
 fn checkpoint_for(name: &str, seed: u64) -> ModelCheckpoint {
-    let spec = BackboneSpec::new(name, IN_DIM, 12, CLASSES, 4, 0.3);
+    checkpoint_sized(name, IN_DIM, HIDDEN, seed)
+}
+
+fn checkpoint_sized(name: &str, in_dim: usize, hidden: usize, seed: u64) -> ModelCheckpoint {
+    let spec = BackboneSpec::new(name, in_dim, hidden, CLASSES, DEPTH, 0.3);
     let mut rng = SplitRng::new(seed);
     let model = spec.build(&mut rng).unwrap();
     ModelCheckpoint::capture(&spec, model.as_ref())
@@ -56,31 +104,45 @@ fn full_eval(ckpt: &ModelCheckpoint, graph: &Graph, mode: ServeMode) -> Matrix {
 }
 
 /// Gate 1: batched == sequential == full-graph rows, every backbone,
-/// both numeric paths.
+/// both numeric paths, three graphs.
 #[test]
 fn micro_batched_serving_is_bitwise_identical_to_full_forward() {
-    let graph = test_graph(60, 90, 11);
     let queries: Vec<usize> = vec![3, 17, 17, 42, 0, 59, 28];
-    for name in BACKBONE_NAMES {
-        let ckpt = checkpoint_for(name, 23);
-        for mode in [ServeMode::F32, ServeMode::Quantized] {
-            let full = full_eval(&ckpt, &graph, mode);
-            let mut engine = ServeEngine::from_checkpoint(&ckpt, &graph, mode).unwrap();
-            let batched = engine.serve_batch(&queries);
-            assert_eq!(batched.rows(), queries.len());
-            assert_eq!(batched.cols(), CLASSES);
-            for (i, &q) in queries.iter().enumerate() {
-                assert_eq!(
-                    batched.row(i),
-                    full.row(q),
-                    "{name} {mode:?}: batched row for node {q} != full forward"
-                );
-                let single = engine.serve_one(q);
-                assert_eq!(
-                    single.as_slice(),
-                    batched.row(i),
-                    "{name} {mode:?}: sequential serve for node {q} != batched"
-                );
+    // Width 64 over 2,000 nodes: the hidden layers' blocks around the
+    // queries take the pooled SpMM and their products the pooled GEMM.
+    let large = test_graph(2000, 8000, 17);
+    let cone = within(&large, &queries, DEPTH - 1);
+    let adj = large.gcn_adjacency();
+    let cone_nnz: usize = cone.iter().map(|&r| adj.row_nnz(r)).sum();
+    assert!(cone_nnz * 64 >= SPMM_PARALLEL_THRESHOLD);
+    assert!(cone.len() * 64 * 64 >= GEMM_PARALLEL_THRESHOLD);
+    let graphs = [
+        ("dense", test_graph(60, 90, 11), HIDDEN),
+        ("bag of words", bag_of_words_graph(), HIDDEN),
+        ("large", large, 64),
+    ];
+    for (label, graph, hidden) in &graphs {
+        for name in BACKBONE_NAMES {
+            let ckpt = checkpoint_sized(name, graph.feature_dim(), *hidden, 23);
+            for mode in [ServeMode::F32, ServeMode::Quantized] {
+                let full = full_eval(&ckpt, graph, mode);
+                let mut engine = ServeEngine::from_checkpoint(&ckpt, graph, mode).unwrap();
+                let batched = engine.serve_batch(&queries);
+                assert_eq!(batched.rows(), queries.len());
+                assert_eq!(batched.cols(), CLASSES);
+                for (i, &q) in queries.iter().enumerate() {
+                    assert_eq!(
+                        batched.row(i),
+                        full.row(q),
+                        "{label} {name} {mode:?}: batched row for node {q} != full forward"
+                    );
+                    let single = engine.serve_one(q);
+                    assert_eq!(
+                        single.as_slice(),
+                        batched.row(i),
+                        "{label} {name} {mode:?}: sequential serve for node {q} != batched"
+                    );
+                }
             }
         }
     }

@@ -422,7 +422,7 @@ impl CsrMatrix {
     /// multiplied by zero, which leaves every finite accumulation unchanged;
     /// the surviving terms keep CSR order, so results match the full product
     /// bit-for-bit on every thread count. The row loop is
-    /// [`CsrMatrix::spmm_rows_subset_mapped`]'s; the work is counted as
+    /// [`CsrMatrix::spmm_rows_subset`]'s; the work is counted as
     /// [`kstats::Kernel::SpmmCompact`].
     ///
     /// # Panics
@@ -442,40 +442,6 @@ impl CsrMatrix {
             rows,
             out,
             kstats::Kernel::SpmmCompact,
-        );
-    }
-
-    /// `self * X̂` computed **only** for the output rows listed in `rows`
-    /// (sorted, duplicate-free), against a row-compacted operand: `col_map[c]`
-    /// is the row of `x_compact` holding logical row `c` of `X̂`, or
-    /// [`COL_SKIP`] for an absent (all-zero) row. This is the serving
-    /// frontier kernel — one micro-batch keeps every intermediate compacted
-    /// to its frontier, and this kernel bridges two compactions without ever
-    /// scattering back to full width. Output row `k` of `out` is logical row
-    /// `rows[k]`.
-    ///
-    /// Each row is the same [`simd::spmm_row`] call as in
-    /// [`CsrMatrix::spmm_rows`], with [`COL_SKIP`] columns left out, so
-    /// computed rows match the full product bit-for-bit whenever every
-    /// referenced column is mapped.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch or an out-of-range row index.
-    pub fn spmm_rows_subset_mapped(
-        &self,
-        x_compact: &Matrix,
-        col_map: &[u32],
-        rows: &[u32],
-        out: &mut Matrix,
-    ) {
-        assert_eq!(col_map.len(), self.cols, "spmm_rows_subset_mapped map len");
-        spmm_subset_impl(
-            self,
-            x_compact,
-            |c| mapped_row(col_map, c),
-            rows,
-            out,
-            kstats::Kernel::SpmmSubsetMapped,
         );
     }
 
@@ -748,51 +714,28 @@ impl CsrMatrix {
     }
 }
 
-/// Anything that can hand out CSR-shaped rows `(sorted cols, values)`.
-/// Lets [`spmm_subset_impl`] serve both the immutable [`CsrMatrix`] and the
-/// serving layer's patchable [`crate::DynamicAdjacency`] with one
-/// accumulation loop — the loop being shared is what makes "patched
-/// adjacency" and "rebuilt adjacency" provably produce the same bytes for
-/// the same row contents.
-pub(crate) trait SubsetRowSource: Sync {
-    /// Number of rows.
-    fn source_rows(&self) -> usize;
-    /// One row's sorted column indices and values.
-    fn source_row(&self, r: usize) -> (&[u32], &[f32]);
-}
-
-impl SubsetRowSource for CsrMatrix {
-    fn source_rows(&self) -> usize {
-        self.rows
-    }
-    fn source_row(&self, r: usize) -> (&[u32], &[f32]) {
-        self.row(r)
-    }
-}
-
 /// Row of the compacted operand holding logical row `c`, or `None` for a
 /// [`COL_SKIP`] (masked) column.
 #[inline]
-pub(crate) fn mapped_row(col_map: &[u32], c: u32) -> Option<usize> {
+fn mapped_row(col_map: &[u32], c: u32) -> Option<usize> {
     let m = col_map[c as usize];
     (m != COL_SKIP).then_some(m as usize)
 }
 
 /// Shared routine behind the row-subset products (see
-/// [`CsrMatrix::spmm_rows_subset`] and
-/// [`CsrMatrix::spmm_rows_subset_mapped`] for semantics), counted under
-/// `kernel`: output row `k` is [`simd::spmm_row`] of source row `rows[k]`
-/// against `x`, with `row_of` naming the row of `x` each column reads.
-/// Pooled with nnz-balanced chunking over the subset.
-pub(crate) fn spmm_subset_impl<S, F>(
-    src: &S,
+/// [`CsrMatrix::spmm_rows_subset`] and [`CsrMatrix::spmm_cols_compact`]
+/// for semantics), counted under `kernel`: output row `k` is
+/// [`simd::spmm_row`] of source row `rows[k]` against `x`, with `row_of`
+/// naming the row of `x` each column reads. Pooled with nnz-balanced
+/// chunking over the subset.
+fn spmm_subset_impl<F>(
+    src: &CsrMatrix,
     x: &Matrix,
     row_of: F,
     rows: &[u32],
     out: &mut Matrix,
     kernel: kstats::Kernel,
 ) where
-    S: SubsetRowSource + ?Sized,
     F: Fn(u32) -> Option<usize> + Sync,
 {
     assert_eq!(out.shape(), (rows.len(), x.cols()), "spmm subset out shape");
@@ -807,14 +750,14 @@ pub(crate) fn spmm_subset_impl<S, F>(
     cum.push(0usize);
     for &r in rows {
         let r = r as usize;
-        assert!(r < src.source_rows(), "spmm subset row out of range");
-        cum.push(cum.last().unwrap() + src.source_row(r).0.len());
+        assert!(r < src.rows(), "spmm subset row out of range");
+        cum.push(cum.last().unwrap() + src.row_nnz(r));
     }
     let sub_nnz = *cum.last().unwrap();
     let kernel = |out: &mut [f32], lo: usize, hi: usize| {
         stats::record_spmm_rows(hi - lo);
         for (local, &r) in rows[lo..hi].iter().enumerate() {
-            let (cols, vals) = src.source_row(r as usize);
+            let (cols, vals) = src.row(r as usize);
             let out_row = &mut out[local * d..(local + 1) * d];
             simd::spmm_row(isa, cols, vals, &row_of, x, out_row);
         }
@@ -993,7 +936,7 @@ mod tests {
         let rows: Vec<u32> = (0..n as u32).filter(|r| r % 4 == 1).collect();
         let identity: Vec<u32> = (0..n as u32).collect();
         let mut got = Matrix::zeros(rows.len(), 6);
-        m.spmm_rows_subset_mapped(&x, &identity, &rows, &mut got);
+        m.spmm_cols_compact(&x, &identity, &rows, &mut got);
         let mut want = Matrix::zeros(rows.len(), 6);
         m.spmm_rows_subset(&x, &rows, &mut want);
         assert_eq!(got, want);
@@ -1004,7 +947,7 @@ mod tests {
         let mut map = identity.clone();
         map[dropped] = COL_SKIP;
         let mut skipped = Matrix::zeros(rows.len(), 6);
-        m.spmm_rows_subset_mapped(&x, &map, &rows, &mut skipped);
+        m.spmm_cols_compact(&x, &map, &rows, &mut skipped);
         let mut x_zeroed = x.clone();
         x_zeroed.row_mut(dropped).fill(0.0);
         let mut reference = Matrix::zeros(rows.len(), 6);

@@ -20,11 +20,11 @@
 //!
 //! Rows touched since the last [`DynamicAdjacency::drain_touched`] are
 //! recorded so callers can invalidate exactly the affected rows of any
-//! cached intermediate (the serve engine's first-hop `Ã·X` row cache).
+//! cached intermediate (the serve engine's first-hop row cache).
 
-use crate::csr::{mapped_row, spmm_subset_impl, CsrMatrix, SubsetRowSource};
+use crate::csr::{CsrMatrix, COL_SKIP};
 use crate::normalize::gcn_adjacency;
-use skipnode_tensor::{kstats, Matrix};
+use skipnode_tensor::kstats;
 
 /// One adjacency row stored CSR-style (parallel arrays, columns sorted).
 #[derive(Debug, Clone, Default)]
@@ -58,7 +58,14 @@ impl DynamicAdjacency {
     /// [`crate::gcn_adjacency`]: the rows are sliced out of the matrix it
     /// builds, so a fresh adjacency is bitwise the same matrix.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let adj = gcn_adjacency(n, edges);
+        Self::from_normalized(&gcn_adjacency(n, edges))
+    }
+
+    /// Take the rows of `adj`, a matrix [`crate::gcn_adjacency`] built (such
+    /// as a graph's cached one), so no second adjacency is built. Degrees
+    /// are read off the row lengths, which count each row's self-loop.
+    pub fn from_normalized(adj: &CsrMatrix) -> Self {
+        let n = adj.rows();
         let rows: Vec<AdjRow> = (0..n)
             .map(|r| {
                 let (cols, vals) = adj.row(r);
@@ -214,35 +221,41 @@ impl DynamicAdjacency {
         CsrMatrix::new(n, n, indptr, indices, values)
     }
 
-    /// The serving frontier kernel over the live (patched) rows — identical
-    /// accumulation to [`CsrMatrix::spmm_rows_subset_mapped`] (one shared
-    /// loop), so answers never depend on whether the adjacency was patched
-    /// or rebuilt.
-    pub fn spmm_rows_subset_mapped(
-        &self,
-        x_compact: &Matrix,
-        col_map: &[u32],
-        rows: &[u32],
-        out: &mut Matrix,
-    ) {
-        assert_eq!(col_map.len(), self.n(), "spmm_rows_subset_mapped map len");
-        spmm_subset_impl(
-            self,
-            x_compact,
-            |c| mapped_row(col_map, c),
-            rows,
-            out,
-            kstats::Kernel::SpmmSubsetMapped,
-        );
-    }
-}
-
-impl SubsetRowSource for DynamicAdjacency {
-    fn source_rows(&self) -> usize {
-        self.n()
-    }
-    fn source_row(&self, r: usize) -> (&[u32], &[f32]) {
-        self.row(r)
+    /// The block `Ã[rows, cols]` as a `rows.len() × cols.len()` matrix:
+    /// block row `k` holds row `rows[k]`'s entries with each column
+    /// renumbered to its position in `cols`. Both lists are ascending and
+    /// duplicate-free, so every block row keeps its row's entry order and
+    /// a product with the block computes each listed row exactly as the
+    /// full product does, against an operand that holds only the rows
+    /// `cols`. This is how frontier serving propagates one batch.
+    ///
+    /// # Panics
+    /// Panics when a row is out of range or stores a column `cols` lacks.
+    pub fn block(&self, rows: &[u32], cols: &[u32]) -> CsrMatrix {
+        kstats::record(kstats::Kernel::ServeBlock, rows.len());
+        let mut pos = vec![COL_SKIP; self.n()];
+        for (k, &c) in cols.iter().enumerate() {
+            pos[c as usize] = k as u32;
+        }
+        let nnz = rows.iter().map(|&r| self.rows[r as usize].cols.len()).sum();
+        let mut indptr = Vec::with_capacity(rows.len() + 1);
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        indptr.push(0);
+        for &r in rows {
+            let row = &self.rows[r as usize];
+            for &c in &row.cols {
+                let p = pos[c as usize];
+                assert!(
+                    p != COL_SKIP,
+                    "block row {r} reads column {c}, absent from cols"
+                );
+                indices.push(p);
+            }
+            values.extend_from_slice(&row.vals);
+            indptr.push(indices.len());
+        }
+        CsrMatrix::new(rows.len(), cols.len(), indptr, indices, values)
     }
 }
 
@@ -320,27 +333,26 @@ mod tests {
     }
 
     #[test]
-    fn subset_mapped_kernel_matches_csr_twin() {
+    fn block_rows_match_the_snapshot_rows() {
         let edges = vec![(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)];
         let mut adj = DynamicAdjacency::from_edges(5, &edges);
         assert!(adj.add_edge(0, 2));
         let snap = adj.snapshot();
-        let d = 3usize;
-        // Compact operand holding logical rows {0, 1, 2, 4}.
-        let present = [0u32, 1, 2, 4];
-        let mut col_map = vec![crate::COL_SKIP; 5];
-        let mut x_compact = Matrix::zeros(present.len(), d);
-        for (k, &r) in present.iter().enumerate() {
-            col_map[r as usize] = k as u32;
-            for c in 0..d {
-                x_compact.set(k, c, (r as usize * 3 + c) as f32 * 0.25 - 1.0);
-            }
-        }
+        // Over every column, a block row is the patched row itself.
         let rows = [1u32, 3];
-        let mut got = Matrix::zeros(rows.len(), d);
-        adj.spmm_rows_subset_mapped(&x_compact, &col_map, &rows, &mut got);
-        let mut want = Matrix::zeros(rows.len(), d);
-        snap.spmm_rows_subset_mapped(&x_compact, &col_map, &rows, &mut want);
-        assert_eq!(got, want);
+        let cols = [0u32, 1, 2, 3, 4];
+        let block = adj.block(&rows, &cols);
+        assert_eq!((block.rows(), block.cols()), (2, 5));
+        for (k, &r) in rows.iter().enumerate() {
+            assert_eq!(block.row(k), snap.row(r as usize));
+        }
+        // Row 3 stores columns 2, 3 and 4: over just those, they become
+        // 0, 1 and 2, in the same order and with the same values.
+        let rows = [3u32];
+        let cols = [2u32, 3, 4];
+        let block = adj.block(&rows, &cols);
+        let (c, v) = block.row(0);
+        assert_eq!(c, &[0, 1, 2]);
+        assert_eq!(v, snap.row(3).1);
     }
 }

@@ -1,10 +1,11 @@
 //! Structural oracle for incremental adjacency updates: a patched
 //! [`DynamicAdjacency`] must be **byte-identical** to a from-scratch
 //! [`gcn_adjacency`] rebuild after any sequence of edge/node insertions,
-//! and its frontier kernel must produce the same bytes as the immutable
-//! CSR twin even when the subset crosses the SpMM parallel threshold.
+//! and a product with a block cut from it must produce the same bytes as
+//! the full product of the rebuild even when it crosses the SpMM parallel
+//! threshold.
 
-use skipnode_sparse::{gcn_adjacency, CsrMatrix, DynamicAdjacency, COL_SKIP};
+use skipnode_sparse::{gcn_adjacency, CsrMatrix, DynamicAdjacency};
 use skipnode_tensor::{Matrix, SplitRng};
 
 /// Draw a random pair of distinct node ids.
@@ -74,9 +75,9 @@ fn untouched_rows_are_bitwise_stable_across_patches() {
     }
 }
 
-/// Subset product large enough that the pooled dispatch path runs
-/// (`sub_nnz * d >= SPMM_PARALLEL_THRESHOLD`): patched rows through the
-/// frontier kernel must match the immutable-CSR full product bit-for-bit.
+/// Block product large enough that the pooled dispatch path runs
+/// (`block nnz * d >= SPMM_PARALLEL_THRESHOLD`): patched rows cut into a
+/// serving block must match the immutable-CSR full product bit-for-bit.
 #[test]
 fn frontier_kernel_bitwise_across_parallel_threshold() {
     let mut rng = SplitRng::new(0xBEEF);
@@ -107,8 +108,7 @@ fn frontier_kernel_bitwise_across_parallel_threshold() {
     );
 
     let identity: Vec<u32> = (0..n as u32).collect();
-    let mut got = Matrix::zeros(rows.len(), d);
-    adj.spmm_rows_subset_mapped(&x, &identity, &rows, &mut got);
+    let got = adj.block(&rows, &identity).spmm(&x);
 
     // Oracle: the full (serial-order) product restricted to the subset.
     let full = snapshot.spmm(&x);
@@ -121,7 +121,7 @@ fn frontier_kernel_bitwise_across_parallel_threshold() {
     }
 
     // A frontier-compacted operand (only the rows any subset row reads)
-    // must give the same bytes as the identity-mapped full operand.
+    // must give the same bytes as the full operand.
     let mut needed = vec![false; n];
     for &r in &rows {
         let (cols, _) = snapshot.row(r as usize);
@@ -129,19 +129,11 @@ fn frontier_kernel_bitwise_across_parallel_threshold() {
             needed[c as usize] = true;
         }
     }
-    let mut col_map = vec![COL_SKIP; n];
-    let mut compact_rows = Vec::new();
-    for (c, &need) in needed.iter().enumerate() {
-        if need {
-            col_map[c] = compact_rows.len() as u32;
-            compact_rows.push(c);
-        }
-    }
+    let compact_rows: Vec<u32> = (0..n as u32).filter(|&c| needed[c as usize]).collect();
     let mut x_compact = Matrix::zeros(compact_rows.len(), d);
     for (k, &c) in compact_rows.iter().enumerate() {
-        x_compact.row_mut(k).copy_from_slice(x.row(c));
+        x_compact.row_mut(k).copy_from_slice(x.row(c as usize));
     }
-    let mut got_compact = Matrix::zeros(rows.len(), d);
-    adj.spmm_rows_subset_mapped(&x_compact, &col_map, &rows, &mut got_compact);
+    let got_compact = adj.block(&rows, &compact_rows).spmm(&x_compact);
     assert_eq!(got, got_compact, "compacted operand changed the bytes");
 }

@@ -7,7 +7,7 @@
 //! same order, so the bits agree on every input here, `-0.0` and
 //! subnormals included. Checked through the public entry points — the full
 //! product (`spmm`), the row subset (`spmm_rows_subset`) and the
-//! column-mapped subset (`spmm_rows_subset_mapped`, `spmm_cols_compact`) —
+//! column-mapped subset (`spmm_cols_compact`) —
 //! so each takes its pooled split, over widths that cross the AVX2 kernel's
 //! 8-lane vectors and 64-column panels, on every ISA the host has. The
 //! dropout-scaled row store (`spmm_dropout_into`, the backward of a dropout
@@ -168,9 +168,6 @@ fn check(isa: Isa) {
                 };
                 reference_row(isa, cols, vals, row_of, &x_compact, want.row_mut(k));
             }
-            let mut got = Matrix::full(rows.len(), d, f32::NAN);
-            a.spmm_rows_subset_mapped(&x_compact, &col_map, &rows, &mut got);
-            assert_same_bits(&got, &want, &format!("spmm_rows_subset_mapped {label}"));
             let mut got = Matrix::full(rows.len(), d, f32::NAN);
             a.spmm_cols_compact(&x_compact, &col_map, &rows, &mut got);
             assert_same_bits(&got, &want, &format!("spmm_cols_compact {label}"));

@@ -30,9 +30,9 @@ pub enum Kernel {
     /// Column-compacted SpMM of the fused backward over the active set's
     /// neighborhood (work = rows computed).
     SpmmCompact,
-    /// Row-subset SpMM against a col-mapped compact operand — the serving
-    /// frontier kernel (work = computed rows).
-    SpmmSubsetMapped,
+    /// Adjacency blocks frontier serving cuts per propagation (work = block
+    /// rows), named `spmm_mapped` for the serving benchmark that reads it.
+    ServeBlock,
     /// Sparse mat-vec (work = output rows).
     Spmv,
     /// Elementwise update kernels: `add_scaled`, `relu` (work = elements).

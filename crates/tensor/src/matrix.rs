@@ -412,17 +412,9 @@ impl Matrix {
         out
     }
 
-    /// Horizontal concatenation of matrices with equal row counts.
-    pub fn hcat(parts: &[&Matrix]) -> Matrix {
-        assert!(!parts.is_empty(), "hcat of zero matrices");
-        let cols: usize = parts.iter().map(|p| p.cols).sum();
-        let mut out = Matrix::zeros(parts[0].rows, cols);
-        Matrix::hcat_into(parts, &mut out);
-        out
-    }
-
-    /// [`Matrix::hcat`] into `out`, overwriting every element (so `out`
-    /// may hold stale contents, e.g. a `workspace::take_scratch` buffer).
+    /// Horizontal concatenation of matrices with `out`'s row count into
+    /// `out`, overwriting every element (so `out` may hold stale contents,
+    /// e.g. a `workspace::take_scratch` buffer).
     pub fn hcat_into(parts: &[&Matrix], out: &mut Matrix) {
         let rows = out.rows;
         for p in parts {
@@ -543,7 +535,8 @@ mod tests {
     fn hcat_concatenates_columns() {
         let a = Matrix::from_rows(&[&[1.0], &[2.0]]);
         let b = Matrix::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]);
-        let c = Matrix::hcat(&[&a, &b]);
+        let mut c = Matrix::zeros(2, 3);
+        Matrix::hcat_into(&[&a, &b], &mut c);
         assert_eq!(c, Matrix::from_rows(&[&[1.0, 3.0, 4.0], &[2.0, 5.0, 6.0]]));
     }
 

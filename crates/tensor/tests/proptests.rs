@@ -83,7 +83,8 @@ fn hcat_and_select_round_trip() {
         let mut rng = SplitRng::new(0x500 + seed);
         let a = random_matrix(&mut rng, 4, 2);
         let b = random_matrix(&mut rng, 4, 3);
-        let cat = Matrix::hcat(&[&a, &b]);
+        let mut cat = Matrix::zeros(4, 5);
+        Matrix::hcat_into(&[&a, &b], &mut cat);
         assert_eq!(cat.cols(), 5);
         for r in 0..4 {
             assert_eq!(&cat.row(r)[..2], a.row(r));
